@@ -59,23 +59,32 @@ def _positive(text: str) -> int:
     return value
 
 
-def _record(command: str, parameters: dict[str, str], result: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "result": result,
-    }
-
-
-def _emit_json(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-
-
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit(
+    args: argparse.Namespace,
+    parameters: dict,
+    result: dict,
+    header: list[str],
+    rows: list[list[str]],
+    lines: list[str],
+) -> None:
+    """Print one command's output in the chosen format: the JSON record of
+    its parameters (stringified) and result, the CSV header and rows, or the
+    table lines."""
+    if args.format == "json":
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "parameters": {key: str(value) for key, value in parameters.items()},
+            "result": result,
+        }
+        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 def _enum_cap(args: argparse.Namespace) -> int:
@@ -92,31 +101,17 @@ def _enum_cap(args: argparse.Namespace) -> int:
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     values = [str(c) for c in gaussian_coefficients(args.m, args.n).coeffs]
-    if args.format == "json":
-        _emit_json(
-            _record("coeffs", {"m": str(args.m), "n": str(args.n)}, {"coeffs": values})
-        )
-    elif args.format == "csv":
-        _emit_csv(["index", "coefficient"], [[str(i), v] for i, v in enumerate(values)])
-    else:
-        print(" ".join(values))
+    rows = [[str(i), v] for i, v in enumerate(values)]
+    parameters = {"m": args.m, "n": args.n}
+    _emit(args, parameters, {"coeffs": values}, ["index", "coefficient"], rows, [" ".join(values)])
     return 0
 
 
 def _cmd_residue_sums(args: argparse.Namespace) -> int:
     values = [str(v) for v in residue_sums(args.m, args.n, args.r)]
-    if args.format == "json":
-        _emit_json(
-            _record(
-                "residue-sums",
-                {"m": str(args.m), "n": str(args.n), "r": str(args.r)},
-                {"sums": values},
-            )
-        )
-    elif args.format == "csv":
-        _emit_csv(["residue", "sum"], [[str(i), v] for i, v in enumerate(values)])
-    else:
-        print(" ".join(values))
+    rows = [[str(i), v] for i, v in enumerate(values)]
+    parameters = {"m": args.m, "n": args.n, "r": args.r}
+    _emit(args, parameters, {"sums": values}, ["residue", "sum"], rows, [" ".join(values)])
     return 0
 
 
@@ -124,47 +119,26 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
     sizes = delta_fiber_sizes(args.ring_size, args.marked, max_elements=_enum_cap(args))
     values = [str(v) for v in sizes]
     total = str(comb(args.ring_size - 1, args.marked - 1))
-    if args.format == "json":
-        _emit_json(
-            _record(
-                "fibers",
-                {"N": str(args.ring_size), "r": str(args.marked)},
-                {"sizes": values, "total": total},
-            )
-        )
-    elif args.format == "csv":
-        rows = [[str(s), v] for s, v in enumerate(values)]
-        rows.append(["total", total])
-        _emit_csv(["class", "cardinality"], rows)
-    else:
-        print(" ".join(values))
-        print(f"total {total}")
+    rows = [[str(s), v] for s, v in enumerate(values)] + [["total", total]]
+    result = {"sizes": values, "total": total}
+    lines = [" ".join(values), f"total {total}"]
+    parameters = {"N": args.ring_size, "r": args.marked}
+    _emit(args, parameters, result, ["class", "cardinality"], rows, lines)
     return 0
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     orbit_list = orbits(args.k, args.l, args.group, max_elements=_enum_cap(args))
-    histogram = sorted(Counter(len(o) for o in orbit_list).items())
+    histogram = [
+        [str(size), str(count)]
+        for size, count in sorted(Counter(len(o) for o in orbit_list).items())
+    ]
     total = str(comb(args.k + args.l - 1, args.l - 1))
-    if args.format == "json":
-        _emit_json(
-            _record(
-                "orbits",
-                {"k": str(args.k), "l": str(args.l), "group": args.group},
-                {
-                    "histogram": [[str(size), str(count)] for size, count in histogram],
-                    "total_sequences": total,
-                },
-            )
-        )
-    elif args.format == "csv":
-        rows = [[str(size), str(count)] for size, count in histogram]
-        rows.append(["total", total])
-        _emit_csv(["orbit_size", "orbit_count"], rows)
-    else:
-        for size, count in histogram:
-            print(f"{size} {count}")
-        print(f"total {total}")
+    result = {"histogram": histogram, "total_sequences": total}
+    rows = histogram + [["total", total]]
+    lines = [" ".join(pair) for pair in histogram] + [f"total {total}"]
+    parameters = {"k": args.k, "l": args.l, "group": args.group}
+    _emit(args, parameters, result, ["orbit_size", "orbit_count"], rows, lines)
     return 0
 
 
@@ -192,43 +166,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ring_max=args.n_max,
     )
     failures = sum(1 for report in reports if report.status != "pass")
-    if args.format == "json":
-        bounds = {
-            "suite": args.suite,
-            "k_max": str(args.k_max),
-            "l_max": str(args.l_max),
-            "primes": args.primes,
-            "m_max": str(args.m_max),
-            "n_max": str(args.n_max),
-        }
-        result = {
-            "checks": str(len(reports)),
-            "failures": str(failures),
-            "reports": [_report_payload(report) for report in reports],
-        }
-        _emit_json(_record("verify", bounds, result))
-    elif args.format == "csv":
-        rows = []
-        for report in reports:
-            payload = _report_payload(report)
-            params = " ".join(f"{k}={v}" for k, v in payload["parameters"].items())
-            expected = payload["expected"]
-            actual = payload["actual"]
-            rows.append(
-                [
-                    payload["check_id"],
-                    params,
-                    " ".join(expected) if isinstance(expected, list) else expected,
-                    " ".join(actual) if isinstance(actual, list) else actual,
-                    payload["status"],
-                ]
-            )
-        _emit_csv(["check_id", "parameters", "expected", "actual", "status"], rows)
-    else:
-        for report in reports:
-            params = " ".join(f"{k}={v}" for k, v in report.parameters.items())
-            print(f"{report.status.upper():4s} {report.check_id} {params}".rstrip())
-        print(f"{len(reports) - failures} of {len(reports)} checks passed")
+    payloads = [_report_payload(report) for report in reports]
+    rows, lines = [], []
+    for payload in payloads:
+        params = " ".join(f"{k}={v}" for k, v in payload["parameters"].items())
+        sides = (payload["expected"], payload["actual"])
+        spaced = [" ".join(side) if isinstance(side, list) else side for side in sides]
+        rows.append([payload["check_id"], params, *spaced, payload["status"]])
+        lines.append(f"{payload['status'].upper():4s} {payload['check_id']} {params}".rstrip())
+    lines.append(f"{len(reports) - failures} of {len(reports)} checks passed")
+    bounds = {
+        "suite": args.suite,
+        "k_max": args.k_max,
+        "l_max": args.l_max,
+        "primes": args.primes,
+        "m_max": args.m_max,
+        "n_max": args.n_max,
+    }
+    result = {"checks": str(len(reports)), "failures": str(failures), "reports": payloads}
+    header = ["check_id", "parameters", "expected", "actual", "status"]
+    _emit(args, bounds, result, header, rows, lines)
     return 1 if failures else 0
 
 

@@ -156,23 +156,24 @@ def delta_fiber_sizes(
     parts; the vector t lies in the fiber of the residue s in [0, marked)
     for which s + sum_beta beta * t_beta = 0 mod marked.  Entries sum to
     C(ring_size - 1, marked - 1).
+
+    Writing N = ring_size and r = marked, each gap vector is enumerated by
+    its cut positions c_1 < ... < c_{r-1} in [1, N), with
+    t_beta = c_beta - c_{beta-1}, c_0 = 0 and c_r = N.
+    Summation by parts gives sum_beta beta * t_beta = r * N - sum(cuts), so
+    the congruence reduces to s = sum(cuts) mod r: the class of a gap vector
+    is the sum of its cut positions mod r, and no gap is ever formed.
     """
     if marked < 1 or marked > ring_size:
         raise ValueError("need 1 <= marked <= ring_size")
-    total = comb(ring_size - 1, marked - 1)
-    if max_elements is not None and total > max_elements:
+    if max_elements is not None and comb(ring_size - 1, marked - 1) > max_elements:
         raise EnumerationCapError(
-            f"{total} gap vectors for (N={ring_size}, r={marked}) exceed the cap "
-            f"of {max_elements}"
+            f"C({ring_size - 1}, {marked - 1}) gap vectors for (N={ring_size}, r={marked}) "
+            f"exceed the cap of {max_elements}"
         )
     table = [0] * marked
     for cuts in combinations(range(1, ring_size), marked - 1):
-        bounds = (0,) + cuts + (ring_size,)
-        weighted = sum(
-            beta * (b - a)
-            for beta, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)
-        )
-        table[-weighted % marked] += 1
+        table[sum(cuts) % marked] += 1
     return table
 
 

@@ -177,10 +177,10 @@ def enumerate_step_sequences(
     ascending cut-position order."""
     if k < 0 or l < 1:
         raise ValueError("need k >= 0 and l >= 1")
-    total = comb(k + l - 1, l - 1)
-    if max_elements is not None and total > max_elements:
+    if max_elements is not None and comb(k + l - 1, l - 1) > max_elements:
         raise EnumerationCapError(
-            f"{total} step sequences for (k={k}, l={l}) exceed the cap of {max_elements}"
+            f"C({k + l - 1}, {l - 1}) step sequences for (k={k}, l={l}) exceed the cap "
+            f"of {max_elements}"
         )
     length = k + l
     for cuts in combinations(range(1, length), l - 1):

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .heisenberg import (
     CoveringPoint,
@@ -47,7 +47,10 @@ Values = Union[int, list[int]]
 
 @dataclass
 class CheckReport:
-    """Outcome of one identity check; passes iff expected equals actual."""
+    """Outcome of one identity check; passes iff expected equals actual.
+
+    `elapsed` is the time taken to evaluate both sides of the check.
+    """
 
     check_id: str
     parameters: dict[str, int]
@@ -57,11 +60,18 @@ class CheckReport:
     elapsed: float
 
 
-def _finish(
-    check_id: str, parameters: dict[str, int], expected: Values, actual: Values, started: float
+def _check(
+    check_id: str,
+    parameters: dict[str, int],
+    expected_fn: Callable[[], Values],
+    actual_fn: Callable[[], Values],
 ) -> CheckReport:
+    """Evaluate both sides of one check, timing the two together."""
+    started = time.perf_counter()
+    expected, actual = expected_fn(), actual_fn()
+    elapsed = time.perf_counter() - started
     status = "pass" if expected == actual else "fail"
-    return CheckReport(check_id, parameters, expected, actual, status, time.perf_counter() - started)
+    return CheckReport(check_id, parameters, expected, actual, status, elapsed)
 
 
 def _ordered(reports: list[CheckReport]) -> list[CheckReport]:
@@ -93,10 +103,10 @@ def check_main1(k_max: int = DEFAULT_KL_BOUND, l_max: int = DEFAULT_KL_BOUND) ->
             for r in range(1, l + 1):
                 if l % r:
                     continue
-                started = time.perf_counter()
-                expected = [coprime_class_sum(k, l, r)] * r
-                actual = residue_sums(k, l - 1, r)
-                reports.append(_finish("main1", {"k": k, "l": l, "r": r}, expected, actual, started))
+                reports.append(_check(
+                    "main1", {"k": k, "l": l, "r": r},
+                    lambda: [coprime_class_sum(k, l, r)] * r,
+                    lambda: residue_sums(k, l - 1, r)))
     return _ordered(reports)
 
 
@@ -116,23 +126,15 @@ def check_therm(
     for p in primes:
         for multiplier in range(1, multiplier_max + 1):
             for height in range(1, p):
-                started = time.perf_counter()
-                expected = [prime_multiple_class_sum(p, multiplier, height, j) for j in range(p)]
-                actual = residue_sums(multiplier * p, height, p)
-                reports.append(
-                    _finish(
-                        "therm-multiple",
-                        {"p": p, "M": multiplier, "N": height},
-                        expected,
-                        actual,
-                        started,
-                    )
-                )
+                reports.append(_check(
+                    "therm-multiple", {"p": p, "M": multiplier, "N": height},
+                    lambda: [prime_multiple_class_sum(p, multiplier, height, j) for j in range(p)],
+                    lambda: residue_sums(multiplier * p, height, p)))
         for height in range(1, p):
-            started = time.perf_counter()
-            expected = [prime_adjacent_class_sum(p, height)] * p
-            actual = residue_sums(p - 1, height, p)
-            reports.append(_finish("therm-adjacent", {"p": p, "N": height}, expected, actual, started))
+            reports.append(_check(
+                "therm-adjacent", {"p": p, "N": height},
+                lambda: [prime_adjacent_class_sum(p, height)] * p,
+                lambda: residue_sums(p - 1, height, p)))
     return _ordered(reports)
 
 
@@ -151,29 +153,20 @@ def check_thmp(
         raise ValueError("multiplier_max must be positive")
     reports = []
     for p in primes:
-        started = time.perf_counter()
-        expected: Values = [0] + [1] * (p - 1)
-        actual = count_exact_parts_by_residue(p - 1, 1, p)
-        reports.append(_finish("thmp-one-part", {"p": p}, expected, actual, started))
+        reports.append(_check(
+            "thmp-one-part", {"p": p},
+            lambda: [0] + [1] * (p - 1), lambda: count_exact_parts_by_residue(p - 1, 1, p)))
         for k in range(2, p):
-            started = time.perf_counter()
-            expected = [comb(p - 2 + k, k) // p] * p
-            actual = count_exact_parts_by_residue(p - 1, k, p)
-            reports.append(_finish("thmp-equal-classes-pm1", {"p": p, "k": k}, expected, actual, started))
+            reports.append(_check(
+                "thmp-equal-classes-pm1", {"p": p, "k": k},
+                lambda: [comb(p - 2 + k, k) // p] * p,
+                lambda: count_exact_parts_by_residue(p - 1, k, p)))
         for multiplier in range(1, multiplier_max + 1):
             for k in range(1, p):
-                started = time.perf_counter()
-                expected = [comb(multiplier * p - 1 + k, k) // p] * p
-                actual = count_exact_parts_by_residue(multiplier * p, k, p)
-                reports.append(
-                    _finish(
-                        "thmp-equal-classes-mp",
-                        {"p": p, "M": multiplier, "k": k},
-                        expected,
-                        actual,
-                        started,
-                    )
-                )
+                reports.append(_check(
+                    "thmp-equal-classes-mp", {"p": p, "M": multiplier, "k": k},
+                    lambda: [comb(multiplier * p - 1 + k, k) // p] * p,
+                    lambda: count_exact_parts_by_residue(multiplier * p, k, p)))
     return _ordered(reports)
 
 
@@ -191,25 +184,17 @@ def check_counterexamples() -> list[CheckReport]:
     ):
         label = f"counterexample-{m}x{n}"
         params = {"m": m, "n": n, "r": r}
-        started = time.perf_counter()
-        actual = residue_sums(m, n, r)
-        reports.append(_finish(f"{label}-table", params, list(reference), actual, started))
-        started = time.perf_counter()
-        reports.append(_finish(f"{label}-total", params, comb(m + n, n), sum(actual), started))
-        started = time.perf_counter()
-        reports.append(
-            _finish(f"{label}-nonconstant", params, 1, int(len(set(actual)) > 1), started)
-        )
-    started = time.perf_counter()
-    reports.append(
-        _finish(
-            "counterexample-20x9-crosscheck",
-            {"m": 20, "n": 9, "r": 10},
-            count_by_residue(20, 9, 10),
-            residue_sums(20, 9, 10),
-            started,
-        )
-    )
+        report = _check(
+            f"{label}-table", params, lambda: list(reference), lambda: residue_sums(m, n, r))
+        actual = report.actual
+        reports += [
+            report,
+            _check(f"{label}-total", params, lambda: comb(m + n, n), lambda: sum(actual)),
+            _check(f"{label}-nonconstant", params, lambda: 1, lambda: int(len(set(actual)) > 1)),
+        ]
+    reports.append(_check(
+        "counterexample-20x9-crosscheck", {"m": 20, "n": 9, "r": 10},
+        lambda: count_by_residue(20, 9, 10), lambda: residue_sums(20, 9, 10)))
     return _ordered(reports)
 
 
@@ -217,12 +202,7 @@ def _covering_points(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
     """Covering points with the first mark in [1, ring_size]."""
     for first in range(1, ring_size + 1):
         for cuts in combinations(range(1, ring_size), marked - 1):
-            bounds = (0,) + cuts + (ring_size,)
-            gaps = [b - a for a, b in zip(bounds, bounds[1:])]
-            positions = [first]
-            for gap in gaps[:-1]:
-                positions.append(positions[-1] + gap)
-            yield CoveringPoint(tuple(positions), ring_size)
+            yield CoveringPoint((first,) + tuple(first + c for c in cuts), ring_size)
 
 
 def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
@@ -241,32 +221,31 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
     for n in range(1, ring_max + 1):
         for r in range(1, n + 1):
             params = {"N": n, "r": r}
-            started = time.perf_counter()
-            table = delta_fiber_sizes(n, r)
-            chained = delta_fiber_sizes_via_partitions(n, r)
-            reports.append(_finish("fibers-agree", params, table, chained, started))
+            agree = _check(
+                "fibers-agree", params,
+                lambda: delta_fiber_sizes(n, r), lambda: delta_fiber_sizes_via_partitions(n, r))
+            table = agree.expected
+            reports.append(agree)
             if gcd(n, r) == 1:
-                started = time.perf_counter()
-                expected = [comb(n - 1, r - 1) // r] * r
-                reports.append(_finish("fibers-constant-coprime", params, expected, table, started))
+                reports.append(_check(
+                    "fibers-constant-coprime", params,
+                    lambda: [comb(n - 1, r - 1) // r] * r, lambda: table))
             if r > 2 and is_prime(r) and n % r == 0:
-                started = time.perf_counter()
                 common = (comb(n - 1, r - 1) - 1) // r
-                expected = [common + 1] + [common] * (r - 1)
-                reports.append(_finish("fibers-prime-gap", params, expected, table, started))
-            started = time.perf_counter()
+                reports.append(_check(
+                    "fibers-prime-gap", params,
+                    lambda: [common + 1] + [common] * (r - 1), lambda: table))
             points = list(_covering_points(n, r))
-            good = sum(
-                1
-                for point in points
-                if reconstruct(point.center_sum, relative_positions(point)) == point
-            )
-            reports.append(_finish("covering-roundtrip", params, len(points), good, started))
-            started = time.perf_counter()
-            good = sum(
-                1 for point in points if shift_action(point, 1).center_sum == point.center_sum + n
-            )
-            reports.append(_finish("covering-shift", params, len(points), good, started))
+            reports.append(_check(
+                "covering-roundtrip", params, lambda: len(points),
+                lambda: sum(
+                    1 for point in points
+                    if reconstruct(point.center_sum, relative_positions(point)) == point)))
+            reports.append(_check(
+                "covering-shift", params, lambda: len(points),
+                lambda: sum(
+                    1 for point in points
+                    if shift_action(point, 1).center_sum == point.center_sum + n)))
     return _ordered(reports)
 
 

@@ -1,6 +1,7 @@
 """Tests for the command line interface: outputs, formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -70,6 +71,45 @@ def test_json_round_trips_byte_for_byte(capsys):
         assert reencoded + "\n" == out
 
 
+# Exact stdout per (command, format); the verify outputs by SHA-256 digest.
+EXACT_OUTPUTS = {
+    ("coeffs 3 2", "table"): "1 1 2 2 2 1 1\n",
+    ("coeffs 3 2", "csv"): "index,coefficient\n0,1\n1,1\n2,2\n3,2\n4,2\n5,1\n6,1\n",
+    ("coeffs 3 2", "json"): '{"command":"coeffs","parameters":{"m":"3","n":"2"},'
+    '"result":{"coeffs":["1","1","2","2","2","1","1"]},"schema_version":"1"}\n',
+    ("residue-sums 6 5 6", "table"): "80 75 78 76 78 75\n",
+    ("residue-sums 6 5 6", "csv"): "residue,sum\n0,80\n1,75\n2,78\n3,76\n4,78\n5,75\n",
+    ("residue-sums 6 5 6", "json"): '{"command":"residue-sums",'
+    '"parameters":{"m":"6","n":"5","r":"6"},'
+    '"result":{"sums":["80","75","78","76","78","75"]},"schema_version":"1"}\n',
+    ("fibers 10 5", "table"): "26 25 25 25 25\ntotal 126\n",
+    ("fibers 10 5", "csv"): "class,cardinality\n0,26\n1,25\n2,25\n3,25\n4,25\ntotal,126\n",
+    ("fibers 10 5", "json"): '{"command":"fibers","parameters":{"N":"10","r":"5"},'
+    '"result":{"sizes":["26","25","25","25","25"],"total":"126"},"schema_version":"1"}\n',
+    ("orbits 6 6 units", "table"): "1 30\n2 216\ntotal 462\n",
+    ("orbits 6 6 units", "csv"): "orbit_size,orbit_count\n1,30\n2,216\ntotal,462\n",
+    ("orbits 6 6 units", "json"): '{"command":"orbits",'
+    '"parameters":{"group":"units","k":"6","l":"6"},'
+    '"result":{"histogram":[["1","30"],["2","216"]],"total_sequences":"462"},'
+    '"schema_version":"1"}\n',
+    ("verify counterexamples", "table"):
+    "811ff3884f78f23336cd9ac5105780b7e67d6019383fed9c6028f527d20d6e57",
+    ("verify counterexamples", "csv"):
+    "7e52e50549d35aa821e584bb4e2914e0507af965c42d23cf4e08341acebbded9",
+    ("verify counterexamples", "json"):
+    "4aaa53cbc9fe87e0c5cf74a8ce8fdc470074323e9ee8d43742b45a17fbed606b",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(EXACT_OUTPUTS))
+def test_output_is_byte_exact(capsys, command, fmt):
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    if command.startswith("verify"):
+        out = hashlib.sha256(out.encode()).hexdigest()
+    assert out == EXACT_OUTPUTS[command, fmt]
+
+
 def test_json_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "counterexamples", "--format", "json")
     _, second, _ = run(capsys, "verify", "counterexamples", "--format", "json")
@@ -137,6 +177,10 @@ def test_orbits_cap_via_flag_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "orbits", "10", "10", "cyclic", "--max-enum", "10")
     assert code == 3
     assert "cap" in err
+    # the binomial count is named, not printed: its ~8000 digits exceed str()'s limit
+    code, _, err = run(capsys, "orbits", "20000", "10000", "cyclic")
+    assert code == 3
+    assert "cap" in err
     monkeypatch.setenv("QFIBER_MAX_ENUM", "10")
     code, _, err = run(capsys, "orbits", "10", "10", "cyclic")
     assert code == 3
@@ -151,6 +195,10 @@ def test_orbits_cap_via_flag_and_env(capsys, monkeypatch):
 def test_fibers_cap_exit(capsys, monkeypatch):
     monkeypatch.setenv("QFIBER_MAX_ENUM", "5")
     code, _, err = run(capsys, "fibers", "12", "6")
+    assert code == 3
+    assert "cap" in err
+    # the binomial count is named, not printed: its ~6000 digits exceed str()'s limit
+    code, _, err = run(capsys, "fibers", "20000", "10000")
     assert code == 3
     assert "cap" in err
 

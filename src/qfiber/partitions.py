@@ -8,8 +8,9 @@ past 64-bit coefficient sizes are fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
+
+from . import qbinomial
 
 
 @dataclass(frozen=True, order=True)
@@ -48,27 +49,6 @@ def _validate_box(max_part: int, max_count: int) -> None:
         raise ValueError("rectangle dimensions must be nonnegative")
 
 
-@lru_cache(maxsize=None)
-def _weight_counts(max_part: int, max_count: int) -> tuple[int, ...]:
-    """Counts of partitions in a max_part x max_count box, indexed by weight.
-
-    Iterative fill of the two-term recurrence: a partition with at most b
-    parts each of size at most a either has fewer than b parts, or has
-    exactly b nonzero parts and, after removing one unit from every part,
-    lands in the (a-1, b) box with weight reduced by b.
-    """
-    row: list[tuple[int, ...]] = [(1,)] * (max_count + 1)
-    for a in range(1, max_part + 1):
-        new_row = [(1,)]
-        for b in range(1, max_count + 1):
-            counts = list(new_row[b - 1]) + [0] * (a * b + 1 - len(new_row[b - 1]))
-            for w, c in enumerate(row[b]):
-                counts[w + b] += c
-            new_row.append(tuple(counts))
-        row = new_row
-    return row[max_count]
-
-
 def count_restricted(max_part: int, max_count: int, weight: int) -> int:
     """Number of partitions of `weight` into at most max_count parts, each at
     most max_part.
@@ -79,7 +59,7 @@ def count_restricted(max_part: int, max_count: int, weight: int) -> int:
     _validate_box(max_part, max_count)
     if weight < 0 or weight > max_part * max_count:
         return 0
-    return _weight_counts(max_part, max_count)[weight]
+    return qbinomial.gaussian_coefficients(max_part, max_count)[weight]
 
 
 def enumerate_restricted(max_part: int, max_count: int) -> Iterator[Partition]:
@@ -106,15 +86,29 @@ def count_by_residue(max_part: int, max_count: int, modulus: int) -> list[int]:
     """Partition counts for the box, bucketed by weight mod modulus.
 
     Entries sum to C(max_part + max_count, max_count); the zero partition
-    sits in class 0.
+    sits in class 0.  Runs the box recurrence on vectors reduced mod
+    q^width - 1, width = min(modulus, max_part * max_count + 1), so it never
+    builds the full coefficient vector and is independent of
+    `qbinomial.gaussian_coefficients`.  Cost O(max_part * max_count * width):
+    slower than folding the full vector once the modulus exceeds about
+    min(max_part, max_count).
     """
     _validate_box(max_part, max_count)
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    table = [0] * modulus
-    for weight, count in enumerate(_weight_counts(max_part, max_count)):
-        table[weight % modulus] += count
-    return table
+    # A partition in the (a, b) box has fewer than b parts, or exactly b
+    # nonzero parts that each lose one unit to land in the (a-1, b) box.
+    width = min(modulus, max_part * max_count + 1)
+    unit = [1] + [0] * (width - 1)
+    row = [unit] * (max_count + 1)
+    for _ in range(max_part):
+        new_row = [unit]
+        for b in range(1, max_count + 1):
+            cut = width - b % width
+            shifted = row[b][cut:] + row[b][:cut]
+            new_row.append([x + y for x, y in zip(new_row[b - 1], shifted)])
+        row = new_row
+    return row[max_count] + [0] * (modulus - width)
 
 
 def count_exact_parts_by_residue(part_bound: int, exact_count: int, modulus: int) -> list[int]:
@@ -122,7 +116,7 @@ def count_exact_parts_by_residue(part_bound: int, exact_count: int, modulus: int
     most `part_bound`, bucketed by weight mod modulus.
 
     Removing one unit from each part is a bijection onto the
-    (part_bound - 1, exact_count) box, which supplies the counts.
+    (part_bound - 1, exact_count) box that lowers each weight by exact_count.
     """
     if part_bound < 0:
         raise ValueError("part_bound must be nonnegative")
@@ -130,9 +124,7 @@ def count_exact_parts_by_residue(part_bound: int, exact_count: int, modulus: int
         raise ValueError("exact_count must be positive")
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    table = [0] * modulus
     if part_bound == 0:
-        return table
-    for base_weight, count in enumerate(_weight_counts(part_bound - 1, exact_count)):
-        table[(base_weight + exact_count) % modulus] += count
-    return table
+        return [0] * modulus
+    base = count_by_residue(part_bound - 1, exact_count, modulus)
+    return [base[(j - exact_count) % modulus] for j in range(modulus)]

@@ -67,27 +67,24 @@ class CoefficientVector:
 def gaussian_coefficients(m: int, n: int) -> CoefficientVector:
     """Coefficient vector of the Gaussian binomial [m+n choose n]_q.
 
-    Built by sweeping the q-Pascal triangle: the polynomial with top index t
-    and bottom index M is the (t-1, M-1) polynomial plus q^M times the
-    (t-1, M) polynomial.  Each triangle entry is a flat coefficient array of
-    length M*(t-M) + 1 and only one triangle row is kept at a time.
+    Built from the product formula prod_{i=1..narrow} (1 - q^(wide+i)) / (1 - q^i)
+    over the smaller side, about m*n*min(m, n) big-int additions.  Each factor
+    multiplies in place, then divides by a running prefix sum; the division is
+    exact, so the top i coefficients it leaves are zero and are dropped.
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
-    col: list[tuple[int, ...]] = [(1,)]
-    for t in range(1, m + n + 1):
-        new_col = [(1,)]
-        for bottom in range(1, min(t, n) + 1):
-            left = col[bottom - 1]
-            if bottom == t:
-                new_col.append(left)
-                continue
-            coeffs = list(left) + [0] * (bottom * (t - bottom) + 1 - len(left))
-            for w, c in enumerate(col[bottom]):
-                coeffs[w + bottom] += c
-            new_col.append(tuple(coeffs))
-        col = new_col
-    return CoefficientVector(m, n, col[n])
+    wide, narrow = max(m, n), min(m, n)
+    coeffs = [1]
+    for i in range(1, narrow + 1):
+        shift = wide + i
+        coeffs += [0] * shift
+        for w in range(len(coeffs) - 1, shift - 1, -1):
+            coeffs[w] -= coeffs[w - shift]
+        for w in range(i, len(coeffs)):
+            coeffs[w] += coeffs[w - i]
+        del coeffs[-i:]
+    return CoefficientVector(m, n, tuple(coeffs))
 
 
 def residue_sums(m: int, n: int, r: int) -> list[int]:

@@ -175,7 +175,8 @@ def check_counterexamples() -> list[CheckReport]:
 
     Reproduces the reference tables for the 6 x 5 box mod 6 and the 10 x 9
     box mod 10 (non-constancy is the pass condition), and cross-checks the
-    companion 20 x 9 box mod 10 through two independent computation routes.
+    companion 20 x 9 box mod 10 by the folded box recurrence
+    (`count_by_residue`) against the product-formula vector (`residue_sums`).
     """
     reports = []
     for (m, n, r), reference in (

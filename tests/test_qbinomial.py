@@ -5,7 +5,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from qfiber.partitions import count_by_residue, count_restricted, enumerate_restricted
+from qfiber.partitions import count_by_residue, enumerate_restricted
 from qfiber.qbinomial import (
     CoefficientVector,
     coprime_class_sum,
@@ -53,13 +53,11 @@ def test_coefficients_match_brute_force():
 
 
 def test_coefficients_match_counting_route():
-    # same numbers through the counting recurrence instead of the q-Pascal sweep
-    for m in range(9):
-        for n in range(9):
-            vec = gaussian_coefficients(m, n)
-            assert all(
-                vec[j] == count_restricted(m, n, j) for j in range(m * n + 1)
-            ), (m, n)
+    # same numbers through the box recurrence instead of the product formula;
+    # with m*n + 1 classes nothing wraps, so the class table is the full vector
+    boxes = [(m, n) for m in range(9) for n in range(9)] + [(1, 200), (200, 1), (3, 150)]
+    for m, n in boxes:
+        assert list(gaussian_coefficients(m, n).coeffs) == count_by_residue(m, n, m * n + 1), (m, n)
 
 
 def test_palindromic_coefficients_up_to_thirty():
@@ -97,7 +95,7 @@ def test_residue_sums_single_class_collects_everything():
 def test_residue_sums_match_partition_route():
     for m in range(8):
         for n in range(8):
-            for r in (1, 2, 3, 4, 7):
+            for r in (1, 2, 3, 4, 7, 50, 64):
                 assert residue_sums(m, n, r) == count_by_residue(m, n, r)
 
 

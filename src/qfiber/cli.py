@@ -22,13 +22,12 @@ import csv
 import json
 import os
 import sys
-from collections import Counter
 from math import comb
 
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .heisenberg import delta_fiber_sizes
 from .qbinomial import gaussian_coefficients, residue_sums
-from .surjections import GROUPS, orbits
+from .surjections import GROUPS, orbit_histogram
 from .verify import (
     DEFAULT_KL_BOUND,
     DEFAULT_MULTIPLIER_BOUND,
@@ -128,11 +127,8 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
-    orbit_list = orbits(args.k, args.l, args.group, max_elements=_enum_cap(args))
-    histogram = [
-        [str(size), str(count)]
-        for size, count in sorted(Counter(len(o) for o in orbit_list).items())
-    ]
+    sizes = orbit_histogram(args.k, args.l, args.group, max_elements=_enum_cap(args))
+    histogram = [[str(size), str(count)] for size, count in sizes.items()]
     total = str(comb(args.k + args.l - 1, args.l - 1))
     result = {"histogram": histogram, "total_sequences": total}
     rows = histogram + [["total", total]]

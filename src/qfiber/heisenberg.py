@@ -115,7 +115,8 @@ def reconstruct(center_sum: int, t: RelativePositions) -> CoveringPoint:
 
     Writing r for the number of gaps, the weighted sum center_sum +
     sum_beta beta * t_beta must vanish mod r (otherwise ValueError); the
-    positions are then (that sum)/r minus the trailing gap sums.
+    positions are then (that sum)/r minus the trailing gap sums.  Raises
+    ArithmeticError if the rebuilt point does not have the given sum.
     """
     r = len(t.gaps)
     weighted = sum(beta * gap for beta, gap in enumerate(t.gaps, start=1))
@@ -130,7 +131,11 @@ def reconstruct(center_sum: int, t: RelativePositions) -> CoveringPoint:
         suffix += t.gaps[alpha - 1]
         positions[alpha - 1] = lead - suffix
     point = CoveringPoint(tuple(positions), t.ring_size)
-    assert point.center_sum == center_sum
+    if point.center_sum != center_sum:
+        raise ArithmeticError(
+            f"reconstructed {point.positions} has position sum {point.center_sum}, "
+            f"not {center_sum}"
+        )
     return point
 
 

@@ -9,9 +9,10 @@ scaling of the step positions, and arbitrary position permutations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, gcd
+from itertools import combinations, product
+from math import comb, gcd, isqrt, prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
@@ -170,11 +171,9 @@ def act_on_partition(
     return surjection_to_partition(steps_to_thresholds(moved))
 
 
-def enumerate_step_sequences(
-    k: int, l: int, max_elements: int | None = None
-) -> Iterator[StepSequence]:
-    """All C(k+l-1, l-1) compositions of k+l into l positive steps, in
-    ascending cut-position order."""
+def _check_sequence_count(k: int, l: int, max_elements: int | None) -> None:
+    """Reject (k, l) outside k >= 0, l >= 1, and refuse with EnumerationCapError
+    when the C(k+l-1, l-1) step sequences exceed max_elements."""
     if k < 0 or l < 1:
         raise ValueError("need k >= 0 and l >= 1")
     if max_elements is not None and comb(k + l - 1, l - 1) > max_elements:
@@ -182,6 +181,14 @@ def enumerate_step_sequences(
             f"C({k + l - 1}, {l - 1}) step sequences for (k={k}, l={l}) exceed the cap "
             f"of {max_elements}"
         )
+
+
+def enumerate_step_sequences(
+    k: int, l: int, max_elements: int | None = None
+) -> Iterator[StepSequence]:
+    """All C(k+l-1, l-1) compositions of k+l into l positive steps, in
+    ascending cut-position order."""
+    _check_sequence_count(k, l, max_elements)
     length = k + l
     for cuts in combinations(range(1, length), l - 1):
         bounds = (0,) + cuts + (length,)
@@ -220,6 +227,12 @@ def orbits(
     positions) or "symmetric" (all permutations; orbits are the multiset
     classes).  Returns orbits sorted by their smallest element.  Raises
     EnumerationCapError when C(k+l-1, l-1) exceeds max_elements.
+
+    This is the enumerating oracle: it builds every one of the C(k+l-1, l-1)
+    sequences and closes each orbit by applying the group, at about
+    C(k+l-1, l-1) * l element operations for "symmetric" and |G| times that
+    for the other two.  `orbit_histogram` gives the orbit sizes without
+    enumerating.
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
@@ -243,3 +256,187 @@ def orbits(
     result = [Orbit(elements=c, group_tag=group) for c in classes]
     result.sort(key=lambda o: min(o.elements))
     return result
+
+
+def orbit_histogram(
+    k: int, l: int, group: str, max_elements: int | None = DEFAULT_ENUMERATION_CAP
+) -> dict[int, int]:
+    """Orbit size -> number of orbits of that size, ascending by size.
+
+    Equals the histogram of `len(o)` over `orbits(k, l, group)`, with the same
+    argument checks and the same EnumerationCapError when C(k+l-1, l-1)
+    exceeds max_elements, but enumerates no sequence.  Taking 1 from every
+    step turns a sequence into a spread of k units over the l positions.
+    "symmetric" orbits are then the partitions of k into at most l parts,
+    generated directly, so the cost grows with the number of orbits.
+    "cyclic" and "units" are abelian groups acting on the positions Z/l and go
+    through stabilizer counting over their subgroup lattices: one subgroup
+    per divisor of l for "cyclic", every subgroup of (Z/l)^* for "units"
+    (thousands when l is highly composite, 4086 at l = 2520), each with a
+    fixed-point count of cost O(#position orbits * k).
+    """
+    if group not in GROUPS:
+        raise ValueError(f"group must be one of {GROUPS}: {group!r}")
+    _check_sequence_count(k, l, max_elements)
+    if group == "symmetric":
+        return _symmetric_histogram(k, l)
+    if group == "cyclic":
+        # The rotations of order d form <l/d>, whose l/d position orbits have
+        # size d: a fixed sequence repeats a block of l/d steps d times
+        # (necklace counting).
+        lattice = [
+            (d, d, comb((k + l) // d - 1, l // d - 1) if k % d == 0 else 0)
+            for d in _divisors(l)
+        ]
+        return _stabilizer_histogram(lattice, lambda above, below: above % below == 0)
+    return _stabilizer_histogram(
+        _unit_lattice(k, l), lambda above, below: all(map(frozenset.__ge__, above, below)))
+
+
+def _stabilizer_histogram(lattice: list[tuple], contains: Callable) -> dict[int, int]:
+    """Orbit-size histogram of an abelian group from fixed-point counts.
+
+    `lattice` lists every subgroup H as (H, |H|, number of sequences H fixes),
+    the whole group G included, and `contains(K, H)` tells whether K
+    contains H.  Walking from large subgroups to small, exact(H) = fixed(H)
+    - sum of exact(K) over K strictly above H counts the sequences whose
+    stabilizer is exactly H (Moebius inversion); by orbit-stabilizer they
+    form exact(H) * |H| / |G| orbits of size |G| / |H|.
+    """
+    lattice = sorted(lattice, key=lambda entry: -entry[1])
+    group_order = lattice[0][1]
+    exact: list[tuple] = []
+    histogram: Counter[int] = Counter()
+    for subgroup, order, fixed in lattice:
+        count = fixed - sum(n for above, n in exact if contains(above, subgroup))
+        if count:
+            exact.append((subgroup, count))
+            histogram[group_order // order] += count * order // group_order
+    return dict(sorted(histogram.items()))
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _unit_lattice(k: int, l: int) -> list[tuple]:
+    """Every subgroup of (Z/l)^* with its order and fixed-point count.
+
+    The group is the direct product of its Sylow subgroups, so a subgroup is
+    a tuple of one subgroup per Sylow factor, and it contains another when
+    each factor does.  The positions x with l / gcd(x, l) = d are a copy of
+    (Z/d)^* on which u acts through u mod d by translation, so a subgroup H
+    splits them into |(Z/d)^*| / |H mod d| orbits of size |H mod d|; the
+    image sizes multiply over the factors.
+    """
+    units = [u for u in range(1, l + 1) if gcd(u, l) == 1]
+    divisors = _divisors(l)
+    factors = [
+        [(h, [len({u % d for u in h}) for d in divisors]) for h in _sylow_subgroups(units, p, l)]
+        for p in _prime_powers(len(units))
+    ]
+    whole = [len({u % d for u in units}) for d in divisors]
+    lattice = []
+    for parts in product(*factors):
+        images = [1] * len(divisors)
+        for _, part_images in parts:
+            images = [a * b for a, b in zip(images, part_images)]
+        sizes = [size for size, full in zip(images, whole) if size <= k
+                 for _ in range(full // size)]
+        subgroup = tuple(h for h, _ in parts)
+        lattice.append((subgroup, prod(map(len, subgroup)), _fixed_count(k, sizes)))
+    return lattice
+
+
+def _sylow_subgroups(
+    units: list[int], prime_power: tuple[int, int], l: int
+) -> set[frozenset[int]]:
+    """Every subgroup of the Sylow p-subgroup of the units mod l, for
+    prime_power = (p, p^a) with p^a exactly dividing their number n.
+
+    That subgroup is the image of u -> u^(n/p^a), and its subgroups are the
+    joins of its cyclic subgroups.
+    """
+    prime, power = prime_power
+    cyclic: set[frozenset[int]] = set()
+    covered: set[int] = set()
+    for g in sorted({pow(u, len(units) // power, l) for u in units}):
+        if g not in covered:
+            powers = [1]
+            while powers[-1] * g % l != 1:
+                powers.append(powers[-1] * g % l)
+            covered.update(powers)
+            # the subgroups of the cyclic p-group <g> are the <g^(p^i)>
+            step = 1
+            while step < len(powers):
+                cyclic.add(frozenset(powers[::step]))
+                step *= prime
+    subgroups, frontier = {frozenset({1})} | cyclic, list(cyclic)
+    while frontier:
+        below = frontier.pop()
+        for generated in cyclic:
+            joined = set(below)
+            for b in generated:
+                if b not in joined:
+                    joined.update(a * b % l for a in below)
+            joined = frozenset(joined)
+            if joined not in subgroups:
+                subgroups.add(joined)
+                frontier.append(joined)
+    return subgroups
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, p^a) for each prime power p^a exactly dividing n."""
+    factors = []
+    prime = 2
+    while prime * prime <= n:
+        if n % prime == 0:
+            power = 1
+            while n % prime == 0:
+                n //= prime
+                power *= prime
+            factors.append((prime, power))
+        prime += 1
+    if n > 1:
+        factors.append((n, n))
+    return factors
+
+
+def _fixed_count(k: int, orbit_sizes: list[int]) -> int:
+    """Sequences constant on every position orbit: solutions of
+    sum_j s_j * y_j = k in y_j >= 0, one unknown per orbit (coin change).
+    Orbits larger than k may be left out: their unknown must be 0."""
+    ways = [1] + [0] * k
+    for size in orbit_sizes:
+        for total in range(size, k + 1):
+            ways[total] += ways[total - size]
+    return ways[k]
+
+
+def _symmetric_histogram(k: int, l: int) -> dict[int, int]:
+    """One orbit per partition of k into at most l parts; a partition with
+    multiplicities m_v and l - n zero parts has l! / (prod m_v! * (l - n)!)
+    arrangements."""
+    histogram: Counter[int] = Counter()
+    for parts in _partitions(k, k, l):
+        size, free = 1, l
+        for multiplicity in Counter(parts).values():
+            size *= comb(free, multiplicity)
+            free -= multiplicity
+        histogram[size] += 1
+    return dict(sorted(histogram.items()))
+
+
+def _partitions(total: int, largest: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of `total` into at most `slots` parts no larger than
+    `largest`, as non-increasing tuples; every branch taken yields one."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        if part * slots < total:
+            return
+        for rest in _partitions(total - part, part, slots - 1):
+            yield (part,) + rest

@@ -42,14 +42,16 @@ DEFAULT_RING_BOUND = 14
 REFERENCE_6X5_MOD6 = (80, 75, 78, 76, 78, 75)
 REFERENCE_10X9_MOD10 = (9252, 9225, 9250, 9225, 9250, 9226, 9250, 9225, 9250, 9225)
 
-Values = Union[int, list[int]]
+Values = Union[int, list[int], str]
 
 
 @dataclass
 class CheckReport:
     """Outcome of one identity check; passes iff expected equals actual.
 
-    `elapsed` is the time taken to evaluate both sides of the check.
+    A side that raised ArithmeticError holds the error text instead of a
+    value, and the check fails.  `elapsed` is the time taken to evaluate
+    both sides of the check.
     """
 
     check_id: str
@@ -66,12 +68,22 @@ def _check(
     expected_fn: Callable[[], Values],
     actual_fn: Callable[[], Values],
 ) -> CheckReport:
-    """Evaluate both sides of one check, timing the two together."""
+    """Evaluate both sides of one check, timing the two together.  An
+    ArithmeticError on either side fails the check instead of ending the
+    sweep."""
     started = time.perf_counter()
-    expected, actual = expected_fn(), actual_fn()
+    (expected, expected_ok), (actual, actual_ok) = _evaluate(expected_fn), _evaluate(actual_fn)
     elapsed = time.perf_counter() - started
-    status = "pass" if expected == actual else "fail"
+    status = "pass" if expected_ok and actual_ok and expected == actual else "fail"
     return CheckReport(check_id, parameters, expected, actual, status, elapsed)
+
+
+def _evaluate(side: Callable[[], Values]) -> tuple[Values, bool]:
+    """The side's value and True, or its ArithmeticError as text and False."""
+    try:
+        return side(), True
+    except ArithmeticError as exc:
+        return f"{type(exc).__name__}: {exc}", False
 
 
 def _ordered(reports: list[CheckReport]) -> list[CheckReport]:
@@ -185,13 +197,14 @@ def check_counterexamples() -> list[CheckReport]:
     ):
         label = f"counterexample-{m}x{n}"
         params = {"m": m, "n": n, "r": r}
-        report = _check(
-            f"{label}-table", params, lambda: list(reference), lambda: residue_sums(m, n, r))
-        actual = report.actual
+        # each check reads the table itself, so an error in it fails all three
         reports += [
-            report,
-            _check(f"{label}-total", params, lambda: comb(m + n, n), lambda: sum(actual)),
-            _check(f"{label}-nonconstant", params, lambda: 1, lambda: int(len(set(actual)) > 1)),
+            _check(f"{label}-table", params, lambda: list(reference),
+                   lambda: residue_sums(m, n, r)),
+            _check(f"{label}-total", params, lambda: comb(m + n, n),
+                   lambda: sum(residue_sums(m, n, r))),
+            _check(f"{label}-nonconstant", params, lambda: 1,
+                   lambda: int(len(set(residue_sums(m, n, r))) > 1)),
         ]
     reports.append(_check(
         "counterexample-20x9-crosscheck", {"m": 20, "n": 9, "r": 10},

@@ -128,6 +128,14 @@ def test_reconstruct_rejects_incompatible_sum():
         reconstruct(4, RelativePositions((1, 1, 1), 3))
 
 
+def test_reconstruct_checks_its_position_sum(monkeypatch):
+    # an explicit raise, not an assert, so the check also runs under `python -O`
+    monkeypatch.setattr(
+        CoveringPoint, "center_sum", property(lambda self: sum(self.positions) + 1))
+    with pytest.raises(ArithmeticError, match="position sum 4, not 3"):
+        reconstruct(3, RelativePositions((1, 1, 1), 3))
+
+
 def test_reconstruct_round_trip():
     for n in range(1, 9):
         for r in range(1, n + 1):

@@ -1,15 +1,17 @@
 """Tests for step sequences, the partition bijection, and the group actions."""
 
+import time
 from collections import Counter
 from itertools import permutations
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qfiber.errors import EnumerationCapError
-from qfiber.partitions import Partition, enumerate_restricted
+from qfiber.partitions import Partition, count_restricted, enumerate_restricted
 from qfiber.surjections import (
+    GROUPS,
     Orbit,
     StepSequence,
     ThresholdSequence,
@@ -19,6 +21,7 @@ from qfiber.surjections import (
     act_unit,
     enumerate_step_sequences,
     integral,
+    orbit_histogram,
     orbits,
     partition_to_surjection,
     steps_to_thresholds,
@@ -146,7 +149,8 @@ def test_act_cyclic_examples():
     assert act_cyclic(s, -1).steps == (1, 2, 8, 4)
 
 
-@given(step_sequences, st.integers(min_value=-20, max_value=20), st.integers(min_value=-20, max_value=20))
+@given(step_sequences, st.integers(min_value=-20, max_value=20),
+       st.integers(min_value=-20, max_value=20))
 def test_act_cyclic_is_an_action(s, a, b):
     assert act_cyclic(act_cyclic(s, a), b) == act_cyclic(s, a + b)
     assert act_cyclic(s, s.level_count) == s
@@ -315,3 +319,81 @@ def test_coprime_cyclic_orbits_cover_all_classes():
             assert len(o) == l
             classes = sorted(integral(s) % l for s in o.elements)
             assert classes == list(range(l))
+
+
+def burnside_orbit_count(k, l, group):
+    """Orbit count without the subgroup lattice: partitions of k into at most
+    l parts for "symmetric"; otherwise Burnside's lemma, the mean over the
+    group elements of the sequences constant on each cycle of positions."""
+    if group == "symmetric":
+        return count_restricted(k, l, k)
+    if group == "cyclic":
+        moves = [lambda x, p=p: (x + p) % l for p in range(l)]
+    else:
+        moves = [lambda x, u=u: u * x % l for u in range(1, l + 1) if gcd(u, l) == 1]
+    fixed = 0
+    for move in moves:
+        ways, seen = [1] + [0] * k, set()
+        for start in range(l):
+            if start in seen:
+                continue
+            cycle, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                x, cycle = move(x), cycle + 1
+            for total in range(cycle, k + 1):
+                ways[total] += ways[total - cycle]
+        fixed += ways[k]
+    count, remainder = divmod(fixed, len(moves))
+    assert remainder == 0
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=8), st.integers(min_value=1, max_value=10),
+       st.sampled_from(GROUPS))
+def test_orbit_histogram_matches_enumeration(k, l, group):
+    histogram = orbit_histogram(k, l, group)
+    assert histogram == Counter(len(o) for o in orbits(k, l, group))
+    assert list(histogram) == sorted(histogram)
+
+
+def test_orbit_histogram_edges_and_sylow_products():
+    # k = 0, l = 1 and l = 2 for every group, then unit groups (Z/l)^* with
+    # several Sylow factors, some of them not cyclic
+    edges = [(0, l) for l in range(1, 11)] + [(k, l) for k in range(9) for l in (1, 2)]
+    for group in GROUPS:
+        for k, l in edges:
+            assert orbit_histogram(k, l, group) == Counter(len(o) for o in orbits(k, l, group))
+    for k, l in ((2, 21), (2, 24), (3, 15), (2, 63), (1, 120)):
+        expected = Counter(len(o) for o in orbits(k, l, "units"))
+        assert orbit_histogram(k, l, "units") == expected
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_orbit_histogram_refuses_like_orbits(group):
+    for args, error in (
+        ((10, 10, group, 10), EnumerationCapError),
+        ((20000, 10000, group), EnumerationCapError),
+        ((-1, 3, group), ValueError),
+        ((3, 0, group), ValueError),
+        ((3, 2, "dihedral"), ValueError),
+    ):
+        with pytest.raises(error) as by_enumeration:
+            orbits(*args)
+        with pytest.raises(error) as by_counting:
+            orbit_histogram(*args)
+        assert str(by_counting.value) == str(by_enumeration.value)
+
+
+@pytest.mark.parametrize(
+    "k, l, group", [(60, 12, "cyclic"), (60, 12, "units"), (12, 60, "symmetric")])
+def test_orbit_histogram_beyond_enumeration(k, l, group):
+    # C(71, 11) and C(71, 59) are 2.6e12 and 1.3e13 sequences, far past any
+    # enumeration; the symmetric cost grows with the orbits (77 partitions of 12)
+    started = time.perf_counter()
+    histogram = orbit_histogram(k, l, group, max_elements=None)
+    elapsed = time.perf_counter() - started
+    assert sum(size * count for size, count in histogram.items()) == comb(k + l - 1, l - 1)
+    assert sum(histogram.values()) == burnside_orbit_count(k, l, group)
+    assert elapsed < 1.0

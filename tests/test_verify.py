@@ -4,6 +4,8 @@ from math import comb, gcd
 
 import pytest
 
+import qfiber.verify as verify
+from qfiber.cli import main
 from qfiber.verify import (
     CheckReport,
     check_counterexamples,
@@ -44,6 +46,41 @@ def test_check_main1_contains_worked_examples():
 def test_check_main1_skips_non_coprime_pairs():
     for r in check_main1(8, 8):
         assert gcd(r.parameters["k"], r.parameters["l"]) == 1
+
+
+def test_arithmetic_error_fails_one_check_without_ending_the_sweep(monkeypatch, capsys):
+    closed_form = verify.coprime_class_sum
+
+    def broken(k, l, r):
+        if (k, l, r) == (3, 4, 2):
+            raise ArithmeticError("injected failure")
+        return closed_form(k, l, r)
+
+    monkeypatch.setattr(verify, "coprime_class_sum", broken)
+    reports = check_main1(4, 4)
+    [failed] = failures(reports)
+    assert failed.parameters == {"k": 3, "l": 4, "r": 2}
+    assert failed.expected == "ArithmeticError: injected failure"
+    assert failed.actual == [10, 10]
+    assert main(["verify", "main1", "--k-max", "4", "--l-max", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL main1 k=3 l=4 r=2" in out
+    assert f"{len(reports) - 1} of {len(reports)} checks passed" in out
+
+
+def test_arithmetic_error_in_a_shared_table_fails_each_check_reading_it(monkeypatch):
+    sums = verify.residue_sums
+
+    def broken(m, n, r):
+        if (m, n, r) == (6, 5, 6):
+            raise ArithmeticError("injected failure")
+        return sums(m, n, r)
+
+    monkeypatch.setattr(verify, "residue_sums", broken)
+    failed = failures(check_counterexamples())
+    assert {r.check_id for r in failed} == {
+        "counterexample-6x5-table", "counterexample-6x5-total", "counterexample-6x5-nonconstant"}
+    assert all(r.actual == "ArithmeticError: injected failure" for r in failed)
 
 
 def test_check_main1_rejects_small_bounds():

@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 a verification check failed, 2 bad arguments,
 3 enumeration cap exceeded.  Machine formats (json, csv) serialize every
 integer as a decimal string so arbitrarily large values survive any
 downstream parser.  The environment variable QFIBER_MAX_ENUM overrides the
-default enumeration cap; --max-enum overrides both.
+default enumeration cap; --max-enum overrides both.  `verify` has no
+--max-enum: before any suite runs, it checks the covering-point count of
+its fibrations sweep, (n-1) * 2^n + 1 at --n-max n, against the cap.
 """
 
 from __future__ import annotations
@@ -151,8 +153,23 @@ def _report_payload(report: CheckReport) -> dict:
     }
 
 
+def _check_verify_work(args: argparse.Namespace) -> None:
+    """Refuse a fibrations sweep whose covering round trip would exceed the
+    enumeration cap.  Ring size N contributes N * 2^(N-1) covering points,
+    (n-1) * 2^n + 1 in all up to n = --n-max; that count exceeds the cap
+    whenever 2^n does, so a huge n is refused without forming 2^n."""
+    if args.suite not in ("fibrations", "all"):
+        return
+    n, cap = args.n_max, _enum_cap(args)
+    if n >= cap.bit_length() or (n - 1) * 2**n + 1 > cap:
+        raise EnumerationCapError(
+            f"{n - 1}*2^{n} + 1 covering points for --n-max {n} exceed the cap of {cap}"
+        )
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     primes = tuple(int(part) for part in args.primes.split(","))
+    _check_verify_work(args)
     reports = run_suite(
         args.suite,
         k_max=args.k_max,
@@ -244,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m-max", type=_positive, default=DEFAULT_MULTIPLIER_BOUND)
     ver.add_argument("--n-max", type=_positive, default=DEFAULT_RING_BOUND)
     _add_format(ver)
-    ver.set_defaults(handler=_cmd_verify)
+    ver.set_defaults(handler=_cmd_verify, max_enum=None)
 
     return parser
 

@@ -11,12 +11,16 @@ and through the partition bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import comb
+from operator import add, lt, mul, sub
 from typing import Iterator, Union
 
 from .errors import EnumerationCapError
 from .partitions import count_by_residue
+
+# The checks below run once per covering point of `verify fibrations`, so
+# their loops are builtins (map, all, min) rather than generator frames.
 
 
 @dataclass(frozen=True, order=True)
@@ -27,16 +31,18 @@ class Configuration:
     ring_size: int
 
     def __post_init__(self):
-        nodes = tuple(self.nodes)
+        nodes = self.nodes
+        if type(nodes) is not tuple:
+            nodes = tuple(nodes)
+            object.__setattr__(self, "nodes", nodes)
         if self.ring_size < 1:
             raise ValueError("ring_size must be positive")
-        if any(not isinstance(j, int) for j in nodes):
+        if not all(map(isinstance, nodes, repeat(int))):
             raise ValueError(f"nodes must be integers: {nodes!r}")
         if nodes and not (1 <= nodes[0] and nodes[-1] <= self.ring_size):
             raise ValueError(f"nodes must lie in [1, {self.ring_size}]: {nodes!r}")
-        if any(a >= b for a, b in zip(nodes, nodes[1:])):
+        if not all(map(lt, nodes, nodes[1:])):
             raise ValueError(f"nodes must be strictly increasing: {nodes!r}")
-        object.__setattr__(self, "nodes", nodes)
 
 
 @dataclass(frozen=True, order=True)
@@ -47,18 +53,20 @@ class CoveringPoint:
     ring_size: int
 
     def __post_init__(self):
-        positions = tuple(self.positions)
+        positions = self.positions
+        if type(positions) is not tuple:
+            positions = tuple(positions)
+            object.__setattr__(self, "positions", positions)
         if self.ring_size < 1:
             raise ValueError("ring_size must be positive")
-        if any(not isinstance(j, int) for j in positions):
+        if not all(map(isinstance, positions, repeat(int))):
             raise ValueError(f"positions must be integers: {positions!r}")
-        if any(a >= b for a, b in zip(positions, positions[1:])):
+        if not all(map(lt, positions, positions[1:])):
             raise ValueError(f"positions must be strictly increasing: {positions!r}")
         if positions and positions[-1] >= positions[0] + self.ring_size:
             raise ValueError(
                 f"span must be less than ring_size={self.ring_size}: {positions!r}"
             )
-        object.__setattr__(self, "positions", positions)
 
     @property
     def center_sum(self) -> int:
@@ -74,14 +82,16 @@ class RelativePositions:
     ring_size: int
 
     def __post_init__(self):
-        gaps = tuple(self.gaps)
+        gaps = self.gaps
+        if type(gaps) is not tuple:
+            gaps = tuple(gaps)
+            object.__setattr__(self, "gaps", gaps)
         if not gaps:
             raise ValueError("need at least one gap")
-        if any(not isinstance(t, int) or t < 1 for t in gaps):
+        if not (all(map(isinstance, gaps, repeat(int))) and min(gaps) >= 1):
             raise ValueError(f"gaps must be positive integers: {gaps!r}")
         if sum(gaps) != self.ring_size:
             raise ValueError(f"gaps must sum to ring_size={self.ring_size}: {gaps!r}")
-        object.__setattr__(self, "gaps", gaps)
 
 
 def enumerate_configurations(ring_size: int, marked: int) -> Iterator[Configuration]:
@@ -106,7 +116,7 @@ def relative_positions(point: Union[Configuration, CoveringPoint]) -> RelativePo
     if not marks:
         raise ValueError("need at least one marked node")
     n = point.ring_size
-    gaps = tuple(b - a for a, b in zip(marks, marks[1:])) + (n + marks[0] - marks[-1],)
+    gaps = (*map(sub, marks[1:], marks), n + marks[0] - marks[-1])
     return RelativePositions(gaps, n)
 
 
@@ -118,19 +128,16 @@ def reconstruct(center_sum: int, t: RelativePositions) -> CoveringPoint:
     positions are then (that sum)/r minus the trailing gap sums.  Raises
     ArithmeticError if the rebuilt point does not have the given sum.
     """
-    r = len(t.gaps)
-    weighted = sum(beta * gap for beta, gap in enumerate(t.gaps, start=1))
+    gaps = t.gaps
+    r = len(gaps)
+    weighted = sum(map(mul, range(1, r + 1), gaps))
     lead, remainder = divmod(center_sum + weighted, r)
     if remainder:
         raise ValueError(
-            f"center sum {center_sum} is incompatible with the gap vector {t.gaps}"
+            f"center sum {center_sum} is incompatible with the gap vector {gaps}"
         )
-    positions = [0] * r
-    suffix = 0
-    for alpha in range(r, 0, -1):
-        suffix += t.gaps[alpha - 1]
-        positions[alpha - 1] = lead - suffix
-    point = CoveringPoint(tuple(positions), t.ring_size)
+    positions = tuple(accumulate(gaps[:-1], initial=lead - sum(gaps)))
+    point = CoveringPoint(positions, t.ring_size)
     if point.center_sum != center_sum:
         raise ArithmeticError(
             f"reconstructed {point.positions} has position sum {point.center_sum}, "
@@ -143,13 +150,15 @@ def shift_action(point: CoveringPoint, steps: int = 1) -> CoveringPoint:
     """Apply the covering shift `steps` times; one step sends
     (j_1, ..., j_r) to (j_2, ..., j_r, j_1 + ring_size).  Negative steps
     apply the inverse."""
-    r = len(point.positions)
+    positions, n = point.positions, point.ring_size
+    r = len(positions)
     if r == 0:
         return point
     whole, part = divmod(steps, r)
-    base = [j + whole * point.ring_size for j in point.positions]
-    moved = base[part:] + [j + point.ring_size for j in base[:part]]
-    return CoveringPoint(tuple(moved), point.ring_size)
+    if whole:
+        positions = tuple(map(add, positions, repeat(whole * n)))
+    moved = positions[part:] + tuple(map(add, positions[:part], repeat(n)))
+    return CoveringPoint(moved, n)
 
 
 def delta_fiber_sizes(

@@ -215,8 +215,8 @@ def check_counterexamples() -> list[CheckReport]:
 def _covering_points(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
     """Covering points with the first mark in [1, ring_size]."""
     for first in range(1, ring_size + 1):
-        for cuts in combinations(range(1, ring_size), marked - 1):
-            yield CoveringPoint((first,) + tuple(first + c for c in cuts), ring_size)
+        for rest in combinations(range(first + 1, first + ring_size), marked - 1):
+            yield CoveringPoint((first, *rest), ring_size)
 
 
 def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -226,6 +227,32 @@ def test_verify_all_default_bounds_pass(capsys):
     total = int(summary.split()[0])
     assert f"{total} of {total} checks passed" == summary
     assert total > 1500
+
+
+def test_verify_work_guard_exits_before_any_suite(capsys, monkeypatch):
+    suites_run = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, **bounds: suites_run.append(suite) or [])
+    # (n-1) * 2^n + 1 covering points: 9437185 at 19, 19922945 at 20, cap 10^7
+    for suite in ("fibrations", "all"):
+        for n_max in ("20", "40", "1000000000"):
+            started = time.perf_counter()
+            code, out, err = run(capsys, "verify", suite, "--n-max", n_max)
+            assert time.perf_counter() - started < 1
+            assert code == 3 and out == ""
+            assert f"2^{n_max} + 1 covering points for --n-max {n_max} exceed the cap" in err
+    assert suites_run == []
+    code, _, _ = run(capsys, "verify", "fibrations", "--n-max", "19")
+    assert code == 0 and suites_run == ["fibrations"]
+    # other suites do no covering round trip, so --n-max does not bound them
+    code, _, _ = run(capsys, "verify", "main1", "--n-max", "40")
+    assert code == 0 and suites_run == ["fibrations", "main1"]
+    # the cap comes from QFIBER_MAX_ENUM as for the enumerating commands
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "212992")
+    code, _, err = run(capsys, "verify", "all")
+    assert code == 3 and "13*2^14 + 1 covering points" in err
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "212993")
+    code, _, _ = run(capsys, "verify", "all")
+    assert code == 0 and suites_run[-1] == "all"
 
 
 def test_verify_rejects_small_bounds(capsys):

@@ -1,5 +1,6 @@
 """Tests for ring configurations, covering shifts, and fiber counting."""
 
+import re
 from itertools import combinations
 from math import comb, gcd
 
@@ -47,30 +48,76 @@ def brute_delta(n, r):
 
 def test_configuration_validation():
     Configuration((1, 2, 3), 3)
-    with pytest.raises(ValueError):
-        Configuration((2, 2), 5)
-    with pytest.raises(ValueError):
-        Configuration((0, 1), 5)
-    with pytest.raises(ValueError):
-        Configuration((1, 6), 5)
+    Configuration((), 1)
+    for nodes in [(1, 1.5), (1, "2"), (None,)]:
+        with pytest.raises(ValueError, match=re.escape(f"nodes must be integers: {nodes!r}")):
+            Configuration(nodes, 5)
+    for ring_size in (0, -3):
+        with pytest.raises(ValueError, match="^ring_size must be positive$"):
+            Configuration((1,), ring_size)
+    for nodes in [(0, 1), (1, 6)]:
+        with pytest.raises(ValueError, match=re.escape(f"nodes must lie in [1, 5]: {nodes!r}")):
+            Configuration(nodes, 5)
+    # only the ends are range-checked, so a descending (6, 1) fails the order rule
+    for nodes in [(2, 2), (3, 1), (1, 4, 4), (6, 1)]:
+        message = re.escape(f"nodes must be strictly increasing: {nodes!r}")
+        with pytest.raises(ValueError, match=message):
+            Configuration(nodes, 5)
+    assert Configuration((True, 2), 2).nodes == (1, 2)
+    from_list = Configuration([1, 3], 5)
+    assert from_list.nodes == (1, 3) and type(from_list.nodes) is tuple
+    assert from_list == Configuration((1, 3), 5)
+    assert hash(from_list) == hash(Configuration((1, 3), 5))
+    with pytest.raises(ValueError, match=re.escape("nodes must be strictly increasing: (3, 2)")):
+        Configuration([3, 2], 5)
 
 
 def test_covering_point_validation():
     CoveringPoint((-2, 1), 5)
-    with pytest.raises(ValueError):
-        CoveringPoint((1, 6), 5)  # span not below ring size
-    with pytest.raises(ValueError):
-        CoveringPoint((3, 1), 5)
+    CoveringPoint((), 1)
+    for positions in [(1, 1.5), ("2",), (None, 3)]:
+        message = re.escape(f"positions must be integers: {positions!r}")
+        with pytest.raises(ValueError, match=message):
+            CoveringPoint(positions, 5)
+    for ring_size in (0, -1):
+        with pytest.raises(ValueError, match="^ring_size must be positive$"):
+            CoveringPoint((1,), ring_size)
+    for positions in [(1, 1), (3, 1), (-4, -2, -2)]:
+        message = re.escape(f"positions must be strictly increasing: {positions!r}")
+        with pytest.raises(ValueError, match=message):
+            CoveringPoint(positions, 5)
+    for positions in [(1, 6), (-7, -2), (0, 2, 9)]:
+        message = re.escape(f"span must be less than ring_size=5: {positions!r}")
+        with pytest.raises(ValueError, match=message):
+            CoveringPoint(positions, 5)
+    assert CoveringPoint((True, 2), 2).positions == (1, 2)
+    from_list = CoveringPoint([-2, 1], 5)
+    assert from_list.positions == (-2, 1) and type(from_list.positions) is tuple
+    assert from_list == CoveringPoint((-2, 1), 5)
+    assert hash(from_list) == hash(CoveringPoint((-2, 1), 5))
+    with pytest.raises(ValueError, match=re.escape("span must be less than ring_size=5: (1, 6)")):
+        CoveringPoint([1, 6], 5)
 
 
 def test_relative_positions_validation():
     RelativePositions((2, 3), 5)
-    with pytest.raises(ValueError):
-        RelativePositions((2, 2), 5)
-    with pytest.raises(ValueError):
-        RelativePositions((0, 5), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one gap$"):
         RelativePositions((), 5)
+    for gaps in [(0, 5), (6, -1), (2, 1.5, 1.5), ("5",), (None, 5)]:
+        message = re.escape(f"gaps must be positive integers: {gaps!r}")
+        with pytest.raises(ValueError, match=message):
+            RelativePositions(gaps, 5)
+    for gaps in [(2, 2), (3, 3), (5, 1)]:
+        message = re.escape(f"gaps must sum to ring_size=5: {gaps!r}")
+        with pytest.raises(ValueError, match=message):
+            RelativePositions(gaps, 5)
+    assert RelativePositions((True, 4), 5).gaps == (1, 4)
+    from_list = RelativePositions([2, 3], 5)
+    assert from_list.gaps == (2, 3) and type(from_list.gaps) is tuple
+    assert from_list == RelativePositions((2, 3), 5)
+    assert hash(from_list) == hash(RelativePositions((2, 3), 5))
+    with pytest.raises(ValueError, match=re.escape("gaps must sum to ring_size=5: (2, 2)")):
+        RelativePositions([2, 2], 5)
 
 
 def test_enumerate_configurations_examples():
@@ -185,6 +232,29 @@ def test_shift_action_full_cycle_translates():
 )
 def test_shift_action_is_an_action(n, a, b):
     point = next(covering_points(n, (n + 1) // 2 or 1))
+    assert shift_action(shift_action(point, a), b) == shift_action(point, a + b)
+
+
+@st.composite
+def far_covering_points(draw):
+    """Valid covering points anywhere on the line, r = 1 included."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    r = draw(st.integers(min_value=1, max_value=n))
+    first = draw(st.one_of(
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=-10**40, max_value=10**40)))
+    cuts = draw(st.permutations(range(1, n)))[:r - 1]
+    return CoveringPoint((first, *sorted(first + c for c in cuts)), n)
+
+
+@given(far_covering_points(), st.integers(min_value=1, max_value=10**6), st.data())
+def test_round_trip_and_shift_law_off_the_suite_range(point, size, data):
+    n, r = point.ring_size, len(point.positions)
+    assert reconstruct(point.center_sum, relative_positions(point)) == point
+    assert shift_action(point, r).positions == tuple(j + n for j in point.positions)
+    steps = st.integers(min_value=r + 1, max_value=r + size)
+    a = data.draw(steps) * data.draw(st.sampled_from((1, -1)))
+    b = data.draw(steps) * data.draw(st.sampled_from((1, -1)))
     assert shift_action(shift_action(point, a), b) == shift_action(point, a + b)
 
 

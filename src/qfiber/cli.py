@@ -12,7 +12,11 @@ Exit codes: 0 success, 1 a verification check failed, 2 bad arguments,
 3 enumeration cap exceeded.  Machine formats (json, csv) serialize every
 integer as a decimal string so arbitrarily large values survive any
 downstream parser.  The environment variable QFIBER_MAX_ENUM overrides the
-default enumeration cap; --max-enum overrides both.  `verify` has no
+default enumeration cap; --max-enum overrides both.  `fibers` and `orbits`
+enumerate nothing (`fibers` folds the class sums of the (N-r) x (r-1)
+partition box, about a*b*min(a, b) additions for an a x b box), but their
+caps still bound the C(N-1, r-1) gap vectors and the C(k+l-1, l-1) step
+sequences, so they refuse what enumeration would.  `verify` has no
 --max-enum: before any suite runs, it checks the covering-point count of
 its fibrations sweep, (n-1) * 2^n + 1 at --n-max n, against the cap.
 """
@@ -27,7 +31,7 @@ import sys
 from math import comb
 
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
-from .heisenberg import delta_fiber_sizes
+from .heisenberg import delta_fiber_sizes_via_partitions
 from .qbinomial import gaussian_coefficients, residue_sums
 from .surjections import GROUPS, orbit_histogram
 from .verify import (
@@ -117,7 +121,9 @@ def _cmd_residue_sums(args: argparse.Namespace) -> int:
 
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
-    sizes = delta_fiber_sizes(args.ring_size, args.marked, max_elements=_enum_cap(args))
+    sizes = delta_fiber_sizes_via_partitions(
+        args.ring_size, args.marked, max_elements=_enum_cap(args)
+    )
     values = [str(v) for v in sizes]
     total = str(comb(args.ring_size - 1, args.marked - 1))
     rows = [[str(s), v] for s, v in enumerate(values)] + [["total", total]]

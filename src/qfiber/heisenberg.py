@@ -4,8 +4,8 @@ r marked nodes on a ring of N sites are encoded either as a strictly
 increasing tuple in [1, N] or as a point of the covering space (strictly
 increasing integers spanning less than N).  Gap vectors between consecutive
 marks are the compositions of N into r positive parts; the fibers of the
-center-of-mass compatibility classes are counted both by direct enumeration
-and through the partition bijection.
+center-of-mass compatibility classes are counted through the partition
+bijection (the production route) and by direct enumeration (its oracle).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from operator import add, lt, mul, sub
 from typing import Iterator, Union
 
 from .errors import EnumerationCapError
-from .partitions import count_by_residue
+from .qbinomial import residue_sums
 
 # The checks below run once per covering point of `verify fibrations`, so
 # their loops are builtins (map, all, min) rather than generator frames.
@@ -161,6 +161,18 @@ def shift_action(point: CoveringPoint, steps: int = 1) -> CoveringPoint:
     return CoveringPoint(moved, n)
 
 
+def _check_gap_vector_count(ring_size: int, marked: int, max_elements: int | None) -> None:
+    """Reject marked outside [1, ring_size], and refuse with EnumerationCapError
+    when the C(ring_size - 1, marked - 1) gap vectors exceed max_elements."""
+    if marked < 1 or marked > ring_size:
+        raise ValueError("need 1 <= marked <= ring_size")
+    if max_elements is not None and comb(ring_size - 1, marked - 1) > max_elements:
+        raise EnumerationCapError(
+            f"C({ring_size - 1}, {marked - 1}) gap vectors for (N={ring_size}, r={marked}) "
+            f"exceed the cap of {max_elements}"
+        )
+
+
 def delta_fiber_sizes(
     ring_size: int, marked: int, max_elements: int | None = None
 ) -> list[int]:
@@ -169,7 +181,8 @@ def delta_fiber_sizes(
     Gap vectors are the compositions of ring_size into `marked` positive
     parts; the vector t lies in the fiber of the residue s in [0, marked)
     for which s + sum_beta beta * t_beta = 0 mod marked.  Entries sum to
-    C(ring_size - 1, marked - 1).
+    C(ring_size - 1, marked - 1).  This is the oracle of
+    `delta_fiber_sizes_via_partitions`.
 
     Writing N = ring_size and r = marked, each gap vector is enumerated by
     its cut positions c_1 < ... < c_{r-1} in [1, N), with
@@ -178,30 +191,30 @@ def delta_fiber_sizes(
     the congruence reduces to s = sum(cuts) mod r: the class of a gap vector
     is the sum of its cut positions mod r, and no gap is ever formed.
     """
-    if marked < 1 or marked > ring_size:
-        raise ValueError("need 1 <= marked <= ring_size")
-    if max_elements is not None and comb(ring_size - 1, marked - 1) > max_elements:
-        raise EnumerationCapError(
-            f"C({ring_size - 1}, {marked - 1}) gap vectors for (N={ring_size}, r={marked}) "
-            f"exceed the cap of {max_elements}"
-        )
+    _check_gap_vector_count(ring_size, marked, max_elements)
     table = [0] * marked
     for cuts in combinations(range(1, ring_size), marked - 1):
         table[sum(cuts) % marked] += 1
     return table
 
 
-def delta_fiber_sizes_via_partitions(ring_size: int, marked: int) -> list[int]:
-    """The same fiber table obtained through the partition bijection.
+def delta_fiber_sizes_via_partitions(
+    ring_size: int, marked: int, max_elements: int | None = None
+) -> list[int]:
+    """The same fiber table obtained through the partition bijection; the
+    production route of `qfiber fibers`.
 
     The fiber at s matches the step sequences whose area is r - s mod r, and
     those match the partitions in the (N-r) x (r-1) box whose weight lies in
-    the class shifted by r(r-1)/2 + N; no enumeration is involved, so this
-    route scales to large rings.
+    the class shifted by r(r-1)/2 + N.  Their class sums come from
+    `qbinomial.residue_sums`, whose product formula costs about
+    a*b*min(a, b) additions for the a x b box on a vector of a*b + 1
+    entries; no gap vector is enumerated.  The cap still bounds the
+    C(N-1, r-1) gap vectors: that count is at least the vector length, and
+    the work is at most 1.35 times it for every box with sides below 3000.
     """
-    if marked < 1 or marked > ring_size:
-        raise ValueError("need 1 <= marked <= ring_size")
+    _check_gap_vector_count(ring_size, marked, max_elements)
     n, r = ring_size, marked
-    base = count_by_residue(n - r, r - 1, r)
+    base = residue_sums(n - r, r - 1, r)
     offset = r * (r - 1) // 2 + n
     return [base[((r - s) - offset) % r] for s in range(r)]

@@ -204,6 +204,17 @@ def test_fibers_cap_exit(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_fibers_past_the_cap_does_not_enumerate(capsys):
+    # C(99999, 99998) = 99,999 gap vectors pass the cap; enumerating them
+    # builds 10^5 tuples of about 10^5 cuts each
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "fibers", "100000", "99999")
+    assert time.perf_counter() - started < 5
+    assert code == 0
+    assert out.endswith("\ntotal 99999\n")
+    assert out.split("\n")[0] == " ".join(["1"] * 99999)
+
+
 def test_verify_counterexamples_pass(capsys):
     code, out, _ = run(capsys, "verify", "counterexamples")
     assert code == 0

@@ -283,7 +283,7 @@ def test_delta_matches_naive_recount():
 
 
 def test_delta_routes_agree():
-    for n in range(1, 17):
+    for n in range(1, 21):
         for r in range(1, n + 1):
             assert delta_fiber_sizes(n, r) == delta_fiber_sizes_via_partitions(n, r), (n, r)
 
@@ -319,3 +319,9 @@ def test_delta_validation_and_cap():
         delta_fiber_sizes_via_partitions(2, 5)
     with pytest.raises(EnumerationCapError):
         delta_fiber_sizes(30, 15, max_elements=100)
+    # both routes refuse the same inputs with the same message
+    message = re.escape("C(11, 5) gap vectors for (N=12, r=6) exceed the cap of 461")
+    for route in (delta_fiber_sizes, delta_fiber_sizes_via_partitions):
+        with pytest.raises(EnumerationCapError, match=message):
+            route(12, 6, max_elements=461)
+        assert sum(route(12, 6, max_elements=462)) == 462

@@ -99,6 +99,15 @@ def test_residue_sums_match_partition_route():
                 assert residue_sums(m, n, r) == count_by_residue(m, n, r)
 
 
+@given(
+    st.integers(min_value=0, max_value=16),
+    st.integers(min_value=0, max_value=16),
+    st.integers(min_value=1, max_value=40),
+)
+def test_residue_sums_agree_with_box_recurrence(m, n, r):
+    assert residue_sums(m, n, r) == count_by_residue(m, n, r)
+
+
 def test_residue_sums_rejects_bad_modulus():
     with pytest.raises(ValueError):
         residue_sums(3, 3, 0)

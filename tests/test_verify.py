@@ -1,5 +1,6 @@
 """Tests for the verification harness itself."""
 
+import tracemalloc
 from math import comb, gcd
 
 import pytest
@@ -172,6 +173,44 @@ def test_check_fibrations_small_sweep():
     }
     with pytest.raises(ValueError):
         check_fibrations(2)
+
+
+def test_arithmetic_error_in_reconstruct_fails_only_the_round_trip(monkeypatch):
+    rebuild = verify.reconstruct
+
+    def broken(center_sum, gaps):
+        if gaps.gaps == (1, 2, 3):
+            raise ArithmeticError("injected failure")
+        return rebuild(center_sum, gaps)
+
+    monkeypatch.setattr(verify, "reconstruct", broken)
+    reports = check_fibrations(7)
+    [failed] = failures(reports)
+    assert (failed.check_id, failed.parameters) == ("covering-roundtrip", {"N": 6, "r": 3})
+    assert failed.expected == 6 * comb(5, 2)
+    assert failed.actual == "ArithmeticError: injected failure"
+    [shift] = [
+        r for r in reports if (r.check_id, r.parameters) == ("covering-shift", {"N": 6, "r": 3})]
+    assert shift.status == "pass" and shift.actual == 6 * comb(5, 2)
+
+
+def test_covering_checks_keep_no_point_list(monkeypatch):
+    # the two covering checks share one walk, so memory does not grow with
+    # the 12 * C(11, 5) = 5544 points of (12, 6); a list of them takes ~1 MB
+    walk = verify._covering_points
+    monkeypatch.setattr(
+        verify, "_covering_points", lambda n, r: walk(n, r) if (n, r) == (12, 6) else iter(()))
+    check_fibrations(12)  # fill the kernels' caches before tracing
+    tracemalloc.start()
+    try:
+        reports = check_fibrations(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not failures(reports)
+    walked = {r.check_id: r.actual for r in reports if r.parameters == {"N": 12, "r": 6}}
+    assert walked["covering-roundtrip"] == walked["covering-shift"] == 5544
+    assert peak < 256 * 1024
 
 
 def test_check_fibrations_prime_gap_hypotheses():

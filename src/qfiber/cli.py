@@ -11,14 +11,21 @@ Examples:
 Exit codes: 0 success, 1 a verification check failed, 2 bad arguments,
 3 enumeration cap exceeded.  Machine formats (json, csv) serialize every
 integer as a decimal string so arbitrarily large values survive any
-downstream parser.  The environment variable QFIBER_MAX_ENUM overrides the
-default enumeration cap; --max-enum overrides both.  `fibers` and `orbits`
-enumerate nothing (`fibers` folds the class sums of the (N-r) x (r-1)
-partition box, about a*b*min(a, b) additions for an a x b box), but their
-caps still bound the C(N-1, r-1) gap vectors and the C(k+l-1, l-1) step
-sequences, so they refuse what enumeration would.  `verify` has no
---max-enum: before any suite runs, it checks the covering-point count of
-its fibrations sweep, (n-1) * 2^n + 1 at --n-max n, against the cap.
+downstream parser; Python's limit on the digits of an int converted to or
+from a string is lifted in `main`, and the output size is capped instead.
+The environment variable QFIBER_MAX_ENUM overrides the default enumeration
+cap; --max-enum overrides both.  `coeffs` and `residue-sums` have no
+--max-enum: before computing, each checks against the cap an estimate of
+its work (m*n*min(m, n) for the product formula; r + sum over d | r of d^2
+plus the small boxes' product formulas for the q-Lucas class sums, after a
+first check of r + r^2 that comes before r is factored) and of its output
+digits (the entries times the digits of C(m+n, n)).  `fibers` and `orbits`
+enumerate nothing (`fibers` reads the q-Lucas class sums of the
+(N-r) x (r-1) partition box), but their caps still bound the C(N-1, r-1)
+gap vectors and the C(k+l-1, l-1) step sequences, so they refuse what
+enumeration would.  `verify` has no --max-enum: before any suite runs, it
+checks the covering-point count of its fibrations sweep, (n-1) * 2^n + 1 at
+--n-max n, against the cap.
 """
 
 from __future__ import annotations
@@ -28,11 +35,11 @@ import csv
 import json
 import os
 import sys
-from math import comb
+from math import comb, lgamma, log
 
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .heisenberg import delta_fiber_sizes_via_partitions
-from .qbinomial import gaussian_coefficients, residue_sums
+from .qbinomial import coefficient_work, gaussian_coefficients, residue_sums, residue_sums_work
 from .surjections import GROUPS, orbit_histogram
 from .verify import (
     DEFAULT_KL_BOUND,
@@ -104,7 +111,37 @@ def _enum_cap(args: argparse.Namespace) -> int:
     return DEFAULT_ENUMERATION_CAP
 
 
+def _binomial_digits(top: int, bottom: int) -> int:
+    """Estimated decimal digits of C(top, bottom), with k the smaller of
+    bottom and top - bottom: from log-gamma below top = 10^15, beyond it
+    from C(top, k) >= (top/k)^k, and once k passes 2^64 from
+    C(top, k) >= 2^k."""
+    k = min(bottom, top - bottom)
+    if k == 0:
+        return 1
+    if k.bit_length() > 64:
+        return 3 * k // 10
+    if top < 10**15:
+        ln = lgamma(top + 1) - lgamma(k + 1) - lgamma(top - k + 1)
+    else:
+        ln = k * (log(top) - log(k))
+    return int(ln / log(10)) + 1
+
+
+def _check_table_size(args: argparse.Namespace, work: int, entries: int) -> None:
+    """Refuse, before computing it, a table whose estimated work or output
+    digits exceed the cap.  The digits are the entries times the digits of
+    C(m+n, n), which bounds every coefficient and every class sum."""
+    cap = _enum_cap(args)
+    if work > cap:
+        raise EnumerationCapError(f"estimated work of {work} exceeds the cap of {cap}")
+    digits = entries * _binomial_digits(args.m + args.n, args.n)
+    if digits > cap:
+        raise EnumerationCapError(f"estimated output of {digits} digits exceeds the cap of {cap}")
+
+
 def _cmd_coeffs(args: argparse.Namespace) -> int:
+    _check_table_size(args, coefficient_work(args.m, args.n), args.m * args.n + 1)
     values = [str(c) for c in gaussian_coefficients(args.m, args.n).coeffs]
     rows = [[str(i), v] for i, v in enumerate(values)]
     parameters = {"m": args.m, "n": args.n}
@@ -113,6 +150,11 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_residue_sums(args: argparse.Namespace) -> int:
+    # r + r^2, the d = r term alone, bounds the estimate; only if it passes is r factored
+    work = args.r**2 + args.r
+    if work <= _enum_cap(args):
+        work = residue_sums_work(args.m, args.n, args.r)
+    _check_table_size(args, work, args.r)
     values = [str(v) for v in residue_sums(args.m, args.n, args.r)]
     rows = [[str(i), v] for i, v in enumerate(values)]
     parameters = {"m": args.m, "n": args.n, "r": args.r}
@@ -235,14 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("m", type=_nonneg, help="box width (max part size)")
     coeffs.add_argument("n", type=_nonneg, help="box height (max part count)")
     _add_format(coeffs)
-    coeffs.set_defaults(handler=_cmd_coeffs)
+    coeffs.set_defaults(handler=_cmd_coeffs, max_enum=None)
 
     sums = sub.add_parser("residue-sums", help="coefficient sums per index class mod r")
     sums.add_argument("m", type=_nonneg, help="box width")
     sums.add_argument("n", type=_nonneg, help="box height")
     sums.add_argument("r", type=_positive, help="modulus")
     _add_format(sums)
-    sums.set_defaults(handler=_cmd_residue_sums)
+    sums.set_defaults(handler=_cmd_residue_sums, max_enum=None)
 
     fibers = sub.add_parser("fibers", help="gap-vector fiber sizes for a marked ring")
     fibers.add_argument("ring_size", metavar="N", type=_positive, help="ring size")
@@ -284,6 +326,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The caps bound output size; Python 3.10.7 and later also limit int <-> str digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)

@@ -207,11 +207,13 @@ def delta_fiber_sizes_via_partitions(
     The fiber at s matches the step sequences whose area is r - s mod r, and
     those match the partitions in the (N-r) x (r-1) box whose weight lies in
     the class shifted by r(r-1)/2 + N.  Their class sums come from
-    `qbinomial.residue_sums`, whose product formula costs about
-    a*b*min(a, b) additions for the a x b box on a vector of a*b + 1
-    entries; no gap vector is enumerated.  The cap still bounds the
-    C(N-1, r-1) gap vectors: that count is at least the vector length, and
-    the work is at most 1.35 times it for every box with sides below 3000.
+    `qbinomial.residue_sums`, the q-Lucas divisor sum: on this box it
+    reduces to (1/r) times the sum over d | gcd(N, r) of C(N/d - 1, r/d - 1)
+    times a Ramanujan sum.  Its cost is the binomials plus a small multiple
+    of sigma(r), the sum of the divisors of r, in element operations run by
+    builtins; no gap vector is enumerated.  The cap still bounds
+    the C(N-1, r-1) gap vectors, far above that cost, so `fibers` refuses
+    what enumeration would.
     """
     _check_gap_vector_count(ring_size, marked, max_elements)
     n, r = ring_size, marked

@@ -2,16 +2,21 @@
 
 The coefficient of q^w in the Gaussian binomial for an m x n box counts the
 partitions of w with at most n parts, each at most m.  Sums of coefficients
-over an index class mod r are therefore partition counts by weight class;
-this module also provides the closed-form values those sums take in the
-equal-class cases.
+over an index class mod r are therefore partition counts by weight class.
+`gaussian_coefficients` builds the vector by the product formula;
+`residue_sums` gets the class sums by the q-Lucas theorem without it.  This
+module also provides the closed-form values those sums take in the
+equal-class cases, and the work estimates the command line checks against
+its cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb, gcd
+from operator import add, mul
 
 
 def is_prime(n: int) -> bool:
@@ -87,14 +92,113 @@ def gaussian_coefficients(m: int, n: int) -> CoefficientVector:
     return CoefficientVector(m, n, tuple(coeffs))
 
 
+def coefficient_work(m: int, n: int) -> int:
+    """Big-int additions of `gaussian_coefficients(m, n)`, about m*n*min(m, n)."""
+    return m * n * min(m, n)
+
+
+def _divisors(r: int) -> tuple[list[int], list[int]]:
+    """The prime factors of r, found by trial division, and the divisors of
+    r in increasing order, built from them."""
+    primes, divisors = [], [1]
+    p = 2
+    while p * p <= r:
+        if r % p == 0:
+            primes.append(p)
+            powers = [1]
+            while r % p == 0:
+                r //= p
+                powers.append(powers[-1] * p)
+            divisors = [d * q for d in divisors for q in powers]
+        p += 1
+    if r > 1:
+        primes.append(r)
+        divisors += [d * r for d in divisors]
+    return primes, sorted(divisors)
+
+
+def _small_box(m: int, n: int, d: int) -> tuple[int, int] | None:
+    """The box q-Lucas leaves at a primitive d-th root of unity, where
+    [m+n choose n]_q equals C((m+n)//d, n//d) times [a choose b]_q with
+    a = (m+n) mod d and b = n mod d: the (a-b) x b box, or None when b > a
+    and the value is zero."""
+    a, b = (m + n) % d, n % d
+    return None if b > a else (a - b, b)
+
+
+def _ramanujan_sums(d: int, primes: list[int]) -> list[int]:
+    """Ramanujan sums c_d(e) = sum over g | gcd(d, e) of mu(d/g)*g, for e in
+    [0, d): the sums of the e-th powers of the primitive d-th roots of unity.
+
+    Only the g with d/g squarefree count, and each adds mu(d/g)*g at every
+    multiple of g.  `primes` must hold every prime factor of d.
+    """
+    cofactors = [(1, 1)]
+    for p in primes:
+        if d % p == 0:
+            cofactors += [(s * p, -mu) for s, mu in cofactors]
+    sums = [0] * d
+    for s, mu in cofactors:
+        g = d // s
+        sums = list(map(add, sums, ([mu * g] + [0] * (g - 1)) * s))
+    return sums
+
+
+def residue_sums_work(m: int, n: int, r: int) -> int:
+    """Work estimate of `residue_sums(m, n, r)` apart from its binomials:
+    r, plus for each divisor d of r a d x d convolution and the product
+    formula of the box left at d.  It is at least r + r^2."""
+    work = r
+    for d in _divisors(r)[1]:
+        box = _small_box(m, n, d)
+        work += d * d + (0 if box is None else coefficient_work(*box))
+    return work
+
+
 def residue_sums(m: int, n: int, r: int) -> list[int]:
-    """Sums of the m x n Gaussian coefficients over each index class mod r."""
+    """Sums of the m x n Gaussian coefficients over each index class mod r.
+
+    A roots-of-unity filter over the r-th roots, grouped by their order d:
+
+        Sum_j = (1/r) sum_{d | r} C((m+n)//d, n//d) * sum_w c_w * c_d(w - j)
+
+    By the q-Lucas theorem (Sagan, Adv. Math. 95, 1992), c_w are the
+    coefficients of the small Gaussian binomial of `_small_box`, whose sides
+    are below d, and c_d is the Ramanujan sum.  Each small box is folded
+    mod d and convolved with c_d over its nonzero classes, so the cost is
+    about `residue_sums_work` plus the binomials, whatever the size of the
+    m x n box; its coefficient vector is never built.  The division by r is
+    checked, and a remainder raises ArithmeticError.
+    """
     if r < 1:
         raise ValueError("modulus must be positive")
-    table = [0] * r
-    for w, c in enumerate(gaussian_coefficients(m, n).coeffs):
-        table[w % r] += c
-    return table
+    if m < 0 or n < 0:
+        raise ValueError("box dimensions must be nonnegative")
+    primes, divisors = _divisors(r)
+    terms = {}
+    for d in divisors:
+        term = [0] * d
+        box = _small_box(m, n, d)
+        if box is not None:
+            folded = [0] * d
+            for w, c in enumerate(gaussian_coefficients(*box).coeffs):
+                folded[w % d] += c
+            # c_d is even, so c_d(w - j) over j is c_d rotated right by w
+            ramanujan = _ramanujan_sums(d, primes)
+            for w, c in enumerate(folded):
+                if c:
+                    rotated = ramanujan[-w:] + ramanujan[:-w]
+                    term = list(map(add, term, map(mul, rotated, repeat(c))))
+            big = comb((m + n) // d, n // d)
+            term = [big * t for t in term]
+        terms[d] = term
+    # Sum the terms, each repeated to length r, by prefix sums along each
+    # prime of the divisor lattice: about len(primes) * sigma(r) additions.
+    for p in primes:
+        for d in divisors:
+            if r % (d * p) == 0:
+                terms[d * p] = list(map(add, terms[d * p], terms[d] * p))
+    return [_exact_div(total, r) for total in terms[r]]
 
 
 def _exact_div(numerator: int, divisor: int) -> int:
@@ -116,7 +220,10 @@ def coprime_class_sum(k: int, l: int, r: int) -> int:
     """Common value of residue_sums(k, l-1, r) when gcd(k, l) = 1 and r | l.
 
     Every class then holds C(k+l-1, l-1) / r partitions; the division is
-    checked and a nonzero remainder raises ArithmeticError.
+    checked and a nonzero remainder raises ArithmeticError.  This is the
+    d = 1 term of `residue_sums` (every other term vanishes, as d | l
+    cannot divide k), so `verify` checks it against the folded coefficient
+    vector instead.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be positive")
@@ -132,7 +239,9 @@ def prime_multiple_class_sum(p: int, multiplier: int, height: int, residue: int)
 
     Classes other than 0 hold (C(multiplier*p + height, height) - 1) / p
     partitions each; class 0 holds one more (the zero partition).
-    Requires 1 <= height <= p-1.
+    Requires 1 <= height <= p-1.  These are the d = 1 and d = p terms of
+    `residue_sums`, so `verify` checks them against the folded coefficient
+    vector instead.
     """
     _validate_odd_prime(p)
     if multiplier < 1:
@@ -147,7 +256,11 @@ def prime_multiple_class_sum(p: int, multiplier: int, height: int, residue: int)
 
 def prime_adjacent_class_sum(p: int, height: int) -> int:
     """Common class sum for the (p-1) x height box mod an odd prime p,
-    equal to C(p-1+height, height) / p.  Requires 1 <= height <= p-1."""
+    equal to C(p-1+height, height) / p.  Requires 1 <= height <= p-1.
+
+    This is the d = 1 term of `residue_sums` (the d = p term vanishes), so
+    `verify` checks it against the folded coefficient vector instead.
+    """
     _validate_odd_prime(p)
     if not 1 <= height <= p - 1:
         raise ValueError(f"height must lie in [1, {p - 1}]")

@@ -25,6 +25,7 @@ from .heisenberg import (
 from .partitions import count_by_residue, count_exact_parts_by_residue
 from .qbinomial import (
     coprime_class_sum,
+    gaussian_coefficients,
     is_prime,
     prime_adjacent_class_sum,
     prime_multiple_class_sum,
@@ -99,11 +100,20 @@ def _validate_primes(primes: Sequence[int]) -> None:
         raise ValueError(f"not odd primes: {bad}")
 
 
+def _folded_coefficients(m: int, n: int, r: int) -> list[int]:
+    """Class sums mod r of the m x n box, folded from its product-formula
+    coefficient vector.  The closed forms are the d = 1 and d = p terms of
+    the q-Lucas route of `residue_sums`, so their checks read this instead."""
+    coeffs = gaussian_coefficients(m, n).coeffs
+    return [sum(coeffs[j::r]) for j in range(r)]
+
+
 def check_main1(k_max: int = DEFAULT_KL_BOUND, l_max: int = DEFAULT_KL_BOUND) -> list[CheckReport]:
     """Equal class sums for coprime boxes.
 
     For every coprime pair (k, l) within the bounds and every divisor r of l,
-    the r class sums of the k x (l-1) box must all equal C(k+l-1, l-1) / r.
+    the r class sums of the k x (l-1) box, folded from its coefficient
+    vector, must all equal C(k+l-1, l-1) / r.
     Non-coprime pairs are skipped; they are covered by `counterexamples`.
     """
     if k_max < 2 or l_max < 2:
@@ -119,7 +129,7 @@ def check_main1(k_max: int = DEFAULT_KL_BOUND, l_max: int = DEFAULT_KL_BOUND) ->
                 reports.append(_check(
                     "main1", {"k": k, "l": l, "r": r},
                     lambda: [coprime_class_sum(k, l, r)] * r,
-                    lambda: residue_sums(k, l - 1, r)))
+                    lambda: _folded_coefficients(k, l - 1, r)))
     return _ordered(reports)
 
 
@@ -128,9 +138,10 @@ def check_therm(
 ) -> list[CheckReport]:
     """Class sums of prime-width boxes against their closed forms.
 
-    For each odd prime p: the (M*p) x N box mod p (1 <= N <= p-1) must give
-    the common value everywhere except class 0, which exceeds it by one; the
-    (p-1) x N box mod p must give p equal sums.
+    For each odd prime p, with class sums folded from the coefficient
+    vector: the (M*p) x N box mod p (1 <= N <= p-1) must give the common
+    value everywhere except class 0, which exceeds it by one; the (p-1) x N
+    box mod p must give p equal sums.
     """
     _validate_primes(primes)
     if multiplier_max < 1:
@@ -142,12 +153,12 @@ def check_therm(
                 reports.append(_check(
                     "therm-multiple", {"p": p, "M": multiplier, "N": height},
                     lambda: [prime_multiple_class_sum(p, multiplier, height, j) for j in range(p)],
-                    lambda: residue_sums(multiplier * p, height, p)))
+                    lambda: _folded_coefficients(multiplier * p, height, p)))
         for height in range(1, p):
             reports.append(_check(
                 "therm-adjacent", {"p": p, "N": height},
                 lambda: [prime_adjacent_class_sum(p, height)] * p,
-                lambda: residue_sums(p - 1, height, p)))
+                lambda: _folded_coefficients(p - 1, height, p)))
     return _ordered(reports)
 
 
@@ -189,7 +200,7 @@ def check_counterexamples() -> list[CheckReport]:
     Reproduces the reference tables for the 6 x 5 box mod 6 and the 10 x 9
     box mod 10 (non-constancy is the pass condition), and cross-checks the
     companion 20 x 9 box mod 10 by the folded box recurrence
-    (`count_by_residue`) against the product-formula vector (`residue_sums`).
+    (`count_by_residue`) against the q-Lucas route (`residue_sums`).
     """
     reports = []
     for (m, n, r), reference in (

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import time
+from math import comb
 
 import pytest
 
@@ -128,6 +129,58 @@ def test_residue_sums_rejects_zero_modulus(capsys):
     code, _, err = run_expecting_exit(capsys, "residue-sums", "3", "3", "0")
     assert code == 2
     assert "usage" in err
+
+
+def test_table_guards_refuse_before_computing(capsys):
+    for argv, message in (
+        # 10^13 classes: a MemoryError traceback without the guard
+        (["residue-sums", "3", "3", "10000000000000"], "estimated work of 1000000000000"),
+        # 10^9 product-formula additions: hours
+        (["coeffs", "1000", "1000"], "estimated work of 1000000000 "),
+        # the 500 x 499 box left at d = 1000 costs 1.2 * 10^8 additions
+        (["residue-sums", "500", "499", "1000"], "estimated work of 1"),
+        # 10^7 + 1 coefficients of 8 digits, and 2 sums of about 6 * 10^7 digits
+        (["coeffs", "10000000", "1"], "estimated output of 80000008 digits"),
+        (["residue-sums", "100000000", "100000000", "2"], "estimated output of"),
+    ):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 1, argv
+        assert code == 3 and out == "", argv
+        assert message in err and "exceeds the cap of 10000000" in err, (argv, err)
+
+
+def test_table_guards_read_the_environment_cap(capsys, monkeypatch):
+    # residue-sums 3 3 4: estimated work 4 + (1 + 4 + 16), output 4 sums of 2 digits
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "24")
+    code, _, err = run(capsys, "residue-sums", "3", "3", "4")
+    assert code == 3 and "estimated work of 25 exceeds the cap of 24" in err
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "25")
+    assert run(capsys, "residue-sums", "3", "3", "4")[:2] == (0, "5 5 5 5\n")
+    # coeffs 3 2: work 3*2*2 = 12, output 7 coefficients of at most 2 digits
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "13")
+    code, _, err = run(capsys, "coeffs", "3", "2")
+    assert code == 3 and "estimated output of 14 digits exceeds the cap of 13" in err
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "14")
+    assert run(capsys, "coeffs", "3", "2")[:2] == (0, "1 1 2 2 2 1 1\n")
+    # the table commands take no --max-enum flag
+    code, _, _ = run_expecting_exit(capsys, "coeffs", "3", "2", "--max-enum", "100")
+    assert code == 2
+
+
+def test_residue_sums_past_the_int_digit_limit(capsys):
+    # both sums have about 4800 digits, past the default limit of 4300 for str(int)
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "residue-sums", "8000", "8000", "2")
+    assert time.perf_counter() - started < 5
+    assert code == 0
+    # the Gaussian binomial at q = 1 and at q = -1
+    total, alternating = comb(16000, 8000), comb(8000, 4000)
+    assert [int(s) for s in out.split()] == [(total + alternating) // 2, (total - alternating) // 2]
+    # a 5001-digit side parses too: the m x 1 box with m = 10^5000 has m + 1 weights
+    code, out, _ = run(capsys, "residue-sums", "1" + "0" * 5000, "1", "2")
+    assert code == 0
+    assert out == "5" + "0" * 4998 + "1 5" + "0" * 4999 + "\n"
 
 
 def test_fibers_table(capsys):

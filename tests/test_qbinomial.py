@@ -1,10 +1,12 @@
 """Tests for Gaussian coefficient vectors, class sums, and their closed forms."""
 
+import time
 from math import comb, gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qfiber.qbinomial as qbinomial
 from qfiber.partitions import count_by_residue, enumerate_restricted
 from qfiber.qbinomial import (
     CoefficientVector,
@@ -99,13 +101,54 @@ def test_residue_sums_match_partition_route():
                 assert residue_sums(m, n, r) == count_by_residue(m, n, r)
 
 
+# r = 1, prime powers and highly composite moduli, besides whatever hypothesis draws
+MODULI = (1, 8, 9, 16, 27, 32, 49, 64, 12, 24, 36, 48, 60, 72)
+
+
 @given(
-    st.integers(min_value=0, max_value=16),
-    st.integers(min_value=0, max_value=16),
-    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=30),
+    st.one_of(st.sampled_from(MODULI), st.integers(min_value=1, max_value=72)),
 )
 def test_residue_sums_agree_with_box_recurrence(m, n, r):
     assert residue_sums(m, n, r) == count_by_residue(m, n, r)
+
+
+@pytest.mark.parametrize("r", MODULI)
+def test_residue_sums_edge_boxes(r):
+    # zero sides, boxes with fewer weights than classes (r > m*n + 1), and square boxes
+    for m, n in ((0, 0), (0, 30), (30, 0), (1, 1), (2, 3), (5, 5), (7, 9), (30, 30), (29, 24)):
+        assert residue_sums(m, n, r) == count_by_residue(m, n, r), (m, n)
+
+
+@pytest.mark.parametrize("m, n, r", [(400, 400, 5), (200, 200, 12)])
+def test_residue_sums_beyond_the_fold(m, n, r):
+    # folding the product vector took 9.9 s at 400 x 400; q-Lucas never builds it
+    started = time.perf_counter()
+    sums = residue_sums(m, n, r)
+    assert time.perf_counter() - started < 0.05
+    assert sums == count_by_residue(m, n, r)
+
+
+def test_residue_sums_work_estimate():
+    # r + sum of d^2 over d | r, plus the product formula of each small box left
+    assert qbinomial.residue_sums_work(3, 3, 4) == 4 + (1 + 4 + 16) + 0
+    assert qbinomial.residue_sums_work(4, 3, 10) == 10 + (1 + 4 + 25 + 100) + 4 * 3 * 3
+    assert qbinomial.coefficient_work(70, 30) == 70 * 30 * 30
+
+
+def test_bad_ramanujan_term_raises(monkeypatch):
+    ramanujan = qbinomial._ramanujan_sums
+
+    def broken(d, primes):
+        sums = ramanujan(d, primes)
+        return [sums[0] + (d == 3)] + sums[1:]
+
+    monkeypatch.setattr(qbinomial, "_ramanujan_sums", broken)
+    # the d = 3 term of the 4 x 3 box is C(2, 1) * c_3(w - j) at w = 0, so
+    # class 0 gains 2, which 3 does not divide
+    with pytest.raises(ArithmeticError):
+        residue_sums(4, 3, 3)
 
 
 def test_residue_sums_rejects_bad_modulus():

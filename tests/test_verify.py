@@ -5,6 +5,7 @@ from math import comb, gcd
 
 import pytest
 
+import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
 from qfiber.verify import (
@@ -82,6 +83,21 @@ def test_arithmetic_error_in_a_shared_table_fails_each_check_reading_it(monkeypa
     assert {r.check_id for r in failed} == {
         "counterexample-6x5-table", "counterexample-6x5-total", "counterexample-6x5-nonconstant"}
     assert all(r.actual == "ArithmeticError: injected failure" for r in failed)
+
+
+def test_bad_ramanujan_term_fails_only_the_checks_reading_residue_sums(monkeypatch):
+    ramanujan = qbinomial._ramanujan_sums
+
+    def broken(d, primes):
+        sums = ramanujan(d, primes)
+        return [sums[0] + 1] + sums[1:]
+
+    monkeypatch.setattr(qbinomial, "_ramanujan_sums", broken)
+    failed = failures(check_counterexamples())
+    assert len(failed) == 7
+    assert all(r.actual.startswith("ArithmeticError: ") for r in failed)
+    # the closed forms are terms of the q-Lucas sum, so their checks read the folded vector
+    assert not failures(check_main1(6, 6)) and not failures(check_therm((3, 5), 1))
 
 
 def test_check_main1_rejects_small_bounds():

@@ -14,18 +14,22 @@ integer as a decimal string so arbitrarily large values survive any
 downstream parser; Python's limit on the digits of an int converted to or
 from a string is lifted in `main`, and the output size is capped instead.
 The environment variable QFIBER_MAX_ENUM overrides the default enumeration
-cap; --max-enum overrides both.  `coeffs` and `residue-sums` have no
---max-enum: before computing, each checks against the cap an estimate of
-its work (m*n*min(m, n) for the product formula; r + sum over d | r of d^2
-plus the small boxes' product formulas for the q-Lucas class sums, after a
-first check of r + r^2 that comes before r is factored) and of its output
-digits (the entries times the digits of C(m+n, n)).  `fibers` and `orbits`
-enumerate nothing (`fibers` reads the q-Lucas class sums of the
-(N-r) x (r-1) partition box), but their caps still bound the C(N-1, r-1)
-gap vectors and the C(k+l-1, l-1) step sequences, so they refuse what
-enumeration would.  `verify` has no --max-enum: before any suite runs, it
-checks the covering-point count of its fibrations sweep, (n-1) * 2^n + 1 at
---n-max n, against the cap.
+cap; --max-enum overrides both.  `coeffs`, `residue-sums` and `fibers`
+check against the cap, before computing, an estimate of their work
+(m*n*min(m, n) for the product formula; r + sum over d | r of d^2 plus the
+small boxes' product formulas for the q-Lucas class sums, after a first
+check of r + r^2 that comes before r is factored) and of their output
+digits (the entries times the digits of C(m+n, n)).  `fibers N r` reads
+the q-Lucas class sums of the (N-r) x (r-1) partition box; its estimate
+counts d^2 only for the divisors d of gcd(N, r), where a small box is
+left, and d for the other divisors of r, after a first check of
+r + gcd(N, r)^2, and its r entries are bounded by C(N-1, r-1).  `orbits`
+enumerates nothing, but its cap still bounds the C(k+l-1, l-1) step
+sequences, so it refuses what enumeration would.  Only `fibers` and
+`orbits` take --max-enum.  `verify` checks, before any suite runs, the
+covering-point count of its fibrations sweep, (n-1) * 2^n + 1 at
+--n-max n, against the cap.  `verify --timings` writes the time per check
+id and the ten slowest checks to stderr.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ import csv
 import json
 import os
 import sys
-from math import comb, lgamma, log
+from math import comb, gcd, lgamma, log
+from typing import Callable
 
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
-from .heisenberg import delta_fiber_sizes_via_partitions
+from .heisenberg import delta_fiber_sizes_via_partitions, fiber_table_work
 from .qbinomial import coefficient_work, gaussian_coefficients, residue_sums, residue_sums_work
 from .surjections import GROUPS, orbit_histogram
 from .verify import (
@@ -128,50 +133,60 @@ def _binomial_digits(top: int, bottom: int) -> int:
     return int(ln / log(10)) + 1
 
 
-def _check_table_size(args: argparse.Namespace, work: int, entries: int) -> None:
+def _check_table_size(
+    args: argparse.Namespace, work: int, entries: int, top: int, bottom: int
+) -> None:
     """Refuse, before computing it, a table whose estimated work or output
     digits exceed the cap.  The digits are the entries times the digits of
-    C(m+n, n), which bounds every coefficient and every class sum."""
+    C(top, bottom), which bounds every entry of the table."""
     cap = _enum_cap(args)
     if work > cap:
         raise EnumerationCapError(f"estimated work of {work} exceeds the cap of {cap}")
-    digits = entries * _binomial_digits(args.m + args.n, args.n)
+    digits = entries * _binomial_digits(top, bottom)
     if digits > cap:
         raise EnumerationCapError(f"estimated output of {digits} digits exceeds the cap of {cap}")
 
 
+def _work(args: argparse.Namespace, lower_bound: int, estimate: Callable[[], int]) -> int:
+    """The work estimate, or its lower bound if that already exceeds the cap:
+    the estimates factor r by trial division, which a huge r must not reach."""
+    return lower_bound if lower_bound > _enum_cap(args) else estimate()
+
+
 def _cmd_coeffs(args: argparse.Namespace) -> int:
-    _check_table_size(args, coefficient_work(args.m, args.n), args.m * args.n + 1)
-    values = [str(c) for c in gaussian_coefficients(args.m, args.n).coeffs]
+    m, n = args.m, args.n
+    _check_table_size(args, coefficient_work(m, n), m * n + 1, m + n, n)
+    values = [str(c) for c in gaussian_coefficients(m, n).coeffs]
     rows = [[str(i), v] for i, v in enumerate(values)]
-    parameters = {"m": args.m, "n": args.n}
+    parameters = {"m": m, "n": n}
     _emit(args, parameters, {"coeffs": values}, ["index", "coefficient"], rows, [" ".join(values)])
     return 0
 
 
 def _cmd_residue_sums(args: argparse.Namespace) -> int:
-    # r + r^2, the d = r term alone, bounds the estimate; only if it passes is r factored
-    work = args.r**2 + args.r
-    if work <= _enum_cap(args):
-        work = residue_sums_work(args.m, args.n, args.r)
-    _check_table_size(args, work, args.r)
-    values = [str(v) for v in residue_sums(args.m, args.n, args.r)]
+    m, n, r = args.m, args.n, args.r
+    # the leading r and the d = r term bound the estimate from below
+    work = _work(args, r**2 + r, lambda: residue_sums_work(m, n, r))
+    _check_table_size(args, work, r, m + n, n)
+    values = [str(v) for v in residue_sums(m, n, r)]
     rows = [[str(i), v] for i, v in enumerate(values)]
-    parameters = {"m": args.m, "n": args.n, "r": args.r}
+    parameters = {"m": m, "n": n, "r": r}
     _emit(args, parameters, {"sums": values}, ["residue", "sum"], rows, [" ".join(values)])
     return 0
 
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
-    sizes = delta_fiber_sizes_via_partitions(
-        args.ring_size, args.marked, max_elements=_enum_cap(args)
-    )
-    values = [str(v) for v in sizes]
-    total = str(comb(args.ring_size - 1, args.marked - 1))
+    n, r = args.ring_size, args.marked
+    # the leading r and the d = gcd(N, r) term bound the estimate from below;
+    # each fiber is at most C(N-1, r-1)
+    work = _work(args, r + gcd(n, r) ** 2, lambda: fiber_table_work(n, r))
+    _check_table_size(args, work, r, n - 1, r - 1)
+    values = [str(v) for v in delta_fiber_sizes_via_partitions(n, r)]
+    total = str(comb(n - 1, r - 1))
     rows = [[str(s), v] for s, v in enumerate(values)] + [["total", total]]
     result = {"sizes": values, "total": total}
     lines = [" ".join(values), f"total {total}"]
-    parameters = {"N": args.ring_size, "r": args.marked}
+    parameters = {"N": n, "r": r}
     _emit(args, parameters, result, ["class", "cardinality"], rows, lines)
     return 0
 
@@ -230,7 +245,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payloads = [_report_payload(report) for report in reports]
     rows, lines = [], []
     for payload in payloads:
-        params = " ".join(f"{k}={v}" for k, v in payload["parameters"].items())
+        params = _parameter_text(payload["parameters"])
         sides = (payload["expected"], payload["actual"])
         spaced = [" ".join(side) if isinstance(side, list) else side for side in sides]
         rows.append([payload["check_id"], params, *spaced, payload["status"]])
@@ -247,7 +262,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     result = {"checks": str(len(reports)), "failures": str(failures), "reports": payloads}
     header = ["check_id", "parameters", "expected", "actual", "status"]
     _emit(args, bounds, result, header, rows, lines)
+    if args.timings:
+        _print_timings(reports)
     return 1 if failures else 0
+
+
+def _parameter_text(parameters: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in parameters.items())
+
+
+def _print_timings(reports: list[CheckReport]) -> None:
+    """Write to stderr the summed `elapsed` of each check id, largest first,
+    and the ten slowest checks with their parameters.  stdout is untouched, so
+    every format stays byte-reproducible."""
+    totals: dict[str, list] = {}
+    for report in reports:
+        total = totals.setdefault(report.check_id, [0.0, 0])
+        total[0] += report.elapsed
+        total[1] += 1
+    print("seconds  checks  check_id", file=sys.stderr)
+    for check_id, (seconds, count) in sorted(totals.items(), key=lambda item: -item[1][0]):
+        print(f"{seconds:9.6f}  {count:6d}  {check_id}", file=sys.stderr)
+    print("slowest checks", file=sys.stderr)
+    for report in sorted(reports, key=lambda report: -report.elapsed)[:10]:
+        line = f"{report.elapsed:9.6f}  {report.check_id} {_parameter_text(report.parameters)}"
+        print(line.rstrip(), file=sys.stderr)
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -308,6 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--primes", default="3,5,7,11", help="comma-separated odd primes")
     ver.add_argument("--m-max", type=_positive, default=DEFAULT_MULTIPLIER_BOUND)
     ver.add_argument("--n-max", type=_positive, default=DEFAULT_RING_BOUND)
+    ver.add_argument(
+        "--timings",
+        action="store_true",
+        help="write the time per check id and the ten slowest checks to stderr",
+    )
     _add_format(ver)
     ver.set_defaults(handler=_cmd_verify, max_enum=None)
 

@@ -12,61 +12,62 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
-from math import comb
+from math import comb, gcd
 from operator import add, lt, mul, sub
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import EnumerationCapError
-from .qbinomial import residue_sums
+from .qbinomial import _divisors, residue_sums
 
-# The checks below run once per covering point of `verify fibrations`, so
-# their loops are builtins (map, all, min) rather than generator frames.
+# The constructors below run on every covering point of `verify fibrations`.
+# Each validates its arguments before storing them, in one hand-written
+# __init__ (equality, ordering, hashing and repr stay generated), and its
+# loops are builtins (map, all, min) rather than generator frames.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Configuration:
     """Marked nodes j_1 < ... < j_r inside [1, ring_size]."""
 
     nodes: tuple[int, ...]
     ring_size: int
 
-    def __post_init__(self):
-        nodes = self.nodes
+    def __init__(self, nodes: Iterable[int], ring_size: int) -> None:
         if type(nodes) is not tuple:
             nodes = tuple(nodes)
-            object.__setattr__(self, "nodes", nodes)
-        if self.ring_size < 1:
+        if ring_size < 1:
             raise ValueError("ring_size must be positive")
         if not all(map(isinstance, nodes, repeat(int))):
             raise ValueError(f"nodes must be integers: {nodes!r}")
-        if nodes and not (1 <= nodes[0] and nodes[-1] <= self.ring_size):
-            raise ValueError(f"nodes must lie in [1, {self.ring_size}]: {nodes!r}")
+        if nodes and not (1 <= nodes[0] and nodes[-1] <= ring_size):
+            raise ValueError(f"nodes must lie in [1, {ring_size}]: {nodes!r}")
         if not all(map(lt, nodes, nodes[1:])):
             raise ValueError(f"nodes must be strictly increasing: {nodes!r}")
+        _set(self, "nodes", nodes)
+        _set(self, "ring_size", ring_size)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class CoveringPoint:
     """Strictly increasing integers whose span is less than ring_size."""
 
     positions: tuple[int, ...]
     ring_size: int
 
-    def __post_init__(self):
-        positions = self.positions
+    def __init__(self, positions: Iterable[int], ring_size: int) -> None:
         if type(positions) is not tuple:
             positions = tuple(positions)
-            object.__setattr__(self, "positions", positions)
-        if self.ring_size < 1:
+        if ring_size < 1:
             raise ValueError("ring_size must be positive")
         if not all(map(isinstance, positions, repeat(int))):
             raise ValueError(f"positions must be integers: {positions!r}")
         if not all(map(lt, positions, positions[1:])):
             raise ValueError(f"positions must be strictly increasing: {positions!r}")
-        if positions and positions[-1] >= positions[0] + self.ring_size:
-            raise ValueError(
-                f"span must be less than ring_size={self.ring_size}: {positions!r}"
-            )
+        if positions and positions[-1] >= positions[0] + ring_size:
+            raise ValueError(f"span must be less than ring_size={ring_size}: {positions!r}")
+        _set(self, "positions", positions)
+        _set(self, "ring_size", ring_size)
 
     @property
     def center_sum(self) -> int:
@@ -74,24 +75,24 @@ class CoveringPoint:
         return sum(self.positions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RelativePositions:
     """Gaps between consecutive marks: positive integers summing to ring_size."""
 
     gaps: tuple[int, ...]
     ring_size: int
 
-    def __post_init__(self):
-        gaps = self.gaps
+    def __init__(self, gaps: Iterable[int], ring_size: int) -> None:
         if type(gaps) is not tuple:
             gaps = tuple(gaps)
-            object.__setattr__(self, "gaps", gaps)
         if not gaps:
             raise ValueError("need at least one gap")
         if not (all(map(isinstance, gaps, repeat(int))) and min(gaps) >= 1):
             raise ValueError(f"gaps must be positive integers: {gaps!r}")
-        if sum(gaps) != self.ring_size:
-            raise ValueError(f"gaps must sum to ring_size={self.ring_size}: {gaps!r}")
+        if sum(gaps) != ring_size:
+            raise ValueError(f"gaps must sum to ring_size={ring_size}: {gaps!r}")
+        _set(self, "gaps", gaps)
+        _set(self, "ring_size", ring_size)
 
 
 def enumerate_configurations(ring_size: int, marked: int) -> Iterator[Configuration]:
@@ -136,7 +137,7 @@ def reconstruct(center_sum: int, t: RelativePositions) -> CoveringPoint:
         raise ValueError(
             f"center sum {center_sum} is incompatible with the gap vector {gaps}"
         )
-    positions = tuple(accumulate(gaps[:-1], initial=lead - sum(gaps)))
+    positions = tuple(accumulate(gaps[:-1], initial=lead - t.ring_size))
     point = CoveringPoint(positions, t.ring_size)
     if point.center_sum != center_sum:
         raise ArithmeticError(
@@ -198,9 +199,19 @@ def delta_fiber_sizes(
     return table
 
 
-def delta_fiber_sizes_via_partitions(
-    ring_size: int, marked: int, max_elements: int | None = None
-) -> list[int]:
+def fiber_table_work(ring_size: int, marked: int) -> int:
+    """Work estimate of `delta_fiber_sizes_via_partitions`, apart from its
+    binomials, counted as `qbinomial.residue_sums_work` counts it for the
+    (N-r) x (r-1) box, with one difference.  The small box that box leaves
+    at a divisor d of r is (0, d-1) when d | N and empty otherwise, so the
+    d x d convolution is counted only at the divisors of g = gcd(N, r),
+    and every other divisor costs its zero term of d classes.  The estimate
+    is at least r + g^2."""
+    g = gcd(ring_size, marked)
+    return marked + sum(d * d if g % d == 0 else d for d in _divisors(marked)[1])
+
+
+def delta_fiber_sizes_via_partitions(ring_size: int, marked: int) -> list[int]:
     """The same fiber table obtained through the partition bijection; the
     production route of `qfiber fibers`.
 
@@ -209,13 +220,13 @@ def delta_fiber_sizes_via_partitions(
     the class shifted by r(r-1)/2 + N.  Their class sums come from
     `qbinomial.residue_sums`, the q-Lucas divisor sum: on this box it
     reduces to (1/r) times the sum over d | gcd(N, r) of C(N/d - 1, r/d - 1)
-    times a Ramanujan sum.  Its cost is the binomials plus a small multiple
-    of sigma(r), the sum of the divisors of r, in element operations run by
-    builtins; no gap vector is enumerated.  The cap still bounds
-    the C(N-1, r-1) gap vectors, far above that cost, so `fibers` refuses
-    what enumeration would.
+    times a Ramanujan sum.  Its cost is the binomials plus about
+    `fiber_table_work(N, r)` element operations run by builtins; no gap
+    vector is enumerated.  Like `residue_sums` it takes no cap: `qfiber
+    fibers` checks that work estimate and the output digits before calling
+    it.
     """
-    _check_gap_vector_count(ring_size, marked, max_elements)
+    _check_gap_vector_count(ring_size, marked, None)
     n, r = ring_size, marked
     base = residue_sums(n - r, r - 1, r)
     offset = r * (r - 1) // 2 + n

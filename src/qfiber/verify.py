@@ -224,28 +224,56 @@ def check_counterexamples() -> list[CheckReport]:
     return _ordered(reports)
 
 
-def _covering_points(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
-    """Covering points with the first mark in [1, ring_size]."""
-    for first in range(1, ring_size + 1):
-        for rest in combinations(range(first + 1, first + ring_size), marked - 1):
-            yield CoveringPoint((first, *rest), ring_size)
+def _orbit_starts(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
+    """The covering points with every mark in [1, ring_size], one per orbit
+    of the shift among the points walked by `_covering_walk`."""
+    for nodes in combinations(range(1, ring_size + 1), marked):
+        yield CoveringPoint(nodes, ring_size)
 
 
 def _covering_walk(ring_size: int, marked: int) -> tuple[int, int | ArithmeticError, int]:
-    """Build each covering point once and count, in one pass, the points,
-    those that `reconstruct` round-trips and those whose shift raises the
-    position sum by ring_size.  An ArithmeticError from `reconstruct` takes
-    the place of the round-trip count, and the walk goes on."""
+    """Count, in one pass over the covering points with first mark in
+    [1, ring_size], the points, those that `reconstruct` round-trips and
+    those whose shift raises the position sum by ring_size.  An
+    ArithmeticError from `reconstruct` takes the place of the round-trip
+    count, and the walk goes on.
+
+    The points are walked by shift orbits.  With N = ring_size and r =
+    marked, shift^k(c) has first mark c_(k+1) for an r-subset c of [1, N]
+    and 0 <= k < r, and shift^r(c) = c + N.  Conversely, a point with first
+    mark in [1, N] has some k >= 1 of its marks there; its other r - k marks,
+    less N, lie below its first mark, so it is shift^(r-k) of the c made of
+    all r.  Hence the points are the r * C(N, r) distinct shift^k(c).
+
+    Only the C(N, r) starting points c are built here; each later point is
+    the validated output of `shift_action` that the shift check already
+    computed, along with its position sum.  The walk steps to that output
+    only if its positions are the expected shift, and otherwise builds the
+    expected point itself, so the walked set does not depend on the
+    function under test.
+    """
+    n = ring_size
     points = round_trips = shifted = 0
     failure = None
-    for point in _covering_points(ring_size, marked):
-        points += 1
-        if failure is None:
-            try:
-                round_trips += reconstruct(point.center_sum, relative_positions(point)) == point
-            except ArithmeticError as exc:
-                failure = exc
-        shifted += shift_action(point, 1).center_sum == point.center_sum + ring_size
+    for point in _orbit_starts(n, marked):
+        total = point.center_sum
+        for _ in range(marked):
+            points += 1
+            if failure is None:
+                try:
+                    round_trips += reconstruct(total, relative_positions(point)) == point
+                except ArithmeticError as exc:
+                    failure = exc
+            moved = shift_action(point, 1)
+            moved_total = moved.center_sum
+            shifted += moved_total == total + n
+            positions = point.positions
+            expected = positions[1:] + (positions[0] + n,)
+            if moved.positions == expected:
+                point, total = moved, moved_total
+            else:
+                point = CoveringPoint(expected, n)
+                total = point.center_sum
     return points, round_trips if failure is None else failure, shifted
 
 
@@ -264,7 +292,10 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
     constant table; N a multiple of an odd prime r must put a single +1
     excess at class 0; and reconstruction from (position sum, gap vector)
     must invert on every covering point with first mark in [1, N], where the
-    shift also raises the position sum by exactly N.
+    shift also raises the position sum by exactly N.  Those N * C(N-1, r-1)
+    points are the r shifts of each of the C(N, r) points with every mark in
+    [1, N], so `_covering_walk` builds only these and reaches the others
+    along the shift it checks.
     """
     if ring_max < 3:
         raise ValueError("ring_max must be at least 3")

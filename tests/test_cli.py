@@ -268,6 +268,41 @@ def test_fibers_past_the_cap_does_not_enumerate(capsys):
     assert out.split("\n")[0] == " ".join(["1"] * 99999)
 
 
+def test_fibers_guard_estimates_the_class_sum_work(capsys, monkeypatch):
+    # C(29, 14) = 77,558,760 gap vectors, but the q-Lucas work is 15 + (1 + 9 + 25 + 225)
+    code, out, _ = run(capsys, "fibers", "30", "15")
+    assert code == 0
+    sizes, total = out.splitlines()
+    assert sizes == (
+        "5170604 5170575 5170575 5170600 5170575 5170578 5170600 5170575 "
+        "5170575 5170600 5170578 5170575 5170600 5170575 5170575")
+    assert total == f"total {comb(29, 14)}" == f"total {sum(map(int, sizes.split()))}"
+    tables, estimates = [], []
+    route, work = cli.delta_fiber_sizes_via_partitions, cli.fiber_table_work
+    monkeypatch.setattr(
+        cli, "delta_fiber_sizes_via_partitions", lambda *a: tables.append(a) or route(*a))
+    monkeypatch.setattr(cli, "fiber_table_work", lambda *a: estimates.append(a) or work(*a))
+    # a single gap vector, but 10^6 divisor terms up to 10^6 classes long
+    started = time.perf_counter()
+    code, out, err = run(capsys, "fibers", "1000000", "1000000")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert "estimated work of 1000001000000 exceeds the cap of 10000000" in err
+    assert tables == estimates == []
+    # 3000 + 3000^2 passes, so r is factored: 3000 + the squares of its divisors
+    code, _, err = run(capsys, "fibers", "3000", "3000")
+    assert code == 3 and "estimated work of 13837600 exceeds" in err
+    assert tables == [] and estimates == [(3000, 3000)]
+    # fibers 100 3: work 3 + (1 + 3), output 3 fibers of at most 4 digits (C(99, 2) = 4851)
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "11")
+    code, _, err = run(capsys, "fibers", "100", "3")
+    assert code == 3 and "estimated output of 12 digits exceeds the cap of 11" in err
+    assert tables == []
+    code, out, _ = run(capsys, "fibers", "100", "3", "--max-enum", "12")
+    assert (code, out) == (0, "1617 1617 1617\ntotal 4851\n")
+    assert tables == [(100, 3)]
+
+
 def test_verify_counterexamples_pass(capsys):
     code, out, _ = run(capsys, "verify", "counterexamples")
     assert code == 0
@@ -317,6 +352,26 @@ def test_verify_work_guard_exits_before_any_suite(capsys, monkeypatch):
     monkeypatch.setenv("QFIBER_MAX_ENUM", "212993")
     code, _, _ = run(capsys, "verify", "all")
     assert code == 0 and suites_run[-1] == "all"
+
+
+def test_verify_timings_go_to_stderr_only(capsys, monkeypatch):
+    argv = ["verify", "counterexamples", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert run(capsys, *argv, "--timings")[:2] == (0, out)
+    reports = [
+        CheckReport(f"check-{i % 3}", {"i": i}, 0, 0, "pass", i / 1000) for i in range(1, 13)]
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: reports)
+    code, out, err = run(capsys, "verify", "counterexamples", "--timings")
+    assert code == 0 and out.endswith("12 of 12 checks passed\n")
+    assert err.splitlines() == [
+        "seconds  checks  check_id",
+        " 0.030000       4  check-0",
+        " 0.026000       4  check-2",
+        " 0.022000       4  check-1",
+        "slowest checks",
+        *(f" 0.{i:03d}000  check-{i % 3} i={i}" for i in range(12, 2, -1)),
+    ]
 
 
 def test_verify_rejects_small_bounds(capsys):

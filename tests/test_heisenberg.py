@@ -7,6 +7,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import qfiber.qbinomial as qbinomial
 from qfiber.errors import EnumerationCapError
 from qfiber.heisenberg import (
     Configuration,
@@ -16,6 +17,7 @@ from qfiber.heisenberg import (
     delta_fiber_sizes,
     delta_fiber_sizes_via_partitions,
     enumerate_configurations,
+    fiber_table_work,
     reconstruct,
     relative_positions,
     shift_action,
@@ -319,9 +321,30 @@ def test_delta_validation_and_cap():
         delta_fiber_sizes_via_partitions(2, 5)
     with pytest.raises(EnumerationCapError):
         delta_fiber_sizes(30, 15, max_elements=100)
-    # both routes refuse the same inputs with the same message
+    # the oracle enumerates, so its cap bounds the C(N-1, r-1) gap vectors
     message = re.escape("C(11, 5) gap vectors for (N=12, r=6) exceed the cap of 461")
-    for route in (delta_fiber_sizes, delta_fiber_sizes_via_partitions):
-        with pytest.raises(EnumerationCapError, match=message):
-            route(12, 6, max_elements=461)
-        assert sum(route(12, 6, max_elements=462)) == 462
+    with pytest.raises(EnumerationCapError, match=message):
+        delta_fiber_sizes(12, 6, max_elements=461)
+    assert delta_fiber_sizes(12, 6, max_elements=462) == delta_fiber_sizes_via_partitions(12, 6)
+    # the production route takes no cap: `qfiber fibers` checks its work estimate first
+    with pytest.raises(TypeError):
+        delta_fiber_sizes_via_partitions(12, 6, max_elements=462)
+
+
+def test_fiber_table_work():
+    # the small box left at d | r is nonempty exactly when d | N, so only
+    # there does the estimate count a d x d convolution
+    for n in range(1, 41):
+        for r in range(1, n + 1):
+            expected = r
+            for d in range(1, r + 1):
+                if r % d == 0:
+                    box = qbinomial._small_box(n - r, r - 1, d)
+                    assert (box is not None) == (n % d == 0), (n, r, d)
+                    expected += d if box is None else d * d + qbinomial.coefficient_work(*box)
+            assert fiber_table_work(n, r) == expected, (n, r)
+            assert fiber_table_work(n, r) >= r + gcd(n, r) ** 2
+            if n % r == 0:
+                assert fiber_table_work(n, r) == qbinomial.residue_sums_work(n - r, r - 1, r)
+    # 99999 = 3^2 * 41 * 271 is coprime to 100000: r plus the sum of its divisors
+    assert fiber_table_work(100000, 99999) == 99999 + 13 * 42 * 272

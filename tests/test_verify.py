@@ -1,6 +1,7 @@
 """Tests for the verification harness itself."""
 
 import tracemalloc
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
+from qfiber.heisenberg import CoveringPoint
 from qfiber.verify import (
     CheckReport,
     check_counterexamples,
@@ -213,9 +215,9 @@ def test_arithmetic_error_in_reconstruct_fails_only_the_round_trip(monkeypatch):
 def test_covering_checks_keep_no_point_list(monkeypatch):
     # the two covering checks share one walk, so memory does not grow with
     # the 12 * C(11, 5) = 5544 points of (12, 6); a list of them takes ~1 MB
-    walk = verify._covering_points
+    starts = verify._orbit_starts
     monkeypatch.setattr(
-        verify, "_covering_points", lambda n, r: walk(n, r) if (n, r) == (12, 6) else iter(()))
+        verify, "_orbit_starts", lambda n, r: starts(n, r) if (n, r) == (12, 6) else iter(()))
     check_fibrations(12)  # fill the kernels' caches before tracing
     tracemalloc.start()
     try:
@@ -227,6 +229,58 @@ def test_covering_checks_keep_no_point_list(monkeypatch):
     walked = {r.check_id: r.actual for r in reports if r.parameters == {"N": 12, "r": 6}}
     assert walked["covering-roundtrip"] == walked["covering-shift"] == 5544
     assert peak < 256 * 1024
+
+
+def assert_walk_covers_first_mark_points(monkeypatch):
+    """For N <= 9, the points the covering walk passes to
+    `relative_positions` are those with first mark in [1, N], built
+    directly, each once, and the walk counts each of them."""
+    seen = []
+    gap_vector = verify.relative_positions
+
+    def recording(point):
+        seen.append(point.positions)
+        return gap_vector(point)
+
+    monkeypatch.setattr(verify, "relative_positions", recording)
+    for n in range(1, 10):
+        for r in range(1, n + 1):
+            seen.clear()
+            counts = verify._covering_walk(n, r)
+            expected = {
+                (first, *rest)
+                for first in range(1, n + 1)
+                for rest in combinations(range(first + 1, first + n), r - 1)
+            }
+            assert len(seen) == len(set(seen)) == len(expected) == r * comb(n, r)
+            assert set(seen) == expected, (n, r)
+            assert counts == (len(expected),) * 3
+
+
+def test_orbit_walk_visits_each_covering_point_once(monkeypatch):
+    assert_walk_covers_first_mark_points(monkeypatch)
+
+
+def test_orbit_walk_does_not_follow_a_wrong_shift(monkeypatch):
+    # a shift with the right position sum but the wrong positions fails the
+    # shift check nowhere, so only the walk's own guard keeps the walked set
+    shift = verify.shift_action
+
+    def wrong(point, steps):
+        moved = shift(point, steps)
+        positions, n = moved.positions, point.ring_size
+        if len(positions) < 2 or positions[-1] - positions[0] > n - 3:
+            return moved
+        return CoveringPoint((positions[0] - 1, *positions[1:-1], positions[-1] + 1), n)
+
+    monkeypatch.setattr(verify, "shift_action", wrong)
+    assert_walk_covers_first_mark_points(monkeypatch)
+    reports = check_fibrations(9)
+    assert not failures(reports)
+    for report in reports:
+        if report.check_id == "covering-roundtrip":
+            n, r = report.parameters["N"], report.parameters["r"]
+            assert report.actual == r * comb(n, r)
 
 
 def test_check_fibrations_prime_gap_hypotheses():

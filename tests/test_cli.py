@@ -1,11 +1,16 @@
 """Tests for the command line interface: outputs, formats, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +390,15 @@ def test_verify_rejects_bad_primes(capsys):
     assert code == 2
 
 
+def test_verify_primes_must_be_integers(capsys):
+    # reported by argparse under the verify usage, not by int() under the top-level one
+    for primes in ("3,x", "3,,5", ""):
+        code, out, err = run_expecting_exit(capsys, "verify", "therm", "--primes", primes)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: qfiber verify "), err
+        assert f"argument --primes: {primes!r} is not a comma-separated list of integers" in err
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run(capsys, "verify", "counterexamples", "--format", "csv")
     assert code == 0
@@ -432,3 +446,113 @@ def test_missing_subcommand_exits_two(capsys):
     code, _, err = run_expecting_exit(capsys)
     assert code == 2
     assert "usage" in err
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_fresh(*args, cap=None):
+    """Exit code, stdout and stderr of a new interpreter running `python args`
+    on this checkout, with QFIBER_MAX_ENUM set to cap (unset when None)."""
+    env = {key: value for key, value in os.environ.items() if key != "QFIBER_MAX_ENUM"}
+    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    if cap is not None:
+        env["QFIBER_MAX_ENUM"] = cap
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
+        "import qfiber.cli\n"
+        "print(len(built))\n"
+        "qfiber.cli.main(['coeffs', '1', '1'])\n"
+        "print(len(built))\n"
+    )
+    assert run_fresh("-c", script) == (0, "0\n1 1\n6\n", "")
+
+
+SUBCOMMANDS = ("coeffs", "residue-sums", "fibers", "orbits", "verify")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._shared_parser.cache_clear()
+    assert run(capsys, "coeffs", "2", "2")[:2] == (0, "1 1 2 1 1\n")
+    # the top parser, then one per subcommand
+    assert built == ["qfiber"] + [f"qfiber {name}" for name in SUBCOMMANDS]
+    assert run(capsys, "fibers", "5", "2")[:2] == (0, "2 2\ntotal 4\n")
+    assert run(capsys, "orbits", "6", "6", "units", "--format", "csv")[0] == 0
+    assert run_expecting_exit(capsys, "fibers", "3", "5")[0] == 2
+    assert run_expecting_exit(capsys, "--help")[0] == 0
+    assert len(built) == 6
+    # build_parser itself stays a factory
+    assert cli.build_parser() is not cli.build_parser()
+    assert len(built) == 18
+
+
+# One process runs these in order, sharing one parser; each must behave as
+# it does alone in a new interpreter.  (argv, QFIBER_MAX_ENUM or None)
+MIXED_CALLS = [
+    *(
+        (argv + ["--format", fmt], None)
+        for fmt in cli.FORMATS
+        for argv in (
+            ["coeffs", "3", "2"],
+            ["residue-sums", "6", "5", "6"],
+            ["fibers", "7", "3"],
+            ["orbits", "4", "4", "cyclic"],
+            ["verify", "counterexamples"],
+        )
+    ),
+    (["--help"], None),
+    (["verify", "--help"], None),
+    # work 6 + 6^2 over the flag's cap, then the same command without the flag
+    (["fibers", "12", "6", "--max-enum", "5"], None),
+    (["fibers", "12", "6"], None),
+    (["orbits", "6", "6", "units", "--max-enum", "100"], None),
+    (["orbits", "6", "6", "units"], "100"),
+    (["orbits", "6", "6", "units"], "1000"),
+    (["coeffs", "3", "2"], "13"),
+    (["coeffs", "3", "2"], None),
+    (["verify", "fibrations", "--n-max", "12"], "1000"),
+    (["fibers", "12", "6"], "not-a-number"),
+    (["fibers", "3", "5"], None),
+    (["orbits", "3", "2", "dihedral"], None),
+    (["coeffs", "3", "2", "--max-enum", "100"], None),
+    (["verify", "therm", "--primes", "3,x"], None),
+    ([], None),
+    (["fibers", "12", "6", "--format", "json"], None),
+]
+
+
+def test_calls_in_one_process_are_independent(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = set()
+    for argv, cap in MIXED_CALLS:
+        if cap is None:
+            monkeypatch.delenv("QFIBER_MAX_ENUM", raising=False)
+        else:
+            monkeypatch.setenv("QFIBER_MAX_ENUM", cap)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        alone = run_fresh("-m", "qfiber.cli", *argv, cap=cap)
+        assert (code, captured.out, captured.err) == alone, (argv, cap)
+        codes.add(code)
+    assert codes == {0, 2, 3}

@@ -8,28 +8,31 @@ Examples:
     qfiber orbits 6 6 units
     qfiber verify all
 
-Exit codes: 0 success, 1 a verification check failed, 2 bad arguments,
-3 enumeration cap exceeded.  Machine formats (json, csv) serialize every
-integer as a decimal string so arbitrarily large values survive any
-downstream parser; Python's limit on the digits of an int converted to or
-from a string is lifted in `main`, and the output size is capped instead.
-The environment variable QFIBER_MAX_ENUM overrides the default enumeration
-cap; --max-enum overrides both.  `coeffs`, `residue-sums` and `fibers`
-check against the cap, before computing, an estimate of their work
-(m*n*min(m, n) for the product formula; r + sum over d | r of d^2 plus the
-small boxes' product formulas for the q-Lucas class sums, after a first
-check of r + r^2 that comes before r is factored) and of their output
-digits (the entries times the digits of C(m+n, n)).  `fibers N r` reads
-the q-Lucas class sums of the (N-r) x (r-1) partition box; its estimate
-counts d^2 only for the divisors d of gcd(N, r), where a small box is
-left, and d for the other divisors of r, after a first check of
-r + gcd(N, r)^2, and its r entries are bounded by C(N-1, r-1).  `orbits`
-enumerates nothing, but its cap still bounds the C(k+l-1, l-1) step
-sequences, so it refuses what enumeration would.  Only `fibers` and
+Exit codes: 0 success, 1 a verification check failed, 2 bad arguments, 3
+enumeration cap exceeded.  Exit 2 comes only from the parser and
+`_validate`, before any handler runs; an internal failure, a ValueError
+included, is a traceback with exit status 1.  Machine formats (json, csv)
+serialize every integer as a decimal string so arbitrarily large values
+survive any downstream parser; Python's limit on the digits of an int
+converted to or from a string is lifted in `main`, and the output size is
+capped instead.  The environment variable QFIBER_MAX_ENUM overrides the
+default enumeration cap; --max-enum overrides both, and both must be
+positive integers.  `coeffs`, `residue-sums` and `fibers` check against the
+cap, before computing, an estimate of their work (m*n*min(m, n) for the
+product formula; r + sum over d | r of d^2 plus the small boxes' product
+formulas for the q-Lucas class sums, after a first check of r + r^2 that
+comes before r is factored) and of their output digits (the entries times
+the digits of C(m+n, n)).  `fibers N r` reads the q-Lucas class sums of the
+(N-r) x (r-1) partition box; its estimate counts d^2 only for the divisors
+d of gcd(N, r), where a small box is left, and d for the other divisors of
+r, after a first check of r + gcd(N, r)^2, and its r entries are bounded by
+C(N-1, r-1).  `orbits` enumerates nothing, but it checks the C(k+l-1, l-1)
+step sequences against the cap before calling `orbit_histogram`, which
+takes none, so it refuses what enumeration would.  Only `fibers` and
 `orbits` take --max-enum.  `verify` checks, before any suite runs, the
-covering-point count of its fibrations sweep, (n-1) * 2^n + 1 at
---n-max n, against the cap.  `verify --timings` writes the time per check
-id and the ten slowest checks to stderr.
+covering-point count of its fibrations sweep, (n-1) * 2^n + 1 at --n-max n,
+against the cap.  `verify --timings` writes the time per check id and the
+ten slowest checks to stderr, and its --primes must be odd primes.
 
 `main` builds its parser on its first call in a process and reuses it for
 every later call, so a later command spends about 35 us parsing its
@@ -52,13 +55,15 @@ from typing import Callable
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .heisenberg import delta_fiber_sizes_via_partitions, fiber_table_work
 from .qbinomial import coefficient_work, gaussian_coefficients, residue_sums, residue_sums_work
-from .surjections import GROUPS, orbit_histogram
+from .surjections import GROUPS, _check_sequence_count, orbit_histogram
 from .verify import (
     DEFAULT_KL_BOUND,
     DEFAULT_MULTIPLIER_BOUND,
+    DEFAULT_PRIMES,
     DEFAULT_RING_BOUND,
     SUITES,
     CheckReport,
+    _validate_primes,
     run_suite,
 )
 
@@ -83,15 +88,17 @@ def _positive(text: str) -> int:
     return value
 
 
-def _prime_list(text: str) -> str:
-    """The --primes text, once every comma-separated part is an integer.  The
-    text itself is kept, because `verify` echoes it as given."""
-    for part in text.split(","):
-        try:
-            int(part)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
-    return text
+def _prime_list(text: str) -> tuple[int, ...]:
+    """The --primes text as the tuple of its comma-separated odd primes."""
+    try:
+        primes = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
+    try:
+        _validate_primes(primes)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return primes
 
 
 def _emit(
@@ -122,18 +129,6 @@ def _emit(
             print(line)
 
 
-def _enum_cap(args: argparse.Namespace) -> int:
-    if args.max_enum is not None:
-        return args.max_enum
-    env = os.environ.get("QFIBER_MAX_ENUM")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"QFIBER_MAX_ENUM must be an integer: {env!r}")
-    return DEFAULT_ENUMERATION_CAP
-
-
 def _binomial_digits(top: int, bottom: int) -> int:
     """Estimated decimal digits of C(top, bottom), with k the smaller of
     bottom and top - bottom: from log-gamma below top = 10^15, beyond it
@@ -157,7 +152,7 @@ def _check_table_size(
     """Refuse, before computing it, a table whose estimated work or output
     digits exceed the cap.  The digits are the entries times the digits of
     C(top, bottom), which bounds every entry of the table."""
-    cap = _enum_cap(args)
+    cap = args.max_enum
     if work > cap:
         raise EnumerationCapError(f"estimated work of {work} exceeds the cap of {cap}")
     digits = entries * _binomial_digits(top, bottom)
@@ -168,7 +163,7 @@ def _check_table_size(
 def _work(args: argparse.Namespace, lower_bound: int, estimate: Callable[[], int]) -> int:
     """The work estimate, or its lower bound if that already exceeds the cap:
     the estimates factor r by trial division, which a huge r must not reach."""
-    return lower_bound if lower_bound > _enum_cap(args) else estimate()
+    return lower_bound if lower_bound > args.max_enum else estimate()
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
@@ -210,7 +205,9 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
-    sizes = orbit_histogram(args.k, args.l, args.group, max_elements=_enum_cap(args))
+    # the cap bounds the step sequences the enumerating oracle would build
+    _check_sequence_count(args.k, args.l, args.max_enum)
+    sizes = orbit_histogram(args.k, args.l, args.group)
     histogram = [[str(size), str(count)] for size, count in sizes.items()]
     total = str(comb(args.k + args.l - 1, args.l - 1))
     result = {"histogram": histogram, "total_sequences": total}
@@ -241,7 +238,7 @@ def _check_verify_work(args: argparse.Namespace) -> None:
     whenever 2^n does, so a huge n is refused without forming 2^n."""
     if args.suite not in ("fibrations", "all"):
         return
-    n, cap = args.n_max, _enum_cap(args)
+    n, cap = args.n_max, args.max_enum
     if n >= cap.bit_length() or (n - 1) * 2**n + 1 > cap:
         raise EnumerationCapError(
             f"{n - 1}*2^{n} + 1 covering points for --n-max {n} exceed the cap of {cap}"
@@ -249,13 +246,12 @@ def _check_verify_work(args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    primes = tuple(int(part) for part in args.primes.split(","))
     _check_verify_work(args)
     reports = run_suite(
         args.suite,
         k_max=args.k_max,
         l_max=args.l_max,
-        primes=primes,
+        primes=args.primes,
         multiplier_max=args.m_max,
         ring_max=args.n_max,
     )
@@ -273,7 +269,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "suite": args.suite,
         "k_max": args.k_max,
         "l_max": args.l_max,
-        "primes": args.primes,
+        "primes": ",".join(map(str, args.primes)),
         "m_max": args.m_max,
         "n_max": args.n_max,
     }
@@ -363,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--k-max", type=_positive, default=DEFAULT_KL_BOUND)
     ver.add_argument("--l-max", type=_positive, default=DEFAULT_KL_BOUND)
     ver.add_argument(
-        "--primes", type=_prime_list, default="3,5,7,11", help="comma-separated odd primes"
+        "--primes", type=_prime_list, default=DEFAULT_PRIMES, help="comma-separated odd primes"
     )
     ver.add_argument("--m-max", type=_positive, default=DEFAULT_MULTIPLIER_BOUND)
     ver.add_argument("--n-max", type=_positive, default=DEFAULT_RING_BOUND)
@@ -383,6 +379,13 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    # the cap: --max-enum, else QFIBER_MAX_ENUM (checked as the flag is), else 10^7
+    if args.max_enum is None:
+        env = os.environ.get("QFIBER_MAX_ENUM")
+        try:
+            args.max_enum = DEFAULT_ENUMERATION_CAP if env is None else _positive(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"QFIBER_MAX_ENUM: {exc}")
     if args.command == "fibers" and args.marked > args.ring_size:
         parser.error(f"r={args.marked} must not exceed N={args.ring_size}")
     if args.command == "verify" and args.suite in ("main1", "all"):
@@ -405,9 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        parser.error(str(exc))
-        return 2  # unreachable; parser.error exits
 
 
 if __name__ == "__main__":

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
-from math import comb, gcd
+from math import gcd
 from operator import add, lt, mul, sub
 from typing import Iterable, Iterator, Union
 
 from .errors import EnumerationCapError
-from .qbinomial import _divisors, residue_sums
+from .qbinomial import _binomial_exceeds, _divisors, residue_sums
 
 # The constructors below run on every covering point of `verify fibrations`.
 # Each validates its arguments before storing them, in one hand-written
@@ -167,7 +167,7 @@ def _check_gap_vector_count(ring_size: int, marked: int, max_elements: int | Non
     when the C(ring_size - 1, marked - 1) gap vectors exceed max_elements."""
     if marked < 1 or marked > ring_size:
         raise ValueError("need 1 <= marked <= ring_size")
-    if max_elements is not None and comb(ring_size - 1, marked - 1) > max_elements:
+    if max_elements is not None and _binomial_exceeds(ring_size - 1, marked - 1, max_elements):
         raise EnumerationCapError(
             f"C({ring_size - 1}, {marked - 1}) gap vectors for (N={ring_size}, r={marked}) "
             f"exceed the cap of {max_elements}"
@@ -208,7 +208,7 @@ def fiber_table_work(ring_size: int, marked: int) -> int:
     and every other divisor costs its zero term of d classes.  The estimate
     is at least r + g^2."""
     g = gcd(ring_size, marked)
-    return marked + sum(d * d if g % d == 0 else d for d in _divisors(marked)[1])
+    return marked + sum(d * d if g % d == 0 else d for d in _divisors(marked))
 
 
 def delta_fiber_sizes_via_partitions(ring_size: int, marked: int) -> list[int]:

@@ -6,8 +6,8 @@ over an index class mod r are therefore partition counts by weight class.
 `gaussian_coefficients` builds the vector by the product formula;
 `residue_sums` gets the class sums by the q-Lucas theorem without it.  This
 module also provides the closed-form values those sums take in the
-equal-class cases, and the work estimates the command line checks against
-its cap.
+equal-class cases, the work estimates the command line checks against its
+cap, and the package's one trial-division loop and binomial cap comparison.
 """
 
 from __future__ import annotations
@@ -17,23 +17,54 @@ from functools import lru_cache
 from itertools import repeat
 from math import comb, gcd
 from operator import add, mul
+from typing import Iterator
+
+
+def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """(p, p^a) for each prime power p^a exactly dividing n, by increasing p:
+    trial division, lazy, so a caller may stop at the smallest factor."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            power = 1
+            while n % p == 0:
+                n //= p
+                power *= p
+            yield p, power
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, n
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division, O(sqrt(n)); meant for small inputs
-    (fast up to ~10**12, exact for any n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic trial division, stopped at the smallest prime factor;
+    meant for small inputs (fast up to ~10**12, exact for any n)."""
+    return n > 1 and next(_prime_powers(n)) == (n, n)
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n in increasing order, built from its prime powers."""
+    divisors = [1]
+    for p, power in _prime_powers(n):
+        powers = [1]
+        while powers[-1] < power:
+            powers.append(powers[-1] * p)
+        divisors = [d * q for d in divisors for q in powers]
+    return sorted(divisors)
+
+
+def _binomial_exceeds(top: int, bottom: int, cap: int) -> bool:
+    """Whether C(top, bottom) > cap, for 0 <= bottom <= top, without computing
+    a binomial far past the cap.  With k the smaller of bottom and
+    top - bottom, the partial products C(top - k + i, i) at least double with
+    each i <= k, so the loop ends within about log2(cap) + 2 steps."""
+    k = min(bottom, top - bottom)
+    value = 1
+    for i in range(1, k + 1):
+        if value > cap:
+            break
+        value = value * (top - k + i) // i
+    return value > cap
 
 
 @dataclass(frozen=True)
@@ -97,26 +128,6 @@ def coefficient_work(m: int, n: int) -> int:
     return m * n * min(m, n)
 
 
-def _divisors(r: int) -> tuple[list[int], list[int]]:
-    """The prime factors of r, found by trial division, and the divisors of
-    r in increasing order, built from them."""
-    primes, divisors = [], [1]
-    p = 2
-    while p * p <= r:
-        if r % p == 0:
-            primes.append(p)
-            powers = [1]
-            while r % p == 0:
-                r //= p
-                powers.append(powers[-1] * p)
-            divisors = [d * q for d in divisors for q in powers]
-        p += 1
-    if r > 1:
-        primes.append(r)
-        divisors += [d * r for d in divisors]
-    return primes, sorted(divisors)
-
-
 def _small_box(m: int, n: int, d: int) -> tuple[int, int] | None:
     """The box q-Lucas leaves at a primitive d-th root of unity, where
     [m+n choose n]_q equals C((m+n)//d, n//d) times [a choose b]_q with
@@ -149,7 +160,7 @@ def residue_sums_work(m: int, n: int, r: int) -> int:
     r, plus for each divisor d of r a d x d convolution and the product
     formula of the box left at d.  It is at least r + r^2."""
     work = r
-    for d in _divisors(r)[1]:
+    for d in _divisors(r):
         box = _small_box(m, n, d)
         work += d * d + (0 if box is None else coefficient_work(*box))
     return work
@@ -174,7 +185,7 @@ def residue_sums(m: int, n: int, r: int) -> list[int]:
         raise ValueError("modulus must be positive")
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
-    primes, divisors = _divisors(r)
+    primes, divisors = [p for p, _ in _prime_powers(r)], _divisors(r)
     terms = {}
     for d in divisors:
         term = [0] * d

@@ -12,11 +12,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb, gcd, isqrt, prod
+from math import comb, gcd, prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .partitions import Partition
+from .qbinomial import _binomial_exceeds, _divisors, _prime_powers
 
 
 @dataclass(frozen=True, order=True)
@@ -176,7 +177,7 @@ def _check_sequence_count(k: int, l: int, max_elements: int | None) -> None:
     when the C(k+l-1, l-1) step sequences exceed max_elements."""
     if k < 0 or l < 1:
         raise ValueError("need k >= 0 and l >= 1")
-    if max_elements is not None and comb(k + l - 1, l - 1) > max_elements:
+    if max_elements is not None and _binomial_exceeds(k + l - 1, l - 1, max_elements):
         raise EnumerationCapError(
             f"C({k + l - 1}, {l - 1}) step sequences for (k={k}, l={l}) exceed the cap "
             f"of {max_elements}"
@@ -258,14 +259,12 @@ def orbits(
     return result
 
 
-def orbit_histogram(
-    k: int, l: int, group: str, max_elements: int | None = DEFAULT_ENUMERATION_CAP
-) -> dict[int, int]:
+def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     """Orbit size -> number of orbits of that size, ascending by size.
 
     Equals the histogram of `len(o)` over `orbits(k, l, group)`, with the same
-    argument checks and the same EnumerationCapError when C(k+l-1, l-1)
-    exceeds max_elements, but enumerates no sequence.  Taking 1 from every
+    argument checks, but enumerates no sequence and takes no cap: `qfiber
+    orbits` checks C(k+l-1, l-1) against its cap first.  Taking 1 from every
     step turns a sequence into a spread of k units over the l positions.
     "symmetric" orbits are then the partitions of k into at most l parts,
     generated directly, so the cost grows with the number of orbits.
@@ -277,7 +276,7 @@ def orbit_histogram(
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
-    _check_sequence_count(k, l, max_elements)
+    _check_sequence_count(k, l, None)
     if group == "symmetric":
         return _symmetric_histogram(k, l)
     if group == "cyclic":
@@ -313,11 +312,6 @@ def _stabilizer_histogram(lattice: list[tuple], contains: Callable) -> dict[int,
             exact.append((subgroup, count))
             histogram[group_order // order] += count * order // group_order
     return dict(sorted(histogram.items()))
-
-
-def _divisors(n: int) -> list[int]:
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted(set(small + [n // d for d in small]))
 
 
 def _unit_lattice(k: int, l: int) -> list[tuple]:
@@ -385,23 +379,6 @@ def _sylow_subgroups(
                 subgroups.add(joined)
                 frontier.append(joined)
     return subgroups
-
-
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """(p, p^a) for each prime power p^a exactly dividing n."""
-    factors = []
-    prime = 2
-    while prime * prime <= n:
-        if n % prime == 0:
-            power = 1
-            while n % prime == 0:
-                n //= prime
-                power *= prime
-            factors.append((prime, power))
-        prime += 1
-    if n > 1:
-        factors.append((n, n))
-    return factors
 
 
 def _fixed_count(k: int, orbit_sizes: list[int]) -> int:

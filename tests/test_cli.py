@@ -121,6 +121,11 @@ def test_json_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "counterexamples", "--format", "json")
     _, second, _ = run(capsys, "verify", "counterexamples", "--format", "json")
     assert first == second
+    # the bounds echo the parsed primes, not their spelling
+    argv = ["verify", "therm", "--m-max", "1", "--format", "json", "--primes"]
+    _, spaced, _ = run(capsys, *argv, " 3, 5")
+    _, plain, _ = run(capsys, *argv, "3,5")
+    assert spaced == plain and '"primes":"3,5"' in plain
 
 
 def test_residue_sums_examples(capsys):
@@ -240,6 +245,13 @@ def test_orbits_cap_via_flag_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "orbits", "20000", "10000", "cyclic")
     assert code == 3
     assert "cap" in err
+    # C(2999999, 999999) has about 829,000 digits; the guard does not compute it
+    for k, l in (("2000000", "1000000"), ("20000000", "10000000")):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "orbits", k, l, "cyclic")
+        assert time.perf_counter() - started < 1
+        assert code == 3 and out == ""
+        assert "step sequences for (k=" in err and "exceed the cap of 10000000" in err
     monkeypatch.setenv("QFIBER_MAX_ENUM", "10")
     code, _, err = run(capsys, "orbits", "10", "10", "cyclic")
     assert code == 3
@@ -385,9 +397,18 @@ def test_verify_rejects_small_bounds(capsys):
     assert "usage" in err
 
 
-def test_verify_rejects_bad_primes(capsys):
-    code, _, err = run_expecting_exit(capsys, "verify", "therm", "--primes", "3,9")
-    assert code == 2
+def test_verify_rejects_bad_primes(capsys, monkeypatch):
+    suites_run = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, **bounds: suites_run.append(suite) or [])
+    # reported by argparse under the verify usage, before any suite runs
+    for suite, primes, bad in (
+        ("therm", "3,9", [9]), ("all", "4", [4]), ("thmp", "2,3", [2]), ("therm", "3,-3", [-3])
+    ):
+        code, out, err = run_expecting_exit(capsys, "verify", suite, "--primes", primes)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: qfiber verify "), err
+        assert f"argument --primes: not odd primes: {bad}" in err
+    assert suites_run == []
 
 
 def test_verify_primes_must_be_integers(capsys):
@@ -397,6 +418,32 @@ def test_verify_primes_must_be_integers(capsys):
         assert code == 2 and out == ""
         assert err.startswith("usage: qfiber verify "), err
         assert f"argument --primes: {primes!r} is not a comma-separated list of integers" in err
+
+
+def test_environment_cap_must_be_a_positive_integer(capsys, monkeypatch):
+    suites_run = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, **bounds: suites_run.append(suite) or [])
+    for cap, problem in (("0", "must be positive"), ("-5", "must be nonnegative"),
+                         ("x", "is not an integer")):
+        monkeypatch.setenv("QFIBER_MAX_ENUM", cap)
+        for argv in (["coeffs", "2", "2"], ["verify", "counterexamples"]):
+            code, out, err = run_expecting_exit(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("usage: ") and f"QFIBER_MAX_ENUM: {cap!r} {problem}" in err
+    assert suites_run == []
+    # the flag, checked the same way, overrides the variable
+    assert run(capsys, "orbits", "5", "3", "cyclic", "--max-enum", "21")[:2] == (
+        0, "3 7\ntotal 21\n")
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(m, n, r):
+        raise ValueError("an internal failure")
+
+    monkeypatch.setattr(cli, "residue_sums", broken)
+    with pytest.raises(ValueError, match="an internal failure"):
+        main(["residue-sums", "3", "3", "4"])
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_csv_format(capsys):
@@ -534,6 +581,8 @@ MIXED_CALLS = [
     (["orbits", "3", "2", "dihedral"], None),
     (["coeffs", "3", "2", "--max-enum", "100"], None),
     (["verify", "therm", "--primes", "3,x"], None),
+    (["verify", "therm", "--primes", "4"], None),
+    (["coeffs", "3", "2"], "0"),
     ([], None),
     (["fibers", "12", "6", "--format", "json"], None),
 ]

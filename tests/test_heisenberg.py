@@ -1,6 +1,7 @@
 """Tests for ring configurations, covering shifts, and fiber counting."""
 
 import re
+import time
 from itertools import combinations
 from math import comb, gcd
 
@@ -321,6 +322,11 @@ def test_delta_validation_and_cap():
         delta_fiber_sizes_via_partitions(2, 5)
     with pytest.raises(EnumerationCapError):
         delta_fiber_sizes(30, 15, max_elements=100)
+    # C(2999999, 999999) has about 829,000 digits: refused without computing it
+    started = time.perf_counter()
+    with pytest.raises(EnumerationCapError):
+        delta_fiber_sizes(3000000, 1000000, max_elements=10**7)
+    assert time.perf_counter() - started < 1
     # the oracle enumerates, so its cap bounds the C(N-1, r-1) gap vectors
     message = re.escape("C(11, 5) gap vectors for (N=12, r=6) exceed the cap of 461")
     with pytest.raises(EnumerationCapError, match=message):

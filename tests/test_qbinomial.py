@@ -34,6 +34,40 @@ def test_is_prime_small_values():
     assert not any(is_prime(c) for c in composites)
 
 
+def test_trial_division_against_brute_force():
+    for n in range(2001):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        primes = [p for p in divisors if p > 1 and all(p % d for d in range(2, p))]
+        powers = []
+        for p in primes:
+            power = p
+            while n % (power * p) == 0:
+                power *= p
+            powers.append((p, power))
+        if n:
+            assert qbinomial._divisors(n) == divisors, n
+        assert list(qbinomial._prime_powers(n)) == powers, n
+        assert is_prime(n) == (primes == [n]), n
+    # the trial division stops at the smallest factor: 2, not about 3 * 10^8 steps
+    started = time.perf_counter()
+    assert not is_prime(2 * (10**17 + 3))
+    assert time.perf_counter() - started < 0.01
+
+
+def test_binomial_exceeds_matches_comb():
+    for top in range(60):
+        for bottom in range(top + 1):
+            value = comb(top, bottom)
+            for cap in (-5, 0, 1, 2, value - 1, value, value + 1, 2 * value, 10**7):
+                assert qbinomial._binomial_exceeds(top, bottom, cap) == (value > cap)
+    # C(2999999, 999999) has about 829,000 digits; the comparison stops near 24 steps
+    started = time.perf_counter()
+    assert qbinomial._binomial_exceeds(2999999, 999999, 10**7)
+    assert qbinomial._binomial_exceeds(29999999, 9999999, 10**7)
+    assert not qbinomial._binomial_exceeds(29999999, 29999998, 10**8)
+    assert time.perf_counter() - started < 0.01
+
+
 def test_coefficient_vector_validates_length():
     with pytest.raises(ValueError):
         CoefficientVector(2, 2, (1, 1, 2, 1))

@@ -10,29 +10,20 @@ Examples:
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad arguments, 3
 enumeration cap exceeded.  Exit 2 comes only from the parser and
-`_validate`, before any handler runs; an internal failure, a ValueError
-included, is a traceback with exit status 1.  Machine formats (json, csv)
-serialize every integer as a decimal string so arbitrarily large values
-survive any downstream parser; Python's limit on the digits of an int
-converted to or from a string is lifted in `main`, and the output size is
-capped instead.  The environment variable QFIBER_MAX_ENUM overrides the
-default enumeration cap; --max-enum overrides both, and both must be
-positive integers.  `coeffs`, `residue-sums` and `fibers` check against the
-cap, before computing, an estimate of their work (m*n*min(m, n) for the
-product formula; r + sum over d | r of d^2 plus the small boxes' product
-formulas for the q-Lucas class sums, after a first check of r + r^2 that
-comes before r is factored) and of their output digits (the entries times
-the digits of C(m+n, n)).  `fibers N r` reads the q-Lucas class sums of the
-(N-r) x (r-1) partition box; its estimate counts d^2 only for the divisors
-d of gcd(N, r), where a small box is left, and d for the other divisors of
-r, after a first check of r + gcd(N, r)^2, and its r entries are bounded by
-C(N-1, r-1).  `orbits` enumerates nothing, but it checks the C(k+l-1, l-1)
-step sequences against the cap before calling `orbit_histogram`, which
-takes none, so it refuses what enumeration would.  Only `fibers` and
-`orbits` take --max-enum.  `verify` checks, before any suite runs, the
-covering-point count of its fibrations sweep, (n-1) * 2^n + 1 at --n-max n,
-against the cap.  `verify --timings` writes the time per check id and the
-ten slowest checks to stderr, and its --primes must be odd primes.
+`_validate`, before any handler runs, under the usage of the command
+given; an internal failure, a ValueError included, is a traceback with
+exit status 1.  Machine formats (json, csv) serialize every integer as a
+decimal string; Python's limit on the digits of an int converted to or
+from a string is lifted in `main`, and the output size is capped instead.
+The cap is --max-enum (`fibers` and `orbits` only), else QFIBER_MAX_ENUM,
+else 10^7.  Before computing, each command checks an estimate against it:
+`coeffs` the product formula's work m*n*min(m, n); `residue-sums m n r`
+and `fibers N r`, checked as `residue-sums N-r r-1 r`, `residue_sums_work`
+after its lower bound 2r, so a huge r is never factored; all three their
+output digits; `orbits` the C(k+l-1, l-1) step sequences enumeration
+would build; `verify` the covering points of its fibrations sweep, then
+`verify.suite_work` of its other suites.  `verify --timings` writes the
+time per check id and the ten slowest checks to stderr.
 
 `main` builds its parser on its first call in a process and reuses it for
 every later call, so a later command spends about 35 us parsing its
@@ -49,11 +40,12 @@ import functools
 import json
 import os
 import sys
-from math import comb, gcd, lgamma, log
-from typing import Callable
+from itertools import chain
+from math import comb, lgamma, log
+from typing import Iterable
 
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
-from .heisenberg import delta_fiber_sizes_via_partitions, fiber_table_work
+from .heisenberg import delta_fiber_sizes_via_partitions
 from .qbinomial import coefficient_work, gaussian_coefficients, residue_sums, residue_sums_work
 from .surjections import GROUPS, _check_sequence_count, orbit_histogram
 from .verify import (
@@ -65,6 +57,7 @@ from .verify import (
     CheckReport,
     _validate_primes,
     run_suite,
+    suite_work,
 )
 
 SCHEMA_VERSION = "1"
@@ -106,12 +99,12 @@ def _emit(
     parameters: dict,
     result: dict,
     header: list[str],
-    rows: list[list[str]],
+    rows: Iterable[list[str]],
     lines: list[str],
 ) -> None:
     """Print one command's output in the chosen format: the JSON record of
     its parameters (stringified) and result, the CSV header and rows, or the
-    table lines."""
+    table lines.  The rows may be a generator: only CSV reads them."""
     if args.format == "json":
         record = {
             "schema_version": SCHEMA_VERSION,
@@ -160,17 +153,18 @@ def _check_table_size(
         raise EnumerationCapError(f"estimated output of {digits} digits exceeds the cap of {cap}")
 
 
-def _work(args: argparse.Namespace, lower_bound: int, estimate: Callable[[], int]) -> int:
-    """The work estimate, or its lower bound if that already exceeds the cap:
-    the estimates factor r by trial division, which a huge r must not reach."""
-    return lower_bound if lower_bound > args.max_enum else estimate()
+def _check_class_sums(args: argparse.Namespace, m: int, n: int, r: int) -> None:
+    """Refuse the class sums mod r of the m x n box past the cap: their work,
+    first as its lower bound 2r so a huge r is never factored, and digits."""
+    work = 2 * r if 2 * r > args.max_enum else residue_sums_work(m, n, r)
+    _check_table_size(args, work, r, m + n, n)
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
     _check_table_size(args, coefficient_work(m, n), m * n + 1, m + n, n)
     values = [str(c) for c in gaussian_coefficients(m, n).coeffs]
-    rows = [[str(i), v] for i, v in enumerate(values)]
+    rows = ([str(i), v] for i, v in enumerate(values))
     parameters = {"m": m, "n": n}
     _emit(args, parameters, {"coeffs": values}, ["index", "coefficient"], rows, [" ".join(values)])
     return 0
@@ -178,11 +172,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 def _cmd_residue_sums(args: argparse.Namespace) -> int:
     m, n, r = args.m, args.n, args.r
-    # the leading r and the d = r term bound the estimate from below
-    work = _work(args, r**2 + r, lambda: residue_sums_work(m, n, r))
-    _check_table_size(args, work, r, m + n, n)
+    _check_class_sums(args, m, n, r)
     values = [str(v) for v in residue_sums(m, n, r)]
-    rows = [[str(i), v] for i, v in enumerate(values)]
+    rows = ([str(i), v] for i, v in enumerate(values))
     parameters = {"m": m, "n": n, "r": r}
     _emit(args, parameters, {"sums": values}, ["residue", "sum"], rows, [" ".join(values)])
     return 0
@@ -190,13 +182,11 @@ def _cmd_residue_sums(args: argparse.Namespace) -> int:
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
     n, r = args.ring_size, args.marked
-    # the leading r and the d = gcd(N, r) term bound the estimate from below;
-    # each fiber is at most C(N-1, r-1)
-    work = _work(args, r + gcd(n, r) ** 2, lambda: fiber_table_work(n, r))
-    _check_table_size(args, work, r, n - 1, r - 1)
+    # the fibers are the class sums of the (N-r) x (r-1) box, reordered
+    _check_class_sums(args, n - r, r - 1, r)
     values = [str(v) for v in delta_fiber_sizes_via_partitions(n, r)]
     total = str(comb(n - 1, r - 1))
-    rows = [[str(s), v] for s, v in enumerate(values)] + [["total", total]]
+    rows = chain(([str(s), v] for s, v in enumerate(values)), [["total", total]])
     result = {"sizes": values, "total": total}
     lines = [" ".join(values), f"total {total}"]
     parameters = {"N": n, "r": r}
@@ -231,30 +221,22 @@ def _report_payload(report: CheckReport) -> dict:
     }
 
 
-def _check_verify_work(args: argparse.Namespace) -> None:
-    """Refuse a fibrations sweep whose covering round trip would exceed the
-    enumeration cap.  Ring size N contributes N * 2^(N-1) covering points,
-    (n-1) * 2^n + 1 in all up to n = --n-max; that count exceeds the cap
-    whenever 2^n does, so a huge n is refused without forming 2^n."""
-    if args.suite not in ("fibrations", "all"):
-        return
+def _cmd_verify(args: argparse.Namespace) -> int:
     n, cap = args.n_max, args.max_enum
-    if n >= cap.bit_length() or (n - 1) * 2**n + 1 > cap:
+    # (n-1) * 2^n + 1 covering points; once 2^n alone passes the cap, it is never formed
+    if args.suite in ("fibrations", "all") and (
+        n >= cap.bit_length() or (n - 1) * 2**n + 1 > cap
+    ):
         raise EnumerationCapError(
             f"{n - 1}*2^{n} + 1 covering points for --n-max {n} exceed the cap of {cap}"
         )
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_verify_work(args)
-    reports = run_suite(
-        args.suite,
-        k_max=args.k_max,
-        l_max=args.l_max,
-        primes=args.primes,
-        multiplier_max=args.m_max,
-        ring_max=args.n_max,
-    )
+    sweep = dict(k_max=args.k_max, l_max=args.l_max, primes=args.primes, multiplier_max=args.m_max)
+    work = suite_work(args.suite, **sweep)
+    if work > cap:
+        raise EnumerationCapError(
+            f"estimated work of {work} for verify {args.suite} exceeds the cap of {cap}"
+        )
+    reports = run_suite(args.suite, ring_max=args.n_max, **sweep)
     failures = sum(1 for report in reports if report.status != "pass")
     payloads = [_report_payload(report) for report in reports]
     rows, lines = [], []
@@ -263,7 +245,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sides = (payload["expected"], payload["actual"])
         spaced = [" ".join(side) if isinstance(side, list) else side for side in sides]
         rows.append([payload["check_id"], params, *spaced, payload["status"]])
-        lines.append(f"{payload['status'].upper():4s} {payload['check_id']} {params}".rstrip())
+        line = f"{payload['status'].upper():4s} {payload['check_id']} {params}".rstrip()
+        lines.append(line + _differing_classes(*sides))
     lines.append(f"{len(reports) - failures} of {len(reports)} checks passed")
     bounds = {
         "suite": args.suite,
@@ -279,6 +262,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.timings:
         _print_timings(reports)
     return 1 if failures else 0
+
+
+def _differing_classes(expected: list[str] | str, actual: list[str] | str) -> str:
+    """For a table line: the classes at which two tables of equal length differ."""
+    if not (isinstance(expected, list) and isinstance(actual, list)) or expected == actual:
+        return ""
+    classes = [str(j) for j, (e, a) in enumerate(zip(expected, actual)) if e != a]
+    return f" (classes {','.join(classes)} differ)" if len(expected) == len(actual) else ""
 
 
 def _parameter_text(parameters: dict) -> str:
@@ -371,6 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(ver)
     ver.set_defaults(handler=_cmd_verify, max_enum=None)
 
+    # `_validate` reports its errors under the chosen command's usage
+    for command in sub.choices.values():
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -378,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _validate(args: argparse.Namespace) -> None:
+    """The argument checks argparse cannot make, as usage errors of the chosen command."""
+    parser = args.command_parser
     # the cap: --max-enum, else QFIBER_MAX_ENUM (checked as the flag is), else 10^7
     if args.max_enum is None:
         env = os.environ.get("QFIBER_MAX_ENUM")
@@ -402,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = _shared_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    _validate(args)
     try:
         return args.handler(args)
     except EnumerationCapError as exc:

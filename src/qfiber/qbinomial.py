@@ -137,79 +137,69 @@ def _small_box(m: int, n: int, d: int) -> tuple[int, int] | None:
     return None if b > a else (a - b, b)
 
 
-def _ramanujan_sums(d: int, primes: list[int]) -> list[int]:
-    """Ramanujan sums c_d(e) = sum over g | gcd(d, e) of mu(d/g)*g, for e in
-    [0, d): the sums of the e-th powers of the primitive d-th roots of unity.
-
-    Only the g with d/g squarefree count, and each adds mu(d/g)*g at every
-    multiple of g.  `primes` must hold every prime factor of d.
-    """
-    cofactors = [(1, 1)]
+def _squarefree_divisors(d: int, primes: list[int]) -> list[tuple[int, int]]:
+    """(s, mu(s)) for each squarefree divisor s of d; `primes` must hold
+    every prime factor of d."""
+    divisors = [(1, 1)]
     for p in primes:
         if d % p == 0:
-            cofactors += [(s * p, -mu) for s, mu in cofactors]
-    sums = [0] * d
-    for s, mu in cofactors:
-        g = d // s
-        sums = list(map(add, sums, ([mu * g] + [0] * (g - 1)) * s))
-    return sums
+            divisors += [(s * p, -mu) for s, mu in divisors]
+    return divisors
 
 
 def residue_sums_work(m: int, n: int, r: int) -> int:
     """Work estimate of `residue_sums(m, n, r)` apart from its binomials:
-    r, plus for each divisor d of r a d x d convolution and the product
-    formula of the box left at d.  It is at least r + r^2."""
-    work = r
-    for d in _divisors(r):
+    (omega(r) + 1) * sigma(r) for the class vectors and their combine, plus,
+    for each box (a, b) left at a divisor d of r, its product formula and
+    2^omega(d) folds of its a*b + 1 coefficients.  omega counts distinct
+    prime factors and sigma sums divisors, so the estimate is at least 2r."""
+    primes, divisors = [p for p, _ in _prime_powers(r)], _divisors(r)
+    work = (len(primes) + 1) * sum(divisors)
+    for d in divisors:
         box = _small_box(m, n, d)
-        work += d * d + (0 if box is None else coefficient_work(*box))
+        if box is not None:
+            a, b = box
+            work += coefficient_work(a, b) + len(_squarefree_divisors(d, primes)) * (a * b + 1)
     return work
 
 
 def residue_sums(m: int, n: int, r: int) -> list[int]:
     """Sums of the m x n Gaussian coefficients over each index class mod r.
 
-    A roots-of-unity filter over the r-th roots, grouped by their order d:
-
-        Sum_j = (1/r) sum_{d | r} C((m+n)//d, n//d) * sum_w c_w * c_d(w - j)
-
-    By the q-Lucas theorem (Sagan, Adv. Math. 95, 1992), c_w are the
-    coefficients of the small Gaussian binomial of `_small_box`, whose sides
-    are below d, and c_d is the Ramanujan sum.  Each small box is folded
-    mod d and convolved with c_d over its nonzero classes, so the cost is
-    about `residue_sums_work` plus the binomials, whatever the size of the
-    m x n box; its coefficient vector is never built.  The division by r is
-    checked, and a remainder raises ArithmeticError.
+    A roots-of-unity filter over the r-th roots, grouped by their order d.
+    At a primitive d-th root the Gaussian binomial is C((m+n)//d, n//d)
+    times the small box of `_small_box` (q-Lucas; Sagan, Adv. Math. 95,
+    1992), and by Moebius inversion the primitive d-th roots sum zeta^k to
+    the sum over squarefree s | d of mu(s) * e * [e | k], e = d/s.  So each
+    d adds mu(s) * e * C((m+n)//d, n//d) times the small box folded mod e
+    into a vector V_e of e classes, and Sum_j = (1/r) sum_{e | r} V_e[j mod e].
+    The cost is `residue_sums_work` plus the binomials, whatever the size
+    of the m x n box.  The division by r is checked, and a remainder raises
+    ArithmeticError.
     """
     if r < 1:
         raise ValueError("modulus must be positive")
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
     primes, divisors = [p for p, _ in _prime_powers(r)], _divisors(r)
-    terms = {}
+    sums = {e: [0] * e for e in divisors}
     for d in divisors:
-        term = [0] * d
         box = _small_box(m, n, d)
-        if box is not None:
-            folded = [0] * d
-            for w, c in enumerate(gaussian_coefficients(*box).coeffs):
-                folded[w % d] += c
-            # c_d is even, so c_d(w - j) over j is c_d rotated right by w
-            ramanujan = _ramanujan_sums(d, primes)
-            for w, c in enumerate(folded):
-                if c:
-                    rotated = ramanujan[-w:] + ramanujan[:-w]
-                    term = list(map(add, term, map(mul, rotated, repeat(c))))
-            big = comb((m + n) // d, n // d)
-            term = [big * t for t in term]
-        terms[d] = term
-    # Sum the terms, each repeated to length r, by prefix sums along each
+        if box is None:
+            continue
+        coeffs = gaussian_coefficients(*box).coeffs
+        big = comb((m + n) // d, n // d)
+        for s, mu in _squarefree_divisors(d, primes):
+            e = d // s
+            folded = list(coeffs) if e >= len(coeffs) else [sum(coeffs[j::e]) for j in range(e)]
+            sums[e][: len(folded)] = map(add, sums[e], map(mul, folded, repeat(mu * e * big)))
+    # Sum the V_e, each repeated to length r, by prefix sums along each
     # prime of the divisor lattice: about len(primes) * sigma(r) additions.
     for p in primes:
-        for d in divisors:
-            if r % (d * p) == 0:
-                terms[d * p] = list(map(add, terms[d * p], terms[d] * p))
-    return [_exact_div(total, r) for total in terms[r]]
+        for e in divisors:
+            if r % (e * p) == 0:
+                sums[e * p] = list(map(add, sums[e * p], sums[e] * p))
+    return [_exact_div(total, r) for total in sums[r]]
 
 
 def _exact_div(numerator: int, divisor: int) -> int:

@@ -353,3 +353,29 @@ def run_suite(
     if suite in ("fibrations", "all"):
         reports += check_fibrations(ring_max)
     return _ordered(reports)
+
+
+def suite_work(
+    suite: str,
+    *,
+    k_max: int = DEFAULT_KL_BOUND,
+    l_max: int = DEFAULT_KL_BOUND,
+    primes: Sequence[int] = DEFAULT_PRIMES,
+    multiplier_max: int = DEFAULT_MULTIPLIER_BOUND,
+) -> int:
+    """Closed-form upper bound on the element operations of the main1, therm
+    and thmp suites that `run_suite(suite)` runs: the product formulas and
+    folds of their boxes (main1 through min(k, l-1) <= min(K, L-1) and
+    sum_{l <= L} tau(l) <= L bit_length(L)) and the box recurrences of thmp."""
+    k, l, m = k_max, l_max, multiplier_max
+    work, m_sum = 0, comb(m + 1, 2)  # comb(x + 1, 2) = 1 + 2 + ... + x
+    if suite in ("main1", "all"):
+        k_sum = comb(k + 1, 2)
+        work += k_sum * comb(l, 2) * min(k, l - 1) + (k_sum * l.bit_length() + k) * l * l
+    for p in primes:
+        heights = comb(p, 2) + (p - 1) * p * (2 * p - 1) // 6  # h + h^2 summed over h < p
+        if suite in ("therm", "all"):
+            work += (p * m_sum + p - 1) * heights + (m + 1) * (p * p - 1)
+        if suite in ("thmp", "all"):
+            work += p * comb(p, 2) * (p - 2 + p * m_sum - m) + (m + 1) * (p - 1) * p
+    return work

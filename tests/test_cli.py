@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import qfiber.cli as cli
+import qfiber.verify as verify
 from qfiber.cli import main
 from qfiber.verify import CheckReport
 
@@ -143,8 +144,9 @@ def test_residue_sums_rejects_zero_modulus(capsys):
 
 def test_table_guards_refuse_before_computing(capsys):
     for argv, message in (
-        # 10^13 classes: a MemoryError traceback without the guard
-        (["residue-sums", "3", "3", "10000000000000"], "estimated work of 1000000000000"),
+        # 10^13 classes: a MemoryError traceback without the guard; refused
+        # on the lower bound 2r, before r is factored
+        (["residue-sums", "3", "3", "10000000000000"], "estimated work of 20000000000000 "),
         # 10^9 product-formula additions: hours
         (["coeffs", "1000", "1000"], "estimated work of 1000000000 "),
         # the 500 x 499 box left at d = 1000 costs 1.2 * 10^8 additions
@@ -161,11 +163,12 @@ def test_table_guards_refuse_before_computing(capsys):
 
 
 def test_table_guards_read_the_environment_cap(capsys, monkeypatch):
-    # residue-sums 3 3 4: estimated work 4 + (1 + 4 + 16), output 4 sums of 2 digits
-    monkeypatch.setenv("QFIBER_MAX_ENUM", "24")
+    # residue-sums 3 3 4: estimated work (1 + 1) * (1 + 2 + 4) + 1, for one
+    # fold of the box left at d = 1; output 4 sums of 2 digits
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "14")
     code, _, err = run(capsys, "residue-sums", "3", "3", "4")
-    assert code == 3 and "estimated work of 25 exceeds the cap of 24" in err
-    monkeypatch.setenv("QFIBER_MAX_ENUM", "25")
+    assert code == 3 and "estimated work of 15 exceeds the cap of 14" in err
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "15")
     assert run(capsys, "residue-sums", "3", "3", "4")[:2] == (0, "5 5 5 5\n")
     # coeffs 3 2: work 3*2*2 = 12, output 7 coefficients of at most 2 digits
     monkeypatch.setenv("QFIBER_MAX_ENUM", "13")
@@ -286,7 +289,7 @@ def test_fibers_past_the_cap_does_not_enumerate(capsys):
 
 
 def test_fibers_guard_estimates_the_class_sum_work(capsys, monkeypatch):
-    # C(29, 14) = 77,558,760 gap vectors, but the q-Lucas work is 15 + (1 + 9 + 25 + 225)
+    # C(29, 14) = 77,558,760 gap vectors, but the q-Lucas work is 3 * 24 + (1 + 2 + 2 + 4)
     code, out, _ = run(capsys, "fibers", "30", "15")
     assert code == 0
     sizes, total = out.splitlines()
@@ -295,29 +298,45 @@ def test_fibers_guard_estimates_the_class_sum_work(capsys, monkeypatch):
         "5170575 5170600 5170578 5170575 5170600 5170575 5170575")
     assert total == f"total {comb(29, 14)}" == f"total {sum(map(int, sizes.split()))}"
     tables, estimates = [], []
-    route, work = cli.delta_fiber_sizes_via_partitions, cli.fiber_table_work
+    route, work = cli.delta_fiber_sizes_via_partitions, cli.residue_sums_work
     monkeypatch.setattr(
         cli, "delta_fiber_sizes_via_partitions", lambda *a: tables.append(a) or route(*a))
-    monkeypatch.setattr(cli, "fiber_table_work", lambda *a: estimates.append(a) or work(*a))
-    # a single gap vector, but 10^6 divisor terms up to 10^6 classes long
+    monkeypatch.setattr(cli, "residue_sums_work", lambda *a: estimates.append(a) or work(*a))
+    # fibers N r is checked as residue-sums N-r r-1 r; 720720 has 6 primes and
+    # 240 divisors: 7 * sigma(720720) + the sum of 2^omega(d) over d | 720720
     started = time.perf_counter()
-    code, out, err = run(capsys, "fibers", "1000000", "1000000")
+    code, out, err = run(capsys, "fibers", "720720", "720720")
     assert time.perf_counter() - started < 1
     assert code == 3 and out == ""
-    assert "estimated work of 1000001000000 exceeds the cap of 10000000" in err
-    assert tables == estimates == []
-    # 3000 + 3000^2 passes, so r is factored: 3000 + the squares of its divisors
-    code, _, err = run(capsys, "fibers", "3000", "3000")
-    assert code == 3 and "estimated work of 13837600 exceeds" in err
-    assert tables == [] and estimates == [(3000, 3000)]
-    # fibers 100 3: work 3 + (1 + 3), output 3 fibers of at most 4 digits (C(99, 2) = 4851)
+    assert "estimated work of 22752189 exceeds the cap of 10000000" in err
+    assert tables == [] and estimates == [(0, 720719, 720720)]
+    # past the lower bound 2r, r is not factored
+    code, out, err = run(capsys, "fibers", "5000001", "5000001")
+    assert code == 3 and out == ""
+    assert "estimated work of 10000002 exceeds the cap of 10000000" in err
+    assert tables == [] and estimates == [(0, 720719, 720720)]
+    # 3 * sigma(3000) + 27 is far below the cap, and the table takes milliseconds
+    # the single gap vector (1, ..., 1) has cuts 1, ..., r-1, in class r(r-1)/2 mod r
+    def one_gap_vector(r):
+        sizes = ["0"] * r
+        sizes[r * (r - 1) // 2 % r] = "1"
+        return " ".join(sizes) + "\ntotal 1\n"
+
+    code, out, _ = run(capsys, "fibers", "3000", "3000")
+    assert (code, out) == (0, one_gap_vector(3000))
+    assert tables == [(3000, 3000)] and estimates[-1] == (0, 2999, 3000)
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "fibers", "1000000", "1000000")
+    assert time.perf_counter() - started < 2
+    assert (code, out) == (0, one_gap_vector(1000000))
+    # fibers 100 3: work 2 * (1 + 3) + 1, output 3 fibers of at most 4 digits (C(99, 2) = 4851)
     monkeypatch.setenv("QFIBER_MAX_ENUM", "11")
     code, _, err = run(capsys, "fibers", "100", "3")
     assert code == 3 and "estimated output of 12 digits exceeds the cap of 11" in err
-    assert tables == []
+    assert tables[-1] != (100, 3)
     code, out, _ = run(capsys, "fibers", "100", "3", "--max-enum", "12")
     assert (code, out) == (0, "1617 1617 1617\ntotal 4851\n")
-    assert tables == [(100, 3)]
+    assert tables[-1] == (100, 3)
 
 
 def test_verify_counterexamples_pass(capsys):
@@ -364,11 +383,40 @@ def test_verify_work_guard_exits_before_any_suite(capsys, monkeypatch):
     assert code == 0 and suites_run == ["fibrations", "main1"]
     # the cap comes from QFIBER_MAX_ENUM as for the enumerating commands
     monkeypatch.setenv("QFIBER_MAX_ENUM", "212992")
-    code, _, err = run(capsys, "verify", "all")
+    code, _, err = run(capsys, "verify", "fibrations")
     assert code == 3 and "13*2^14 + 1 covering points" in err
     monkeypatch.setenv("QFIBER_MAX_ENUM", "212993")
-    code, _, _ = run(capsys, "verify", "all")
-    assert code == 0 and suites_run[-1] == "all"
+    code, _, _ = run(capsys, "verify", "fibrations")
+    assert code == 0 and suites_run[-1] == "fibrations"
+
+
+def test_verify_suite_work_guard_exits_before_any_suite(capsys, monkeypatch):
+    suites_run = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, **bounds: suites_run.append(suite) or [])
+    # each of these would build product-formula vectors for seconds to hours
+    for argv in (
+        ["therm", "--primes", "101", "--m-max", "1"],
+        ["thmp", "--primes", "47"],
+        ["main1", "--k-max", "1000000000", "--l-max", "3"],
+        ["all", "--m-max", "100"],
+    ):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - started < 1, argv
+        assert code == 3 and out == "", argv
+        assert f"for verify {argv[0]} exceeds the cap of 10000000" in err, (argv, err)
+    assert suites_run == []
+    # therm at --primes 101 --m-max 1: 201 * (338350 + 5050) + 2 * 10200
+    code, _, err = run(capsys, "verify", "therm", "--primes", "101", "--m-max", "1")
+    assert "estimated work of 69043800 " in err
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "69043800")
+    code, _, _ = run(capsys, "verify", "therm", "--primes", "101", "--m-max", "1")
+    assert code == 0 and suites_run == ["therm"]
+    # the default bounds pass with room to spare; the covering points are checked first
+    assert cli.suite_work("all") < 10**7 // 3
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "1000")
+    code, _, err = run(capsys, "verify", "all")
+    assert code == 3 and "covering points" in err
 
 
 def test_verify_timings_go_to_stderr_only(capsys, monkeypatch):
@@ -395,6 +443,59 @@ def test_verify_rejects_small_bounds(capsys):
     code, _, err = run_expecting_exit(capsys, "verify", "main1", "--k-max", "1")
     assert code == 2
     assert "usage" in err
+
+
+def test_validation_errors_print_the_command_usage(capsys, monkeypatch):
+    # as argparse does for its own errors, not the top-level usage
+    for argv, env, message in (
+        (["fibers", "3", "5"], None, "qfiber fibers: error: r=5 must not exceed N=3"),
+        (["coeffs", "2", "2"], "0", "qfiber coeffs: error: QFIBER_MAX_ENUM: '0' must be positive"),
+        (["verify", "main1", "--k-max", "1"], None,
+         "qfiber verify: error: --k-max and --l-max must be at least 2"),
+        (["verify", "all", "--n-max", "2"], None,
+         "qfiber verify: error: --n-max must be at least 3"),
+    ):
+        if env is None:
+            monkeypatch.delenv("QFIBER_MAX_ENUM", raising=False)
+        else:
+            monkeypatch.setenv("QFIBER_MAX_ENUM", env)
+        code, out, err = run_expecting_exit(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: qfiber {argv[0]} "), err
+        assert err.endswith(message + "\n"), err
+
+
+def test_table_fail_line_names_the_differing_classes(capsys, monkeypatch):
+    sums = verify.residue_sums
+
+    def broken(m, n, r):
+        table = sums(m, n, r)
+        if (m, n) == (6, 5):
+            table[1] += 1
+            table[4] -= 1
+        return table[:-1] if (m, n) == (10, 9) else table
+
+    monkeypatch.setattr(verify, "residue_sums", broken)
+    code, out, _ = run(capsys, "verify", "counterexamples")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL counterexample-6x5-table m=6 n=5 r=6 (classes 1,4 differ)" in lines
+    assert "PASS counterexample-6x5-total m=6 n=5 r=6" in lines
+    # tables of different lengths, and numbers, name no class
+    assert "FAIL counterexample-10x9-table m=10 n=9 r=10" in lines
+    assert "FAIL counterexample-10x9-total m=10 n=9 r=10" in lines
+    assert out.count("differ") == 1
+    # CSV and JSON carry both tables, as they do for a passing check
+    code, out, _ = run(capsys, "verify", "counterexamples", "--format", "csv")
+    assert code == 1
+    row = next(row for row in parse_csv(out) if row[0] == "counterexample-6x5-table")
+    assert row[1:] == ["m=6 n=5 r=6", "80 75 78 76 78 75", "80 76 78 76 77 75", "fail"]
+    code, out, _ = run(capsys, "verify", "counterexamples", "--format", "json")
+    assert code == 1 and "differ" not in out
+    reports = json.loads(out)["result"]["reports"]
+    assert all(
+        set(report) == {"check_id", "parameters", "expected", "actual", "status"}
+        for report in reports)
 
 
 def test_verify_rejects_bad_primes(capsys, monkeypatch):
@@ -567,7 +668,7 @@ MIXED_CALLS = [
     ),
     (["--help"], None),
     (["verify", "--help"], None),
-    # work 6 + 6^2 over the flag's cap, then the same command without the flag
+    # work at least 2 * 6, over the flag's cap, then the same command without the flag
     (["fibers", "12", "6", "--max-enum", "5"], None),
     (["fibers", "12", "6"], None),
     (["orbits", "6", "6", "units", "--max-enum", "100"], None),

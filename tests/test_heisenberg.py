@@ -18,7 +18,6 @@ from qfiber.heisenberg import (
     delta_fiber_sizes,
     delta_fiber_sizes_via_partitions,
     enumerate_configurations,
-    fiber_table_work,
     reconstruct,
     relative_positions,
     shift_action,
@@ -337,20 +336,21 @@ def test_delta_validation_and_cap():
         delta_fiber_sizes_via_partitions(12, 6, max_elements=462)
 
 
-def test_fiber_table_work():
-    # the small box left at d | r is nonempty exactly when d | N, so only
-    # there does the estimate count a d x d convolution
+def test_fiber_box_work():
+    # the (N-r) x (r-1) box leaves the box (0, d-1) at d | r exactly when
+    # d | N, one coefficient folded once per squarefree s | d, so the work is
+    # (omega(r) + 1) * sigma(r) plus 2^omega(d) for each d | gcd(N, r)
+    def omega(n):
+        return sum(1 for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
+
     for n in range(1, 41):
         for r in range(1, n + 1):
-            expected = r
-            for d in range(1, r + 1):
-                if r % d == 0:
-                    box = qbinomial._small_box(n - r, r - 1, d)
-                    assert (box is not None) == (n % d == 0), (n, r, d)
-                    expected += d if box is None else d * d + qbinomial.coefficient_work(*box)
-            assert fiber_table_work(n, r) == expected, (n, r)
-            assert fiber_table_work(n, r) >= r + gcd(n, r) ** 2
-            if n % r == 0:
-                assert fiber_table_work(n, r) == qbinomial.residue_sums_work(n - r, r - 1, r)
-    # 99999 = 3^2 * 41 * 271 is coprime to 100000: r plus the sum of its divisors
-    assert fiber_table_work(100000, 99999) == 99999 + 13 * 42 * 272
+            divisors = [d for d in range(1, r + 1) if r % d == 0]
+            for d in divisors:
+                box = qbinomial._small_box(n - r, r - 1, d)
+                assert box == ((0, d - 1) if n % d == 0 else None), (n, r, d)
+            expected = (omega(r) + 1) * sum(divisors)
+            expected += sum(2 ** omega(d) for d in divisors if gcd(n, r) % d == 0)
+            assert qbinomial.residue_sums_work(n - r, r - 1, r) == expected, (n, r)
+    # 99999 = 3^2 * 41 * 271 is coprime to 100000: 4 * sigma(99999), plus 1 at d = 1
+    assert qbinomial.residue_sums_work(1, 99998, 99999) == 4 * 13 * 42 * 272 + 1

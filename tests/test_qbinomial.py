@@ -164,23 +164,43 @@ def test_residue_sums_beyond_the_fold(m, n, r):
     assert sums == count_by_residue(m, n, r)
 
 
+@pytest.mark.parametrize("r", (360, 720, 2520))
+def test_residue_sums_composite_moduli(r):
+    # many squarefree divisors per d, and more classes than weights
+    for m, n in ((0, 0), (1, 5), (4, 4), (7, 3), (9, 10), (12, 12), (20, 11)):
+        assert residue_sums(m, n, r) == count_by_residue(m, n, r), (m, n)
+
+
+def prime_factors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
 def test_residue_sums_work_estimate():
-    # r + sum of d^2 over d | r, plus the product formula of each small box left
-    assert qbinomial.residue_sums_work(3, 3, 4) == 4 + (1 + 4 + 16) + 0
-    assert qbinomial.residue_sums_work(4, 3, 10) == 10 + (1 + 4 + 25 + 100) + 4 * 3 * 3
+    # (omega(r) + 1) * sigma(r), plus for each box (a, b) left at d | r its
+    # product formula and 2^omega(d) folds of its a*b + 1 coefficients
+    assert qbinomial.residue_sums_work(3, 3, 4) == 2 * 7 + (0 + 1)
+    assert qbinomial.residue_sums_work(4, 3, 10) == 3 * 18 + 1 + 2 * 1 + (4 * 3 * 3 + 4 * 13)
     assert qbinomial.coefficient_work(70, 30) == 70 * 30 * 30
+    for r in range(1, 61):
+        divisors = [d for d in range(1, r + 1) if r % d == 0]
+        for m, n in ((0, 0), (3, 3), (7, 2), (5, 11), (13, 13)):
+            expected = (len(prime_factors(r)) + 1) * sum(divisors)
+            for d in divisors:
+                a, b = (m + n) % d, n % d
+                if b <= a:
+                    folds = 2 ** len(prime_factors(d))
+                    expected += qbinomial.coefficient_work(a - b, b) + folds * ((a - b) * b + 1)
+            assert qbinomial.residue_sums_work(m, n, r) == expected, (m, n, r)
+            assert expected >= 2 * r
 
 
-def test_bad_ramanujan_term_raises(monkeypatch):
-    ramanujan = qbinomial._ramanujan_sums
-
-    def broken(d, primes):
-        sums = ramanujan(d, primes)
-        return [sums[0] + (d == 3)] + sums[1:]
-
-    monkeypatch.setattr(qbinomial, "_ramanujan_sums", broken)
-    # the d = 3 term of the 4 x 3 box is C(2, 1) * c_3(w - j) at w = 0, so
-    # class 0 gains 2, which 3 does not divide
+def test_lost_moebius_signs_raise(monkeypatch):
+    squarefree = qbinomial._squarefree_divisors
+    monkeypatch.setattr(
+        qbinomial, "_squarefree_divisors",
+        lambda d, primes: [(s, 1) for s, _ in squarefree(d, primes)])
+    # with mu(3) = +1, the d = 3 term of the 4 x 3 box mod 3 adds C(2, 1) to
+    # every class instead of taking it away: totals 43, 37, 37, not 39, 33, 33
     with pytest.raises(ArithmeticError):
         residue_sums(4, 3, 3)
 

@@ -87,14 +87,11 @@ def test_arithmetic_error_in_a_shared_table_fails_each_check_reading_it(monkeypa
     assert all(r.actual == "ArithmeticError: injected failure" for r in failed)
 
 
-def test_bad_ramanujan_term_fails_only_the_checks_reading_residue_sums(monkeypatch):
-    ramanujan = qbinomial._ramanujan_sums
-
-    def broken(d, primes):
-        sums = ramanujan(d, primes)
-        return [sums[0] + 1] + sums[1:]
-
-    monkeypatch.setattr(qbinomial, "_ramanujan_sums", broken)
+def test_lost_moebius_signs_fail_only_the_checks_reading_residue_sums(monkeypatch):
+    squarefree = qbinomial._squarefree_divisors
+    monkeypatch.setattr(
+        qbinomial, "_squarefree_divisors",
+        lambda d, primes: [(s, 1) for s, _ in squarefree(d, primes)])
     failed = failures(check_counterexamples())
     assert len(failed) == 7
     assert all(r.actual.startswith("ArithmeticError: ") for r in failed)
@@ -315,3 +312,31 @@ def test_run_suite_dispatch_and_order():
     assert "main1" in ids and "therm-multiple" in ids and "fibers-agree" in ids
     with pytest.raises(ValueError):
         run_suite("everything")
+
+
+def test_suite_work_closed_forms():
+    # the closed forms against the per-check costs they stand for, summed by loops
+    work = qbinomial.coefficient_work
+    for primes, bound in (((3,), 1), ((3, 5, 7, 11), 3), ((13, 101), 2)):
+        therm = thmp = 0
+        for p in primes:
+            for h in range(1, p):
+                therm += work(p - 1, h) + (p - 1) * h + 1 + p
+                thmp += (p - 2) * h * p + p
+                for multiplier in range(1, bound + 1):
+                    therm += work(multiplier * p, h) + multiplier * p * h + 1 + p
+                    thmp += (multiplier * p - 1) * h * p + p
+        assert verify.suite_work("therm", primes=primes, multiplier_max=bound) == therm
+        assert verify.suite_work("thmp", primes=primes, multiplier_max=bound) == thmp
+    # main1 is an upper bound: the product formula of each box and its fold mod each r | l
+    for k_max, l_max in ((2, 2), (6, 9), (24, 24), (30, 7), (3, 300)):
+        counted = sum(
+            work(k, l - 1) + sum(k * (l - 1) + 1 + r for r in range(1, l + 1) if l % r == 0)
+            for k in range(1, k_max + 1) for l in range(1, l_max + 1))
+        estimate = verify.suite_work("main1", k_max=k_max, l_max=l_max)
+        assert counted <= estimate <= 3 * counted, (k_max, l_max)
+    assert verify.suite_work("all") == sum(
+        verify.suite_work(suite) for suite in ("main1", "therm", "thmp"))
+    assert verify.suite_work("counterexamples") == verify.suite_work("fibrations") == 0
+    # closed forms, so a huge bound costs nothing to estimate
+    assert verify.suite_work("main1", k_max=10**18, l_max=10**18) > 10**89

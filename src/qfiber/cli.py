@@ -17,7 +17,9 @@ decimal string; Python's limit on the digits of an int converted to or
 from a string is lifted in `main`, and the output size is capped instead.
 The cap is --max-enum (`fibers` and `orbits` only), else QFIBER_MAX_ENUM,
 else 10^7.  Before computing, each command checks an estimate against it:
-`coeffs` the product formula's work m*n*min(m, n); `residue-sums m n r`
+`coeffs` the full product formula's work m*n*min(m, n), kept as an upper
+bound on the kernel, which computes only the low half of the palindromic
+vector and mirrors it (so `coeffs 216 216` still exits 3); `residue-sums m n r`
 and `fibers N r`, checked as `residue-sums N-r r-1 r`, `residue_sums_work`
 after its lower bound 2r, so a huge r is never factored; all three their
 output digits; `orbits` the C(k+l-1, l-1) step sequences enumeration

@@ -3,7 +3,11 @@
 The coefficient of q^w in the Gaussian binomial for an m x n box counts the
 partitions of w with at most n parts, each at most m.  Sums of coefficients
 over an index class mod r are therefore partition counts by weight class.
-`gaussian_coefficients` builds the vector by the product formula;
+`gaussian_coefficients` builds the vector by the product formula, computing
+only the low half (the vector is palindromic, as the complement in the box
+maps weight w to m*n - w) and mirroring it; `coefficient_work`, the full
+formula's m*n*min(m, n) additions, stays the cap's upper bound on it, so
+`qfiber coeffs 216 216` is still refused.
 `residue_sums` gets the class sums by the q-Lucas theorem without it.  This
 module also provides the closed-form values those sums take in the
 equal-class cases, the work estimates the command line checks against its
@@ -14,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, gcd
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterator
 
 
@@ -104,27 +108,39 @@ def gaussian_coefficients(m: int, n: int) -> CoefficientVector:
     """Coefficient vector of the Gaussian binomial [m+n choose n]_q.
 
     Built from the product formula prod_{i=1..narrow} (1 - q^(wide+i)) / (1 - q^i)
-    over the smaller side, about m*n*min(m, n) big-int additions.  Each factor
-    multiplies in place, then divides by a running prefix sum; the division is
-    exact, so the top i coefficients it leaves are zero and are dropped.
+    over the smaller side, as power series truncated after q^(half-1), half =
+    m*n//2 + 1, and after the degree wide*i of the first i factors' product.
+    Each factor multiplies by 1 - q^(wide+i) as one slice subtraction, then
+    divides by 1 - q^i as i prefix sums of stride i, all in builtins.  Both
+    steps are causal (coefficient w reads only coefficients <= w), so the
+    truncated coefficients are exact; the top m*n - half + 1 mirror the low
+    ones, as the complement in the box maps weight w to m*n - w (Andrews,
+    The Theory of Partitions, ch. 3).  For sides up to 200 that is at most
+    0.75 of the additions of the full product formula, `coefficient_work`.
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
     wide, narrow = max(m, n), min(m, n)
+    half = m * n // 2 + 1
     coeffs = [1]
     for i in range(1, narrow + 1):
+        # the product of the first i factors has degree wide*i
+        size = min(half, wide * i + 1)
         shift = wide + i
-        coeffs += [0] * shift
-        for w in range(len(coeffs) - 1, shift - 1, -1):
-            coeffs[w] -= coeffs[w - shift]
-        for w in range(i, len(coeffs)):
-            coeffs[w] += coeffs[w - i]
-        del coeffs[-i:]
+        coeffs += [0] * (size - len(coeffs))
+        if shift < size:
+            coeffs[shift:] = map(sub, coeffs[shift:], coeffs[: size - shift])
+        for j in range(i):
+            coeffs[j::i] = accumulate(coeffs[j::i])
+    coeffs += reversed(coeffs[: m * n + 1 - half])
     return CoefficientVector(m, n, tuple(coeffs))
 
 
 def coefficient_work(m: int, n: int) -> int:
-    """Big-int additions of `gaussian_coefficients(m, n)`, about m*n*min(m, n)."""
+    """About m*n*min(m, n): the big-int additions of the full product formula,
+    kept as the cap's upper bound on `gaussian_coefficients(m, n)`, which
+    does at most 0.75 of them for sides up to 200 (`coeffs 216 216` is
+    still refused)."""
     return m * n * min(m, n)
 
 

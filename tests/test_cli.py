@@ -118,6 +118,24 @@ def test_output_is_byte_exact(capsys, command, fmt):
     assert out == EXACT_OUTPUTS[command, fmt]
 
 
+# SHA-256 of stdout at benchmark sizes, from the full (untruncated) kernel
+COEFFS_DIGESTS = {
+    "coeffs 70 70 --format csv":
+    "5410f975992260ddf9b4b182578d97bdb999be042627ba0331c9dc7f047f2d54",
+    "coeffs 71 40 --format json":
+    "9b476a59c8d4469a5ba40810f8b68a29f0f41ebd1f4c70c3b01aabee653c9286",
+    "coeffs 200 3":
+    "d64e5577147222ed19e3f6110fdd1abba57422711902531cb81a31101cbe09d3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COEFFS_DIGESTS))
+def test_coeffs_digest_at_benchmark_sizes(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COEFFS_DIGESTS[command]
+
+
 def test_json_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "counterexamples", "--format", "json")
     _, second, _ = run(capsys, "verify", "counterexamples", "--format", "json")

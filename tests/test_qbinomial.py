@@ -91,13 +91,21 @@ def test_coefficients_match_brute_force():
 def test_coefficients_match_counting_route():
     # same numbers through the box recurrence instead of the product formula;
     # with m*n + 1 classes nothing wraps, so the class table is the full vector.
-    # The kernel computes the low half and mirrors it, so palindromy checks
-    # nothing; the larger boxes have truncation and mirror both acting
-    # (narrow side >= 2, m*n odd and even, both orders)
+    # The larger boxes have truncation and mirror both acting (narrow side >= 2,
+    # m*n odd and even, both orders)
     boxes = [(m, n) for m in range(9) for n in range(9)] + [(1, 200), (200, 1), (3, 150)]
     boxes += [(5, 8), (8, 5), (9, 31), (31, 9), (17, 18), (25, 25), (40, 3)]
     for m, n in boxes:
         assert list(gaussian_coefficients(m, n).coeffs) == count_by_residue(m, n, m * n + 1), (m, n)
+
+
+def test_palindromic_coefficients_up_to_thirty():
+    # the kernel mirrors its low half; this pins the mirror's placement,
+    # including the middle coefficient when m*n is even
+    for m in range(31):
+        for n in range(31):
+            vec = gaussian_coefficients(m, n).coeffs
+            assert vec == vec[::-1], (m, n)
 
 
 @given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=14))

@@ -26,7 +26,6 @@ from .partitions import (
     enumerate_restricted,
 )
 from .qbinomial import (
-    CoefficientVector,
     coprime_class_sum,
     gaussian_coefficients,
     is_prime,
@@ -36,7 +35,6 @@ from .qbinomial import (
 )
 from .surjections import (
     GROUPS,
-    Orbit,
     StepSequence,
     ThresholdSequence,
     act_cyclic,
@@ -45,6 +43,7 @@ from .surjections import (
     act_unit,
     enumerate_step_sequences,
     integral,
+    orbit_histogram,
     orbits,
     partition_to_surjection,
     steps_to_thresholds,
@@ -81,7 +80,6 @@ __all__ = [
     "count_exact_parts_by_residue",
     "count_restricted",
     "enumerate_restricted",
-    "CoefficientVector",
     "coprime_class_sum",
     "gaussian_coefficients",
     "is_prime",
@@ -89,7 +87,6 @@ __all__ = [
     "prime_multiple_class_sum",
     "residue_sums",
     "GROUPS",
-    "Orbit",
     "StepSequence",
     "ThresholdSequence",
     "act_cyclic",
@@ -98,6 +95,7 @@ __all__ = [
     "act_unit",
     "enumerate_step_sequences",
     "integral",
+    "orbit_histogram",
     "orbits",
     "partition_to_surjection",
     "steps_to_thresholds",

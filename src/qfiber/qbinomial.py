@@ -3,11 +3,11 @@
 The coefficient of q^w in the Gaussian binomial for an m x n box counts the
 partitions of w with at most n parts, each at most m.  Sums of coefficients
 over an index class mod r are therefore partition counts by weight class.
-`gaussian_coefficients` builds the vector by the product formula, computing
-only the low half (the vector is palindromic, as the complement in the box
-maps weight w to m*n - w) and mirroring it; `coefficient_work`, the full
-formula's m*n*min(m, n) additions, stays the cap's upper bound on it, so
-`qfiber coeffs 216 216` is still refused.
+`gaussian_coefficients` builds the vector, a tuple indexed by weight, by the
+product formula, computing only the low half (the vector is palindromic, as
+the complement in the box maps weight w to m*n - w) and mirroring it;
+`coefficient_work`, the full formula's m*n*min(m, n) additions, stays the
+cap's upper bound on it, so `qfiber coeffs 216 216` is still refused.
 `residue_sums` gets the class sums by the q-Lucas theorem without it.  This
 module also provides the closed-form values those sums take in the
 equal-class cases, the work estimates the command line checks against its
@@ -16,7 +16,6 @@ cap, and the package's one trial-division loop and binomial cap comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, gcd
@@ -71,41 +70,10 @@ def _binomial_exceeds(top: int, bottom: int, cap: int) -> bool:
     return value > cap
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Coefficients of the Gaussian binomial for an m x n box, index = weight.
-
-    Immutable; length is always m*n + 1.
-    """
-
-    m: int
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise ValueError("box dimensions must be nonnegative")
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != self.m * self.n + 1:
-            raise ValueError(
-                f"expected {self.m * self.n + 1} coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __getitem__(self, index: int) -> int:
-        return self.coeffs[index]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def total(self) -> int:
-        return sum(self.coeffs)
-
-
 @lru_cache(maxsize=None)
-def gaussian_coefficients(m: int, n: int) -> CoefficientVector:
-    """Coefficient vector of the Gaussian binomial [m+n choose n]_q.
+def gaussian_coefficients(m: int, n: int) -> tuple[int, ...]:
+    """Coefficients of the Gaussian binomial [m+n choose n]_q, index = weight:
+    a tuple of m*n + 1 entries.
 
     Built from the product formula prod_{i=1..narrow} (1 - q^(wide+i)) / (1 - q^i)
     over the smaller side, as power series truncated after q^(half-1), half =
@@ -133,7 +101,7 @@ def gaussian_coefficients(m: int, n: int) -> CoefficientVector:
         for j in range(i):
             coeffs[j::i] = accumulate(coeffs[j::i])
     coeffs += reversed(coeffs[: m * n + 1 - half])
-    return CoefficientVector(m, n, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def coefficient_work(m: int, n: int) -> int:
@@ -203,7 +171,7 @@ def residue_sums(m: int, n: int, r: int) -> list[int]:
         box = _small_box(m, n, d)
         if box is None:
             continue
-        coeffs = gaussian_coefficients(*box).coeffs
+        coeffs = gaussian_coefficients(*box)
         big = comb((m + n) // d, n // d)
         for s, mu in _squarefree_divisors(d, primes):
             e = d // s

@@ -199,17 +199,6 @@ def enumerate_step_sequences(
 GROUPS = ("cyclic", "units", "symmetric")
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """One equivalence class of step sequences under a group action."""
-
-    elements: frozenset[StepSequence]
-    group_tag: str
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def _cyclic_orbit(s: StepSequence) -> frozenset[StepSequence]:
     return frozenset(act_cyclic(s, p) for p in range(s.level_count))
 
@@ -221,13 +210,14 @@ def _unit_orbit(s: StepSequence) -> frozenset[StepSequence]:
 
 def orbits(
     k: int, l: int, group: str, max_elements: int | None = DEFAULT_ENUMERATION_CAP
-) -> list[Orbit]:
+) -> list[frozenset[StepSequence]]:
     """Partition all step sequences for (k, l) into orbits of the chosen group.
 
     `group` is one of "cyclic" (rotations), "units" (unit scaling of
     positions) or "symmetric" (all permutations; orbits are the multiset
-    classes).  Returns orbits sorted by their smallest element.  Raises
-    EnumerationCapError when C(k+l-1, l-1) exceeds max_elements.
+    classes).  Returns the orbits as frozensets, sorted by their smallest
+    element.  Raises EnumerationCapError when C(k+l-1, l-1) exceeds
+    max_elements.
 
     This is the enumerating oracle: it builds every one of the C(k+l-1, l-1)
     sequences and closes each orbit by applying the group, at about
@@ -254,13 +244,12 @@ def orbits(
             orbit = close(s)
             seen |= orbit
             classes.append(orbit)
-    result = [Orbit(elements=c, group_tag=group) for c in classes]
-    result.sort(key=lambda o: min(o.elements))
-    return result
+    classes.sort(key=min)
+    return classes
 
 
 def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
-    """Orbit size -> number of orbits of that size, ascending by size.
+    """Map from orbit size to the number of orbits of that size, ascending by size.
 
     Equals the histogram of `len(o)` over `orbits(k, l, group)`, with the same
     argument checks, but enumerates no sequence and takes no cap: `qfiber
@@ -293,7 +282,7 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
 
 
 def _stabilizer_histogram(lattice: list[tuple], contains: Callable) -> dict[int, int]:
-    """Orbit-size histogram of an abelian group from fixed-point counts.
+    """The orbit-size histogram of an abelian group from fixed-point counts.
 
     `lattice` lists every subgroup H as (H, |H|, number of sequences H fixes),
     the whole group G included, and `contains(K, H)` tells whether K
@@ -384,7 +373,7 @@ def _sylow_subgroups(
 def _fixed_count(k: int, orbit_sizes: list[int]) -> int:
     """Sequences constant on every position orbit: solutions of
     sum_j s_j * y_j = k in y_j >= 0, one unknown per orbit (coin change).
-    Orbits larger than k may be left out: their unknown must be 0."""
+    An orbit larger than k may be left out: its unknown must be 0."""
     ways = [1] + [0] * k
     for size in orbit_sizes:
         for total in range(size, k + 1):

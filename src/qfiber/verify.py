@@ -104,7 +104,7 @@ def _folded_coefficients(m: int, n: int, r: int) -> list[int]:
     """Class sums mod r of the m x n box, folded from its product-formula
     coefficient vector.  The closed forms are the d = 1 and d = p terms of
     the q-Lucas route of `residue_sums`, so their checks read this instead."""
-    coeffs = gaussian_coefficients(m, n).coeffs
+    coeffs = gaussian_coefficients(m, n)
     return [sum(coeffs[j::r]) for j in range(r)]
 
 

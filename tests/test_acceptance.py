@@ -129,7 +129,7 @@ def test_criterion_07_single_excess_class():
 def test_criterion_08_two_routes_agree_everywhere():
     for m in range(13):
         for n in range(13):
-            vec = list(gaussian_coefficients(m, n).coeffs)
+            vec = list(gaussian_coefficients(m, n))
             assert vec == count_by_residue(m, n, m * n + 1)
     announce(8, "product-formula and box-recurrence routes agree for all boxes up to 12 x 12")
 

@@ -205,13 +205,56 @@ def test_residue_sums_past_the_int_digit_limit(capsys):
     code, out, _ = run(capsys, "residue-sums", "8000", "8000", "2")
     assert time.perf_counter() - started < 5
     assert code == 0
-    # the Gaussian binomial at q = 1 and at q = -1
+    # the Gaussian binomial at q = 1 and at q = -1; `main` restores the limit
+    # when it returns, so the test lifts it again to parse the sums
     total, alternating = comb(16000, 8000), comb(8000, 4000)
-    assert [int(s) for s in out.split()] == [(total + alternating) // 2, (total - alternating) // 2]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        sums = [int(s) for s in out.split()]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sums == [(total + alternating) // 2, (total - alternating) // 2]
     # a 5001-digit side parses too: the m x 1 box with m = 10^5000 has m + 1 weights
     code, out, _ = run(capsys, "residue-sums", "1" + "0" * 5000, "1", "2")
     assert code == 0
     assert out == "5" + "0" * 4998 + "1 5" + "0" * 4999 + "\n"
+
+
+def test_main_restores_the_int_digit_limit(capsys, monkeypatch):
+    # the limit is lifted only while a command runs, however the command ends
+    def broken(m, n):
+        raise ZeroDivisionError("an internal failure")
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, "coeffs", "2", "2")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run(capsys, "coeffs", "1000", "1000")[0] == 3
+        assert sys.get_int_max_str_digits() == 5000
+        for argv in (("coeffs", "-1", "2"), ("fibers", "2", "5")):
+            assert run_expecting_exit(capsys, *argv)[0] == 2
+            assert sys.get_int_max_str_digits() == 5000
+        monkeypatch.setattr(cli, "gaussian_coefficients", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["coeffs", "2", "2"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_binomial_digit_estimate_is_never_short():
+    # every C(top, b) below 700 by Pascal's rule, and the powers of ten
+    # C(10^j, 1), whose log10 is an integer, so an estimate a little low loses a digit
+    row = [1]
+    for top in range(700):
+        for b, value in enumerate(row):
+            digits = len(str(value))
+            assert digits <= cli._binomial_digits(top, b) <= digits + 1, (top, b)
+        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
+    for j in range(15):
+        assert j + 1 <= cli._binomial_digits(10**j, 1) <= j + 2, j
 
 
 def test_fibers_table(capsys):

@@ -8,11 +8,11 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qfiber
 from qfiber.errors import EnumerationCapError
 from qfiber.partitions import Partition, count_restricted, enumerate_restricted
 from qfiber.surjections import (
     GROUPS,
-    Orbit,
     StepSequence,
     ThresholdSequence,
     act_cyclic,
@@ -287,8 +287,9 @@ def test_orbit_histogram_units_6_6_against_raw_recount():
 def test_orbits_partition_the_sequences():
     for group in ("cyclic", "units", "symmetric"):
         result = orbits(4, 4, group)
-        assert all(isinstance(o, Orbit) and o.group_tag == group for o in result)
-        union = [s for o in result for s in o.elements]
+        assert all(isinstance(o, frozenset) for o in result)
+        assert [min(o) for o in result] == sorted(min(o) for o in result)
+        union = [s for o in result for s in o]
         assert len(union) == comb(7, 3)
         assert len(set(union)) == len(union)
 
@@ -304,10 +305,10 @@ def test_orbit_sizes_divide_group_order():
 
 def test_orbits_closed_under_generators():
     for o in orbits(4, 3, "cyclic"):
-        assert {act_cyclic(s, 1) for s in o.elements} == set(o.elements)
+        assert {act_cyclic(s, 1) for s in o} == o
     for o in orbits(4, 3, "symmetric"):
         for sigma in permutations(range(1, 4)):
-            assert {act_symmetric(s, sigma) for s in o.elements} == set(o.elements)
+            assert {act_symmetric(s, sigma) for s in o} == o
 
 
 def test_coprime_cyclic_orbits_cover_all_classes():
@@ -317,7 +318,7 @@ def test_coprime_cyclic_orbits_cover_all_classes():
         assert gcd(k, l) == 1
         for o in orbits(k, l, "cyclic"):
             assert len(o) == l
-            classes = sorted(integral(s) % l for s in o.elements)
+            classes = sorted(integral(s) % l for s in o)
             assert classes == list(range(l))
 
 
@@ -368,6 +369,11 @@ def test_orbit_histogram_edges_and_sylow_products():
     for k, l in ((2, 21), (2, 24), (3, 15), (2, 63), (1, 120)):
         expected = Counter(len(o) for o in orbits(k, l, "units"))
         assert orbit_histogram(k, l, "units") == expected
+
+
+def test_package_exports_the_orbit_histogram():
+    assert qfiber.orbit_histogram is qfiber.surjections.orbit_histogram
+    assert "orbit_histogram" in qfiber.__all__
 
 
 @pytest.mark.parametrize("group", GROUPS)

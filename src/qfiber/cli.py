@@ -126,27 +126,27 @@ def _emit(
 
 
 def _binomial_digits(top: int, bottom: int) -> int:
-    """Estimated decimal digits of C(top, bottom), with k the smaller of
-    bottom and top - bottom.  Below top = 10^15 it is never short: Stirling's
-    series, with Robbins' bounds 1/(12n+1) < t_n < 1/(12n) on the remainder
-    of ln n!, bounds ln C(top, k) from above to within 0.03, in terms that
-    do not cancel, and a margin of 10^-14 of it covers the rounding; so it
-    is at most one digit over for outputs below 10^13 digits.  Beyond
-    10^15 it is from C(top, k) >= (top/k)^k, and once k passes 2^64 from
-    C(top, k) >= 2^k."""
+    """Estimated decimal digits of C(top, bottom), never short at any size.
+    With k the smaller of bottom and top - bottom and rest = top - k,
+    Stirling's series, with Robbins' bounds 1/(12n+1) < t_n < 1/(12n) on the
+    remainder of ln n!, bounds ln C(top, k) from above to within 0.03 by
+    k (ln(top/k) + (rest/k) ln(top/rest)), half of ln(top / (2 pi k rest))
+    as a sum of logs, and the remainders.  Every float stays in range, k
+    multiplies the digits per mark exactly, and a margin of 10^-14 covers
+    the rounding, so it is at most one digit over for outputs below 10^13
+    digits."""
     k = min(bottom, top - bottom)
     if k == 0:
         return 1
-    if k.bit_length() > 64:
-        return 3 * k // 10
-    if top < 10**15:
-        rest = top - k
-        ln = k * log(rest / k) - top * log1p(-k / top) + log(top / (2 * pi * k * rest)) / 2
-        ln += 1 / (12 * top) - 1 / (12 * k + 1) - 1 / (12 * rest + 1)
-        ln *= 1 + 1e-14
-    else:
-        ln = k * (log(top) - log(k))
-    return int(ln / log(10)) + 1
+    rest = top - k
+    # ln(top/k) from a quotient below 2^65, top rounded down by the shift
+    shift = max(top.bit_length() - k.bit_length() - 64, 0)
+    ratio = k / rest  # 0.0 only below the smallest float, where log1p(x) / x is 1
+    tail = (log(top) - log(2 * pi) - log(k) - log(rest)) / 2
+    tail += 1 / (12 * top) - 1 / (12 * k + 1) - 1 / (12 * rest + 1)
+    per_mark = log((top >> shift) / k) + shift * log(2) + (log1p(ratio) / ratio if ratio else 1)
+    mark, den = ((per_mark + tail * (1 / k)) * (1 + 1e-14) / log(10)).as_integer_ratio()
+    return k * mark // den + 1
 
 
 def _check_table_size(

@@ -85,7 +85,12 @@ def _evaluate(side: Callable[[], Values]) -> tuple[Values, bool]:
     try:
         return side(), True
     except ArithmeticError as exc:
-        return f"{type(exc).__name__}: {exc}", False
+        return _error_text(exc), False
+
+
+def _error_text(exc: ArithmeticError) -> str:
+    """How a report holds an error in place of a value."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _ordered(reports: list[CheckReport]) -> list[CheckReport]:
@@ -231,12 +236,12 @@ def _orbit_starts(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
         yield CoveringPoint(nodes, ring_size)
 
 
-def _covering_walk(ring_size: int, marked: int) -> tuple[int, int | ArithmeticError, int]:
+def _covering_walk(ring_size: int, marked: int) -> tuple[int, int | str, int]:
     """Count, in one pass over the covering points with first mark in
     [1, ring_size], the points, those that `reconstruct` round-trips and
-    those whose shift raises the position sum by ring_size.  An
-    ArithmeticError from `reconstruct` takes the place of the round-trip
-    count, and the walk goes on.
+    those whose shift is the covering shift.  An ArithmeticError from
+    `reconstruct` takes the place of the round-trip count, as the text a
+    failed check reports, and the walk goes on.
 
     The points are walked by shift orbits.  With N = ring_size and r =
     marked, shift^k(c) has first mark c_(k+1) for an r-subset c of [1, N]
@@ -246,11 +251,10 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int, int | ArithmeticEr
     all r.  Hence the points are the r * C(N, r) distinct shift^k(c).
 
     Only the C(N, r) starting points c are built here; each later point is
-    the validated output of `shift_action` that the shift check already
-    computed, along with its position sum.  The walk steps to that output
-    only if its positions are the expected shift, and otherwise builds the
-    expected point itself, so the walked set does not depend on the
-    function under test.
+    the output of `shift_action`, and the walk's own position sum goes up by
+    N at each step.  A point counts for the shift check only if its shift
+    has the positions (j_2, ..., j_r, j_1 + N) and that raised sum, so a
+    wrong shift fails the check wherever the walk meets it.
     """
     n = ring_size
     points = round_trips = shifted = 0
@@ -263,25 +267,13 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int, int | ArithmeticEr
                 try:
                     round_trips += reconstruct(total, relative_positions(point)) == point
                 except ArithmeticError as exc:
-                    failure = exc
-            moved = shift_action(point, 1)
-            moved_total = moved.center_sum
-            shifted += moved_total == total + n
+                    failure = _error_text(exc)
             positions = point.positions
-            expected = positions[1:] + (positions[0] + n,)
-            if moved.positions == expected:
-                point, total = moved, moved_total
-            else:
-                point = CoveringPoint(expected, n)
-                total = point.center_sum
+            point = shift_action(point, 1)
+            total += n
+            shifted += point.positions == positions[1:] + (positions[0] + n,) and (
+                point.center_sum == total)
     return points, round_trips if failure is None else failure, shifted
-
-
-def _raised(value: Values | ArithmeticError) -> Values:
-    """The value, or raise it if it is an error."""
-    if isinstance(value, ArithmeticError):
-        raise value
-    return value
 
 
 def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
@@ -291,11 +283,12 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
     partition-bijection fiber tables must agree; coprime (N, r) must give a
     constant table; N a multiple of an odd prime r must put a single +1
     excess at class 0; and reconstruction from (position sum, gap vector)
-    must invert on every covering point with first mark in [1, N], where the
-    shift also raises the position sum by exactly N.  Those N * C(N-1, r-1)
-    points are the r shifts of each of the C(N, r) points with every mark in
-    [1, N], so `_covering_walk` builds only these and reaches the others
-    along the shift it checks.
+    must invert on every covering point with first mark in [1, N], where
+    `shift_action` must move the first mark up by N to the end, which raises
+    the position sum by exactly N.  Those N * C(N-1, r-1) points are the r
+    shifts of each of the C(N, r) points with every mark in [1, N], so
+    `_covering_walk` builds only these and follows `shift_action` to the
+    others; a round-trip count that is error text fails its check.
     """
     if ring_max < 3:
         raise ValueError("ring_max must be at least 3")
@@ -323,7 +316,7 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
             for check_id, counted in (
                 ("covering-roundtrip", round_trips), ("covering-shift", shifted)
             ):
-                report = _check(check_id, params, lambda: points, lambda: _raised(counted))
+                report = _check(check_id, params, lambda: points, lambda: counted)
                 report.elapsed += share
                 reports.append(report)
     return _ordered(reports)

@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import time
-from math import comb
+from math import comb, log10, sqrt
 from pathlib import Path
 
 import pytest
@@ -194,6 +194,11 @@ def test_table_guards_read_the_environment_cap(capsys, monkeypatch):
     assert code == 3 and "estimated output of 14 digits exceeds the cap of 13" in err
     monkeypatch.setenv("QFIBER_MAX_ENUM", "14")
     assert run(capsys, "coeffs", "3", "2")[:2] == (0, "1 1 2 2 2 1 1\n")
+    # residue-sums 999999999999999 1 1: one sum, C(10^15, 1), of 16 digits
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "15")
+    code, out, err = run(capsys, "residue-sums", "999999999999999", "1", "1")
+    assert code == 3 and out == ""
+    assert "estimated output of 16 digits exceeds the cap of 15" in err
     # the table commands take no --max-enum flag
     code, _, _ = run_expecting_exit(capsys, "coeffs", "3", "2", "--max-enum", "100")
     assert code == 2
@@ -255,6 +260,17 @@ def test_binomial_digit_estimate_is_never_short():
         row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
     for j in range(15):
         assert j + 1 <= cli._binomial_digits(10**j, 1) <= j + 2, j
+    # tops from 10^15 on, where (top/k)^k is a digit short at C(10^15, 1)
+    for j in range(15, 41):
+        for b in range(1, 51):
+            digits = len(str(comb(10**j, b)))
+            assert digits <= cli._binomial_digits(10**j, b) <= digits + 1, (j, b)
+    # k past 2^64, where 3k/10 digits is short: C(2k, k) >= 4^k / (2 sqrt(k))
+    k = 2**65
+    assert cli._binomial_digits(2 * k, k) >= k * log10(4) - log10(2 * sqrt(k))
+    # every float stays in range at 10^400, for any k
+    for b in (1, 50, 10**200, 10**400 // 2, 10**400 - 1):
+        assert cli._binomial_digits(10**400, b) > 0
 
 
 def test_fibers_table(capsys):
@@ -419,6 +435,8 @@ def test_verify_small_all_pass(capsys):
 def test_verify_all_default_bounds_pass(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1ea956789d5187b0913f3a99b5a87c398e0dc974958c766c5d5836432324ee95")
     summary = out.strip().splitlines()[-1]
     total = int(summary.split()[0])
     assert f"{total} of {total} checks passed" == summary

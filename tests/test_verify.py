@@ -258,9 +258,10 @@ def test_orbit_walk_visits_each_covering_point_once(monkeypatch):
     assert_walk_covers_first_mark_points(monkeypatch)
 
 
-def test_orbit_walk_does_not_follow_a_wrong_shift(monkeypatch):
-    # a shift with the right position sum but the wrong positions fails the
-    # shift check nowhere, so only the walk's own guard keeps the walked set
+def test_wrong_shift_fails_only_the_shift_check(monkeypatch):
+    # a shift with the right position sum but the wrong positions: the walk
+    # follows it, and every (N, r) where it moves a point off the covering
+    # shift fails covering-shift, and nothing else fails
     shift = verify.shift_action
 
     def wrong(point, steps):
@@ -270,14 +271,30 @@ def test_orbit_walk_does_not_follow_a_wrong_shift(monkeypatch):
             return moved
         return CoveringPoint((positions[0] - 1, *positions[1:-1], positions[-1] + 1), n)
 
+    altered = {
+        (n, r)
+        for n in range(1, 10)
+        for r in range(1, n + 1)
+        for first in range(1, n + 1)
+        for rest in combinations(range(first + 1, first + n), r - 1)
+        if wrong(CoveringPoint((first, *rest), n), 1) != shift(CoveringPoint((first, *rest), n), 1)
+    }
     monkeypatch.setattr(verify, "shift_action", wrong)
-    assert_walk_covers_first_mark_points(monkeypatch)
-    reports = check_fibrations(9)
-    assert not failures(reports)
-    for report in reports:
-        if report.check_id == "covering-roundtrip":
-            n, r = report.parameters["N"], report.parameters["r"]
-            assert report.actual == r * comb(n, r)
+    failed = failures(check_fibrations(9))
+    assert {r.check_id for r in failed} == {"covering-shift"}
+    assert {(r.parameters["N"], r.parameters["r"]) for r in failed} == altered
+    assert len(altered) == 21
+
+
+def test_reconstruct_to_another_point_fails_only_the_round_trip(monkeypatch):
+    # a valid covering point, but r shifts away from the one with that sum
+    rebuild, shift = verify.reconstruct, verify.shift_action
+    monkeypatch.setattr(
+        verify, "reconstruct", lambda total, gaps: shift(rebuild(total, gaps), len(gaps.gaps)))
+    reports = check_fibrations(7)
+    failed = failures(reports)
+    assert failed == [r for r in reports if r.check_id == "covering-roundtrip"]
+    assert all(r.actual == 0 for r in failed)
 
 
 def test_check_fibrations_prime_gap_hypotheses():

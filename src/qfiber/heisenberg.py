@@ -12,17 +12,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
-from operator import add, lt, mul, sub
+from operator import add, index, lt, mul, sub
 from typing import Iterable, Iterator, Union
 
 from .errors import EnumerationCapError
 from .qbinomial import _binomial_exceeds, residue_sums
 
-# The constructors below run on every covering point of `verify fibrations`.
-# Each validates its arguments before storing them, in one hand-written
-# __init__ (equality, ordering, hashing and repr stay generated), and its
-# loops are builtins (map, all, min) rather than generator frames.
+# Values are validated once, where they enter the library: each class below
+# checks its arguments in one hand-written __init__ before storing them
+# (equality, ordering, hashing and repr stay generated), with builtin loops
+# (map, all, min) rather than generator frames.  The maps further down take
+# an instance of exactly the class as valid, and build their results, which
+# are valid by construction, with `_built`; any other argument goes through
+# the public constructor first.
 _set = object.__setattr__
+
+
+def _built(cls, marks, ring_size):
+    """An instance of `cls` holding `marks` (its first field) and `ring_size`
+    as given, unchecked: only for values that obey every rule of `cls`."""
+    built = object.__new__(cls)
+    _set(built, cls.__match_args__[0], marks)
+    _set(built, "ring_size", ring_size)
+    return built
 
 
 @dataclass(frozen=True, order=True, init=False)
@@ -35,6 +47,8 @@ class Configuration:
     def __init__(self, nodes: Iterable[int], ring_size: int) -> None:
         if type(nodes) is not tuple:
             nodes = tuple(nodes)
+        if not isinstance(ring_size, int):
+            raise ValueError(f"ring_size must be an integer: {ring_size!r}")
         if ring_size < 1:
             raise ValueError("ring_size must be positive")
         if not all(map(isinstance, nodes, repeat(int))):
@@ -57,6 +71,8 @@ class CoveringPoint:
     def __init__(self, positions: Iterable[int], ring_size: int) -> None:
         if type(positions) is not tuple:
             positions = tuple(positions)
+        if not isinstance(ring_size, int):
+            raise ValueError(f"ring_size must be an integer: {ring_size!r}")
         if ring_size < 1:
             raise ValueError("ring_size must be positive")
         if not all(map(isinstance, positions, repeat(int))):
@@ -84,6 +100,8 @@ class RelativePositions:
     def __init__(self, gaps: Iterable[int], ring_size: int) -> None:
         if type(gaps) is not tuple:
             gaps = tuple(gaps)
+        if not isinstance(ring_size, int):
+            raise ValueError(f"ring_size must be an integer: {ring_size!r}")
         if not gaps:
             raise ValueError("need at least one gap")
         if not (all(map(isinstance, gaps, repeat(int))) and min(gaps) >= 1):
@@ -111,24 +129,41 @@ def center_projection(c: Configuration) -> int:
 
 def relative_positions(point: Union[Configuration, CoveringPoint]) -> RelativePositions:
     """Gap vector of a configuration or covering point: consecutive
-    differences plus the wrap-around gap back to the first mark."""
-    marks = point.nodes if isinstance(point, Configuration) else point.positions
+    differences plus the wrap-around gap back to the first mark.
+
+    The marks of a valid point are strictly increasing integers spanning
+    less than N = ring_size, so the differences are positive integers, the
+    wrap gap N + j_1 - j_r is at least 1, and all the gaps sum to N.
+    """
+    if type(point) not in (Configuration, CoveringPoint):
+        point = (Configuration(point.nodes, point.ring_size) if isinstance(point, Configuration)
+                 else CoveringPoint(point.positions, point.ring_size))
+    marks = point.nodes if type(point) is Configuration else point.positions
     if not marks:
         raise ValueError("need at least one marked node")
     n = point.ring_size
     gaps = (*map(sub, marks[1:], marks), n + marks[0] - marks[-1])
-    return RelativePositions(gaps, n)
+    return _built(RelativePositions, gaps, n)
 
 
 def reconstruct(center_sum: int, t: RelativePositions) -> CoveringPoint:
     """The unique covering point with the given position sum and gap vector.
 
     Writing r for the number of gaps, the weighted sum center_sum +
-    sum_beta beta * t_beta must vanish mod r (otherwise ValueError); the
-    positions are then (that sum)/r minus the trailing gap sums.  Raises
+    sum_beta beta * t_beta must vanish mod r (otherwise ValueError, as for
+    a center_sum that is not an int); the positions are then (that sum)/r
+    minus the trailing gap sums.  Raises
     ArithmeticError if the rebuilt point does not have the given sum.
+
+    The positions are the prefix sums of the positive integers
+    t_1, ..., t_(r-1) from an integer start, so they strictly increase, and
+    their span N - t_r is less than N = ring_size.
     """
-    gaps = t.gaps
+    if not isinstance(center_sum, int):
+        raise ValueError(f"center_sum must be an integer: {center_sum!r}")
+    if type(t) is not RelativePositions:
+        t = RelativePositions(t.gaps, t.ring_size)
+    gaps, n = t.gaps, t.ring_size
     r = len(gaps)
     weighted = sum(map(mul, range(1, r + 1), gaps))
     lead, remainder = divmod(center_sum + weighted, r)
@@ -136,8 +171,8 @@ def reconstruct(center_sum: int, t: RelativePositions) -> CoveringPoint:
         raise ValueError(
             f"center sum {center_sum} is incompatible with the gap vector {gaps}"
         )
-    positions = tuple(accumulate(gaps[:-1], initial=lead - t.ring_size))
-    point = CoveringPoint(positions, t.ring_size)
+    positions = tuple(accumulate(gaps[:-1], initial=lead - n))
+    point = _built(CoveringPoint, positions, n)
     if point.center_sum != center_sum:
         raise ArithmeticError(
             f"reconstructed {point.positions} has position sum {point.center_sum}, "
@@ -149,16 +184,24 @@ def reconstruct(center_sum: int, t: RelativePositions) -> CoveringPoint:
 def shift_action(point: CoveringPoint, steps: int = 1) -> CoveringPoint:
     """Apply the covering shift `steps` times; one step sends
     (j_1, ..., j_r) to (j_2, ..., j_r, j_1 + ring_size).  Negative steps
-    apply the inverse."""
+    apply the inverse.
+
+    With N = ring_size and p = steps mod r, the result is the point moved
+    by a multiple of N, rotated by p and with N added to the p marks moved
+    to the end.  As j_r < j_1 + N, it strictly increases, and its span
+    j_p + N - j_(p+1) is less than N.
+    """
+    if type(point) is not CoveringPoint:
+        point = CoveringPoint(point.positions, point.ring_size)
     positions, n = point.positions, point.ring_size
     r = len(positions)
     if r == 0:
         return point
-    whole, part = divmod(steps, r)
+    whole, part = divmod(index(steps), r)
     if whole:
         positions = tuple(map(add, positions, repeat(whole * n)))
     moved = positions[part:] + tuple(map(add, positions[:part], repeat(n)))
-    return CoveringPoint(moved, n)
+    return _built(CoveringPoint, moved, n)
 
 
 def _check_gap_vector_count(ring_size: int, marked: int, max_elements: int | None) -> None:

@@ -50,7 +50,8 @@ Values = Union[int, list[int], str]
 class CheckReport:
     """Outcome of one identity check; passes iff expected equals actual.
 
-    A side that raised ArithmeticError holds the error text instead of a
+    A side that raised ArithmeticError, or a covering round trip that
+    raised ArithmeticError or ValueError, holds the error text instead of a
     value, and the check fails.  `elapsed` is the time taken to evaluate
     both sides of the check; the two covering checks of one (N, r) share a
     single walk over its points and each carry half of its time.
@@ -88,7 +89,7 @@ def _evaluate(side: Callable[[], Values]) -> tuple[Values, bool]:
         return _error_text(exc), False
 
 
-def _error_text(exc: ArithmeticError) -> str:
+def _error_text(exc: ArithmeticError | ValueError) -> str:
     """How a report holds an error in place of a value."""
     return f"{type(exc).__name__}: {exc}"
 
@@ -239,9 +240,10 @@ def _orbit_starts(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
 def _covering_walk(ring_size: int, marked: int) -> tuple[int, int | str, int]:
     """Count, in one pass over the covering points with first mark in
     [1, ring_size], the points, those that `reconstruct` round-trips and
-    those whose shift is the covering shift.  An ArithmeticError from
-    `reconstruct` takes the place of the round-trip count, as the text a
-    failed check reports, and the walk goes on.
+    those whose shift is the covering shift.  An ArithmeticError or
+    ValueError from the round trip takes the place of its count, as the
+    text a failed check reports, and the walk goes on: `reconstruct` raises
+    ValueError when a wrong shift leaves the point off the walk's own sum.
 
     The points are walked by shift orbits.  With N = ring_size and r =
     marked, shift^k(c) has first mark c_(k+1) for an r-subset c of [1, N]
@@ -266,7 +268,7 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int, int | str, int]:
             if failure is None:
                 try:
                     round_trips += reconstruct(total, relative_positions(point)) == point
-                except ArithmeticError as exc:
+                except (ArithmeticError, ValueError) as exc:
                     failure = _error_text(exc)
             positions = point.positions
             point = shift_action(point, 1)

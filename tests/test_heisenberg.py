@@ -2,8 +2,10 @@
 
 import re
 import time
+from dataclasses import fields
 from itertools import combinations
 from math import comb, gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -249,6 +251,14 @@ def far_covering_points(draw):
     return CoveringPoint((first, *sorted(first + c for c in cuts)), n)
 
 
+def assert_rebuilds(value, cls):
+    """`value` is exactly a `cls`, and `cls`'s own constructor takes its
+    fields back to an equal, equal-hashing value."""
+    assert type(value) is cls
+    again = cls(*(getattr(value, field.name) for field in fields(cls)))
+    assert again == value and hash(again) == hash(value)
+
+
 @given(far_covering_points(), st.integers(min_value=1, max_value=10**6), st.data())
 def test_round_trip_and_shift_law_off_the_suite_range(point, size, data):
     n, r = point.ring_size, len(point.positions)
@@ -258,6 +268,61 @@ def test_round_trip_and_shift_law_off_the_suite_range(point, size, data):
     a = data.draw(steps) * data.draw(st.sampled_from((1, -1)))
     b = data.draw(steps) * data.draw(st.sampled_from((1, -1)))
     assert shift_action(shift_action(point, a), b) == shift_action(point, a + b)
+    # the maps build their results without re-checking them: each must obey
+    # every rule of its class
+    k = data.draw(st.integers(min_value=-10**6, max_value=10**6))
+    rebuilt = reconstruct(point.center_sum + k * r * n, relative_positions(point))
+    assert rebuilt == shift_action(point, k * r)
+    configuration = Configuration(sorted((j - 1) % n + 1 for j in point.positions), n)
+    assert_rebuilds(relative_positions(point), RelativePositions)
+    assert_rebuilds(relative_positions(configuration), RelativePositions)
+    assert_rebuilds(rebuilt, CoveringPoint)
+    assert_rebuilds(shift_action(point, data.draw(st.integers(-3 * r, 3 * r))), CoveringPoint)
+
+
+def test_maps_validate_arguments_not_exactly_of_their_class():
+    for call in (
+        lambda: reconstruct(3.0, RelativePositions((1, 1, 1), 3)),
+        lambda: shift_action(SimpleNamespace(positions=(3, 1), ring_size=5), 1),
+        lambda: relative_positions(SimpleNamespace(positions=(1, 9), ring_size=5)),
+        lambda: reconstruct(3, SimpleNamespace(gaps=(0, 3), ring_size=3)),
+        # a compatible sum, which would rebuild the point (2, 2)
+        lambda: reconstruct(4, SimpleNamespace(gaps=(0, 3), ring_size=3)),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    point = CoveringPoint((-2, 0, 1), 5)
+    duck = SimpleNamespace(positions=point.positions, ring_size=5)
+    gaps = relative_positions(point)
+    assert_rebuilds(relative_positions(duck), RelativePositions)
+    assert relative_positions(duck) == gaps
+    for steps in (-4, 0, 1, 7):
+        assert_rebuilds(shift_action(duck, steps), CoveringPoint)
+        assert shift_action(duck, steps) == shift_action(point, steps)
+    rebuilt = reconstruct(point.center_sum, SimpleNamespace(gaps=gaps.gaps, ring_size=5))
+    assert_rebuilds(rebuilt, CoveringPoint)
+    assert rebuilt == point
+
+
+def test_integer_rules_the_maps_rely_on():
+    # a float ring size or step count would carry floats into the positions
+    # and gaps that the maps build unchecked, so neither gets that far
+    for cls, marks in (
+        (Configuration, (1, 3)), (CoveringPoint, (1, 3)), (RelativePositions, (2, 3))
+    ):
+        with pytest.raises(ValueError, match=re.escape("ring_size must be an integer: 5.0")):
+            cls(marks, 5.0)
+    point = CoveringPoint((1, 3), 5)
+    for steps in (1.0, 2.0):
+        with pytest.raises(TypeError):
+            shift_action(point, steps)
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert_rebuilds(shift_action(point, Three()), CoveringPoint)
+    assert shift_action(point, Three()).positions == (8, 11)
 
 
 def test_shift_orbits_recover_configurations():

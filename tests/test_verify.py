@@ -1,6 +1,7 @@
 """Tests for the verification harness itself."""
 
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from math import comb, gcd
 
@@ -284,6 +285,46 @@ def test_wrong_shift_fails_only_the_shift_check(monkeypatch):
     assert {r.check_id for r in failed} == {"covering-shift"}
     assert {(r.parameters["N"], r.parameters["r"]) for r in failed} == altered
     assert len(altered) == 21
+
+
+def test_shift_off_the_walks_sum_fails_the_covering_checks_without_ending_the_sweep(monkeypatch):
+    # the walk rebuilds each point from its own running sum, so a shift that
+    # drops the last mark by one makes `reconstruct` raise ValueError
+    shift = verify.shift_action
+
+    def dropped(point, steps):
+        moved = shift(point, steps)
+        positions, n = moved.positions, point.ring_size
+        if len(positions) < 2 or positions[-1] - 1 == positions[-2]:
+            return moved
+        return CoveringPoint((*positions[:-1], positions[-1] - 1), n)
+
+    monkeypatch.setattr(verify, "shift_action", dropped)
+    failed = failures(check_fibrations(6))
+    assert sorted(Counter(r.check_id for r in failed).items()) == [
+        ("covering-roundtrip", 10), ("covering-shift", 10)]
+    [first] = [r for r in failed if r.parameters == {"N": 3, "r": 2}
+               and r.check_id == "covering-roundtrip"]
+    assert first.actual == "ValueError: center sum 6 is incompatible with the gap vector (1, 2)"
+
+
+def test_forged_shift_fails_the_covering_checks_without_ending_the_sweep(monkeypatch):
+    # a shift that returns a CoveringPoint breaking its rules, made without
+    # its constructor: the maps take it as valid, and the shift check fails
+    shift = verify.shift_action
+
+    def forged(point, steps):
+        moved = shift(point, steps)
+        if len(moved.positions) < 2:
+            return moved
+        bad = object.__new__(CoveringPoint)
+        object.__setattr__(bad, "positions", moved.positions[::-1])
+        object.__setattr__(bad, "ring_size", moved.ring_size)
+        return bad
+
+    monkeypatch.setattr(verify, "shift_action", forged)
+    failed = failures(check_fibrations(6))
+    assert failed and {r.check_id for r in failed} <= {"covering-roundtrip", "covering-shift"}
 
 
 def test_reconstruct_to_another_point_fails_only_the_round_trip(monkeypatch):

@@ -22,7 +22,6 @@ from .partitions import (
     Partition,
     count_by_residue,
     count_exact_parts_by_residue,
-    count_restricted,
     enumerate_restricted,
 )
 from .qbinomial import (
@@ -78,7 +77,6 @@ __all__ = [
     "Partition",
     "count_by_residue",
     "count_exact_parts_by_residue",
-    "count_restricted",
     "enumerate_restricted",
     "coprime_class_sum",
     "gaussian_coefficients",

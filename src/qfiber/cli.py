@@ -23,8 +23,10 @@ bound on the kernel, which computes only the low half of the palindromic
 vector and mirrors it (so `coeffs 216 216` still exits 3); `residue-sums m n r`
 and `fibers N r`, checked as `residue-sums N-r r-1 r`, `residue_sums_work`
 after its lower bound 2r, so a huge r is never factored; all three their
-output digits; `orbits` the C(k+l-1, l-1) step sequences enumeration
-would build; `verify` the covering points of its fibrations sweep, then
+output digits, the total of `fibers` counted as an entry; `orbits` the
+C(k+l-1, l-1) step sequences enumeration would build; `verify` the trial
+divisions that test its --primes, at most isqrt(p) each, then (exit 2 if
+they are not odd primes) the covering points of its fibrations sweep and
 `verify.suite_work` of its other suites.  `verify --timings` writes the
 time per check id and the ten slowest checks to stderr.
 
@@ -44,7 +46,7 @@ import json
 import os
 import sys
 from itertools import chain
-from math import comb, log, log1p, pi
+from math import comb, isqrt, log, log1p, pi
 from typing import Iterable
 
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
@@ -85,16 +87,11 @@ def _positive(text: str) -> int:
 
 
 def _prime_list(text: str) -> tuple[int, ...]:
-    """The --primes text as the tuple of its comma-separated odd primes."""
+    """The --primes text as a tuple of integers; `_validate` checks them."""
     try:
-        primes = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
-    try:
-        _validate_primes(primes)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return primes
 
 
 def _emit(
@@ -163,11 +160,10 @@ def _check_table_size(
         raise EnumerationCapError(f"estimated output of {digits} digits exceeds the cap of {cap}")
 
 
-def _check_class_sums(args: argparse.Namespace, m: int, n: int, r: int) -> None:
-    """Refuse the class sums mod r of the m x n box past the cap: their work,
-    first as its lower bound 2r so a huge r is never factored, and digits."""
-    work = 2 * r if 2 * r > args.max_enum else residue_sums_work(m, n, r)
-    _check_table_size(args, work, r, m + n, n)
+def _class_sum_work(args: argparse.Namespace, m: int, n: int, r: int) -> int:
+    """The work of the class sums mod r of the m x n box, or its lower bound
+    2r once that passes the cap, so a huge r is never factored."""
+    return 2 * r if 2 * r > args.max_enum else residue_sums_work(m, n, r)
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
@@ -182,7 +178,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 def _cmd_residue_sums(args: argparse.Namespace) -> int:
     m, n, r = args.m, args.n, args.r
-    _check_class_sums(args, m, n, r)
+    _check_table_size(args, _class_sum_work(args, m, n, r), r, m + n, n)
     values = [str(v) for v in residue_sums(m, n, r)]
     rows = ([str(i), v] for i, v in enumerate(values))
     parameters = {"m": m, "n": n, "r": r}
@@ -192,8 +188,9 @@ def _cmd_residue_sums(args: argparse.Namespace) -> int:
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
     n, r = args.ring_size, args.marked
-    # the fibers are the class sums of the (N-r) x (r-1) box, reordered
-    _check_class_sums(args, n - r, r - 1, r)
+    # the fibers are the class sums of the (N-r) x (r-1) box, reordered; with
+    # their total C(N-1, r-1), which bounds each, r + 1 numbers are printed
+    _check_table_size(args, _class_sum_work(args, n - r, r - 1, r), r + 1, n - 1, r - 1)
     values = [str(v) for v in delta_fiber_sizes_via_partitions(n, r)]
     total = str(comb(n - 1, r - 1))
     rows = chain(([str(s), v] for s, v in enumerate(values)), [["total", total]])
@@ -383,7 +380,8 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """The argument checks argparse cannot make, as usage errors of the chosen command."""
+    """The argument checks argparse cannot make, as usage errors of the chosen
+    command.  --primes is tested only once the cap admits the test's work."""
     parser = args.command_parser
     # the cap: --max-enum, else QFIBER_MAX_ENUM (checked as the flag is), else 10^7
     if args.max_enum is None:
@@ -394,6 +392,15 @@ def _validate(args: argparse.Namespace) -> None:
             parser.error(f"QFIBER_MAX_ENUM: {exc}")
     if args.command == "fibers" and args.marked > args.ring_size:
         parser.error(f"r={args.marked} must not exceed N={args.ring_size}")
+    if args.command == "verify":
+        steps = sum(isqrt(p) for p in args.primes if p >= 2)  # bounds is_prime's divisions
+        if steps > args.max_enum:
+            raise EnumerationCapError(
+                f"{steps} trial divisions for --primes exceed the cap of {args.max_enum}")
+        try:
+            _validate_primes(args.primes)
+        except ValueError as exc:
+            parser.error(f"argument --primes: {exc}")
     if args.command == "verify" and args.suite in ("main1", "all"):
         if args.k_max < 2 or args.l_max < 2:
             parser.error("--k-max and --l-max must be at least 2")

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import qbinomial
-
 
 @dataclass(frozen=True, order=True)
 class Partition:
@@ -47,19 +45,6 @@ class Partition:
 def _validate_box(max_part: int, max_count: int) -> None:
     if max_part < 0 or max_count < 0:
         raise ValueError("rectangle dimensions must be nonnegative")
-
-
-def count_restricted(max_part: int, max_count: int, weight: int) -> int:
-    """Number of partitions of `weight` into at most max_count parts, each at
-    most max_part.
-
-    Returns 0 for weights outside [0, max_part * max_count] and 1 at weight 0
-    (the zero partition).
-    """
-    _validate_box(max_part, max_count)
-    if weight < 0 or weight > max_part * max_count:
-        return 0
-    return qbinomial.gaussian_coefficients(max_part, max_count)[weight]
 
 
 def enumerate_restricted(max_part: int, max_count: int) -> Iterator[Partition]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb, gcd, prod
 from typing import Callable, Iterator, Sequence
 
@@ -84,12 +84,7 @@ def thresholds_to_steps(t: ThresholdSequence) -> StepSequence:
 
 def steps_to_thresholds(s: StepSequence) -> ThresholdSequence:
     """Partial sums of all but the last step; inverse of thresholds_to_steps."""
-    cuts = []
-    acc = 0
-    for step in s.steps[:-1]:
-        acc += step
-        cuts.append(acc)
-    return ThresholdSequence(tuple(cuts), s.domain_length)
+    return ThresholdSequence(tuple(accumulate(s.steps[:-1])), s.domain_length)
 
 
 def integral(s: StepSequence) -> int:

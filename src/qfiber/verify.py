@@ -24,6 +24,7 @@ from .heisenberg import (
 )
 from .partitions import count_by_residue, count_exact_parts_by_residue
 from .qbinomial import (
+    _divisors,
     coprime_class_sum,
     gaussian_coefficients,
     is_prime,
@@ -45,16 +46,19 @@ REFERENCE_10X9_MOD10 = (9252, 9225, 9250, 9225, 9250, 9226, 9250, 9225, 9250, 92
 
 Values = Union[int, list[int], str]
 
+# The errors a check records as its failure instead of ending the sweep.
+_CHECK_ERRORS = (ArithmeticError, ValueError)
+
 
 @dataclass
 class CheckReport:
     """Outcome of one identity check; passes iff expected equals actual.
 
-    A side that raised ArithmeticError, or a covering round trip that
-    raised ArithmeticError or ValueError, holds the error text instead of a
-    value, and the check fails.  `elapsed` is the time taken to evaluate
-    both sides of the check; the two covering checks of one (N, r) share a
-    single walk over its points and each carry half of its time.
+    A side, or a covering round trip, that raised ArithmeticError or
+    ValueError holds the error text instead of a value, and the check
+    fails.  `elapsed` is the time taken to evaluate both sides of the
+    check; the two covering checks of one (N, r) share a single walk over
+    its points and each carry half of its time.
     """
 
     check_id: str
@@ -72,8 +76,8 @@ def _check(
     actual_fn: Callable[[], Values],
 ) -> CheckReport:
     """Evaluate both sides of one check, timing the two together.  An
-    ArithmeticError on either side fails the check instead of ending the
-    sweep."""
+    ArithmeticError or ValueError on either side fails the check instead of
+    ending the sweep."""
     started = time.perf_counter()
     (expected, expected_ok), (actual, actual_ok) = _evaluate(expected_fn), _evaluate(actual_fn)
     elapsed = time.perf_counter() - started
@@ -82,10 +86,10 @@ def _check(
 
 
 def _evaluate(side: Callable[[], Values]) -> tuple[Values, bool]:
-    """The side's value and True, or its ArithmeticError as text and False."""
+    """The side's value and True, or its error as text and False."""
     try:
         return side(), True
-    except ArithmeticError as exc:
+    except _CHECK_ERRORS as exc:
         return _error_text(exc), False
 
 
@@ -129,9 +133,7 @@ def check_main1(k_max: int = DEFAULT_KL_BOUND, l_max: int = DEFAULT_KL_BOUND) ->
         for l in range(1, l_max + 1):
             if gcd(k, l) != 1:
                 continue
-            for r in range(1, l + 1):
-                if l % r:
-                    continue
+            for r in _divisors(l):
                 reports.append(_check(
                     "main1", {"k": k, "l": l, "r": r},
                     lambda: [coprime_class_sum(k, l, r)] * r,
@@ -237,20 +239,21 @@ def _orbit_starts(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
         yield CoveringPoint(nodes, ring_size)
 
 
-def _covering_walk(ring_size: int, marked: int) -> tuple[int, int | str, int]:
+def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int]:
     """Count, in one pass over the covering points with first mark in
-    [1, ring_size], the points, those that `reconstruct` round-trips and
-    those whose shift is the covering shift.  An ArithmeticError or
-    ValueError from the round trip takes the place of its count, as the
-    text a failed check reports, and the walk goes on: `reconstruct` raises
-    ValueError when a wrong shift leaves the point off the walk's own sum.
+    [1, ring_size], those that `reconstruct` round-trips and those whose
+    shift is the covering shift.  An ArithmeticError or ValueError from the
+    round trip takes the place of its count, as the text a failed check
+    reports, and the walk goes on: `reconstruct` raises ValueError when a
+    wrong shift leaves the point off the walk's own sum.
 
     The points are walked by shift orbits.  With N = ring_size and r =
     marked, shift^k(c) has first mark c_(k+1) for an r-subset c of [1, N]
     and 0 <= k < r, and shift^r(c) = c + N.  Conversely, a point with first
     mark in [1, N] has some k >= 1 of its marks there; its other r - k marks,
     less N, lie below its first mark, so it is shift^(r-k) of the c made of
-    all r.  Hence the points are the r * C(N, r) distinct shift^k(c).
+    all r.  Hence the points are the r * C(N, r) = N * C(N-1, r-1) distinct
+    shift^k(c).
 
     Only the C(N, r) starting points c are built here; each later point is
     the output of `shift_action`, and the walk's own position sum goes up by
@@ -259,23 +262,22 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int, int | str, int]:
     wrong shift fails the check wherever the walk meets it.
     """
     n = ring_size
-    points = round_trips = shifted = 0
+    round_trips = shifted = 0
     failure = None
     for point in _orbit_starts(n, marked):
         total = point.center_sum
         for _ in range(marked):
-            points += 1
             if failure is None:
                 try:
                     round_trips += reconstruct(total, relative_positions(point)) == point
-                except (ArithmeticError, ValueError) as exc:
+                except _CHECK_ERRORS as exc:
                     failure = _error_text(exc)
             positions = point.positions
             point = shift_action(point, 1)
             total += n
             shifted += point.positions == positions[1:] + (positions[0] + n,) and (
                 point.center_sum == total)
-    return points, round_trips if failure is None else failure, shifted
+    return round_trips if failure is None else failure, shifted
 
 
 def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
@@ -284,13 +286,12 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
     For every ring size N <= ring_max and 1 <= r <= N: the enumeration and
     partition-bijection fiber tables must agree; coprime (N, r) must give a
     constant table; N a multiple of an odd prime r must put a single +1
-    excess at class 0; and reconstruction from (position sum, gap vector)
-    must invert on every covering point with first mark in [1, N], where
-    `shift_action` must move the first mark up by N to the end, which raises
-    the position sum by exactly N.  Those N * C(N-1, r-1) points are the r
-    shifts of each of the C(N, r) points with every mark in [1, N], so
-    `_covering_walk` builds only these and follows `shift_action` to the
-    others; a round-trip count that is error text fails its check.
+    excess at class 0.  One `_covering_walk` counts, of the r * C(N, r)
+    covering points with first mark in [1, N], those on which `reconstruct`
+    inverts `relative_positions` and those that `shift_action` moves right,
+    and each count must equal that closed form.  The round trip checks only
+    the arithmetic of the two maps, so a point that breaks the covering
+    rules still round-trips: `covering-shift` catches a forged shift.
     """
     if ring_max < 3:
         raise ValueError("ring_max must be at least 3")
@@ -313,12 +314,12 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
                     "fibers-prime-gap", params,
                     lambda: [common + 1] + [common] * (r - 1), lambda: table))
             started = time.perf_counter()
-            points, round_trips, shifted = _covering_walk(n, r)
+            round_trips, shifted = _covering_walk(n, r)
             share = (time.perf_counter() - started) / 2
             for check_id, counted in (
                 ("covering-roundtrip", round_trips), ("covering-shift", shifted)
             ):
-                report = _check(check_id, params, lambda: points, lambda: counted)
+                report = _check(check_id, params, lambda: r * comb(n, r), lambda: counted)
                 report.elapsed += share
                 reports.append(report)
     return _ordered(reports)

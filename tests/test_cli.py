@@ -406,14 +406,21 @@ def test_fibers_guard_estimates_the_class_sum_work(capsys, monkeypatch):
     code, out, _ = run(capsys, "fibers", "1000000", "1000000")
     assert time.perf_counter() - started < 2
     assert (code, out) == (0, one_gap_vector(1000000))
-    # fibers 100 3: work 2 * (1 + 3) + 1, output 3 fibers of at most 4 digits (C(99, 2) = 4851)
-    monkeypatch.setenv("QFIBER_MAX_ENUM", "11")
+    # fibers 100 3: work 2 * (1 + 3) + 1, output 3 fibers and their total, each
+    # of at most 4 digits (C(99, 2) = 4851)
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "15")
     code, _, err = run(capsys, "fibers", "100", "3")
-    assert code == 3 and "estimated output of 12 digits exceeds the cap of 11" in err
+    assert code == 3 and "estimated output of 16 digits exceeds the cap of 15" in err
     assert tables[-1] != (100, 3)
-    code, out, _ = run(capsys, "fibers", "100", "3", "--max-enum", "12")
+    code, out, _ = run(capsys, "fibers", "100", "3", "--max-enum", "16")
     assert (code, out) == (0, "1617 1617 1617\ntotal 4851\n")
     assert tables[-1] == (100, 3)
+    # fibers 100001 2: 2 fibers and the total 100000, 3 numbers of at most 6 digits
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "17")
+    code, out, err = run(capsys, "fibers", "100001", "2")
+    assert (code, out) == (3, "") and "estimated output of 18 digits exceeds the cap of 17" in err
+    code, out, _ = run(capsys, "fibers", "100001", "2", "--max-enum", "18")
+    assert (code, out) == (0, "50000 50000\ntotal 100000\n")
 
 
 def test_verify_counterexamples_pass(capsys):
@@ -588,6 +595,19 @@ def test_verify_rejects_bad_primes(capsys, monkeypatch):
         assert code == 2 and out == ""
         assert err.startswith("usage: qfiber verify "), err
         assert f"argument --primes: not odd primes: {bad}" in err
+    assert suites_run == []
+
+
+def test_verify_refuses_huge_primes_before_testing_them(capsys, monkeypatch):
+    # is_prime would divide by up to 10^9 candidates; the cap refuses that first
+    suites_run = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, **bounds: suites_run.append(suite) or [])
+    for suite in ("therm", "main1"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", suite, "--primes", "1000000000000000003")
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (3, "")
+        assert "1000000000 trial divisions for --primes exceed the cap of 10000000" in err
     assert suites_run == []
 
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import qfiber
 from qfiber.errors import EnumerationCapError
-from qfiber.partitions import Partition, count_restricted, enumerate_restricted
+from qfiber.partitions import Partition, enumerate_restricted
+from qfiber.qbinomial import gaussian_coefficients
 from qfiber.surjections import (
     GROUPS,
     StepSequence,
@@ -327,7 +328,7 @@ def burnside_orbit_count(k, l, group):
     l parts for "symmetric"; otherwise Burnside's lemma, the mean over the
     group elements of the sequences constant on each cycle of positions."""
     if group == "symmetric":
-        return count_restricted(k, l, k)
+        return gaussian_coefficients(k, l)[k]
     if group == "cyclic":
         moves = [lambda x, p=p: (x + p) % l for p in range(l)]
     else:

@@ -2,7 +2,7 @@
 
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd
 
 import pytest
@@ -71,6 +71,20 @@ def test_arithmetic_error_fails_one_check_without_ending_the_sweep(monkeypatch, 
     out = capsys.readouterr().out
     assert "FAIL main1 k=3 l=4 r=2" in out
     assert f"{len(reports) - 1} of {len(reports)} checks passed" in out
+
+
+def test_value_error_fails_one_check_without_ending_the_sweep(monkeypatch):
+    route = verify.delta_fiber_sizes_via_partitions
+
+    def broken(n, r):
+        if (n, r) == (5, 2):
+            raise ValueError("injected failure")
+        return route(n, r)
+
+    monkeypatch.setattr(verify, "delta_fiber_sizes_via_partitions", broken)
+    [failed] = failures(check_fibrations(6))
+    assert (failed.check_id, failed.parameters) == ("fibers-agree", {"N": 5, "r": 2})
+    assert failed.actual.startswith("ValueError:") and failed.expected == [2, 2]
 
 
 def test_arithmetic_error_in_a_shared_table_fails_each_check_reading_it(monkeypatch):
@@ -210,23 +224,32 @@ def test_arithmetic_error_in_reconstruct_fails_only_the_round_trip(monkeypatch):
     assert shift.status == "pass" and shift.actual == 6 * comb(5, 2)
 
 
-def test_covering_checks_keep_no_point_list(monkeypatch):
+def test_covering_checks_keep_no_point_list():
     # the two covering checks share one walk, so memory does not grow with
     # the 12 * C(11, 5) = 5544 points of (12, 6); a list of them takes ~1 MB
-    starts = verify._orbit_starts
-    monkeypatch.setattr(
-        verify, "_orbit_starts", lambda n, r: starts(n, r) if (n, r) == (12, 6) else iter(()))
-    check_fibrations(12)  # fill the kernels' caches before tracing
+    verify._covering_walk(12, 6)  # fill any first-call caches before tracing
     tracemalloc.start()
     try:
-        reports = check_fibrations(12)
+        counts = verify._covering_walk(12, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not failures(reports)
-    walked = {r.check_id: r.actual for r in reports if r.parameters == {"N": 12, "r": 6}}
-    assert walked["covering-roundtrip"] == walked["covering-shift"] == 5544
+    assert counts == (5544, 5544)
     assert peak < 256 * 1024
+
+
+def test_covering_checks_count_against_the_closed_form(monkeypatch):
+    # a walk that skips every point, or meets each twice, fails all 42
+    # covering checks of N <= 6: each compares its count with r * C(N, r)
+    starts = verify._orbit_starts
+    for walked in (lambda n, r: iter(()), lambda n, r: chain(starts(n, r), starts(n, r))):
+        monkeypatch.setattr(verify, "_orbit_starts", walked)
+        reports = check_fibrations(6)
+        covering = [r for r in reports if r.check_id.startswith("covering-")]
+        assert len(covering) == 42 and failures(reports) == covering
+        for report in covering:
+            n, r = report.parameters["N"], report.parameters["r"]
+            assert report.expected == r * comb(n, r) != report.actual
 
 
 def assert_walk_covers_first_mark_points(monkeypatch):
@@ -252,7 +275,7 @@ def assert_walk_covers_first_mark_points(monkeypatch):
             }
             assert len(seen) == len(set(seen)) == len(expected) == r * comb(n, r)
             assert set(seen) == expected, (n, r)
-            assert counts == (len(expected),) * 3
+            assert counts == (len(expected),) * 2
 
 
 def test_orbit_walk_visits_each_covering_point_once(monkeypatch):

@@ -239,13 +239,16 @@ def _orbit_starts(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
         yield CoveringPoint(nodes, ring_size)
 
 
-def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int]:
+def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
     """Count, in one pass over the covering points with first mark in
     [1, ring_size], those that `reconstruct` round-trips and those whose
     shift is the covering shift.  An ArithmeticError or ValueError from the
     round trip takes the place of its count, as the text a failed check
     reports, and the walk goes on: `reconstruct` raises ValueError when a
-    wrong shift leaves the point off the walk's own sum.
+    wrong shift leaves the point off the walk's own sum.  Such an error from
+    `shift_action` leaves no point to walk on to, so the walk stops there:
+    the error text takes the place of the shift count, and the round trips
+    keep the count they reached.
 
     The points are walked by shift orbits.  With N = ring_size and r =
     marked, shift^k(c) has first mark c_(k+1) for an r-subset c of [1, N]
@@ -273,7 +276,10 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int]:
                 except _CHECK_ERRORS as exc:
                     failure = _error_text(exc)
             positions = point.positions
-            point = shift_action(point, 1)
+            try:
+                point = shift_action(point, 1)
+            except _CHECK_ERRORS as exc:
+                return round_trips if failure is None else failure, _error_text(exc)
             total += n
             shifted += point.positions == positions[1:] + (positions[0] + n,) and (
                 point.center_sum == total)
@@ -291,7 +297,10 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
     inverts `relative_positions` and those that `shift_action` moves right,
     and each count must equal that closed form.  The round trip checks only
     the arithmetic of the two maps, so a point that breaks the covering
-    rules still round-trips: `covering-shift` catches a forged shift.
+    rules still round-trips: `covering-shift` catches a forged shift.  A
+    shift that raises ArithmeticError or ValueError ends the walk of its
+    (N, r): `covering-shift` there holds the error text, and
+    `covering-roundtrip` the count reached so far, so both fail.
     """
     if ring_max < 3:
         raise ValueError("ring_max must be at least 3")

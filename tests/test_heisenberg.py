@@ -1,8 +1,10 @@
 """Tests for ring configurations, covering shifts, and fiber counting."""
 
+import copy
+import pickle
 import re
 import time
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from itertools import combinations
 from math import comb, gcd
 from types import SimpleNamespace
@@ -122,6 +124,41 @@ def test_relative_positions_validation():
     assert hash(from_list) == hash(RelativePositions((2, 3), 5))
     with pytest.raises(ValueError, match=re.escape("gaps must sum to ring_size=5: (2, 2)")):
         RelativePositions([2, 2], 5)
+
+
+def test_value_classes_keep_their_generated_contract():
+    """repr, equality that checks the class, ordering, hashing, frozen
+    fields, pickle and copy round trips, positional match and field names."""
+    config, point = Configuration((1, 3), 5), CoveringPoint((1, 3), 5)
+    gaps = RelativePositions((2, 3), 5)
+    assert repr(config) == "Configuration(nodes=(1, 3), ring_size=5)"
+    assert repr(point) == "CoveringPoint(positions=(1, 3), ring_size=5)"
+    assert repr(gaps) == "RelativePositions(gaps=(2, 3), ring_size=5)"
+    assert config != point and point != config and gaps != CoveringPoint((2, 3), 5)
+    assert config < Configuration((1, 4), 5) < Configuration((1, 4), 6)
+    assert point < CoveringPoint((2, 3), 5) and CoveringPoint((-1, 0), 9) < point
+    for smaller, larger in [(gaps, RelativePositions((3, 2), 5)), (config, point), (point, config)]:
+        with pytest.raises(TypeError):
+            smaller < larger
+    for value, names in [(config, ["nodes", "ring_size"]), (point, ["positions", "ring_size"]),
+                         (gaps, ["gaps", "ring_size"])]:
+        cls, marks = type(value), getattr(value, names[0])
+        assert [field.name for field in fields(cls)] == names
+        twin = cls(marks, 5)
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        assert value != (marks, 5) and value != marks
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, marks)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(copied) is cls and copied == value
+        match value:
+            case cls(first, second):
+                assert (first, second) == (marks, 5)
+            case _:
+                pytest.fail(f"{value!r} does not match {cls.__name__} positionally")
 
 
 def test_enumerate_configurations_examples():

@@ -350,6 +350,31 @@ def test_forged_shift_fails_the_covering_checks_without_ending_the_sweep(monkeyp
     assert failed and {r.check_id for r in failed} <= {"covering-roundtrip", "covering-shift"}
 
 
+def test_shift_that_raises_fails_its_covering_checks_without_ending_the_sweep(monkeypatch):
+    # a shift that builds its reversed result through the constructor raises
+    # ValueError at (5, 2): the walk stops there, the shift check holds the
+    # error, and the round trip check keeps the count it reached
+    shift = verify.shift_action
+
+    def reversing(point, steps):
+        moved = shift(point, steps)
+        if (point.ring_size, len(point.positions)) != (5, 2):
+            return moved
+        return CoveringPoint(moved.positions[::-1], 5)
+
+    clean = check_fibrations(6)
+    monkeypatch.setattr(verify, "shift_action", reversing)
+    reports = check_fibrations(6)
+    failed = failures(reports)
+    assert len(reports) == len(clean)
+    assert {(r.check_id, r.parameters["N"], r.parameters["r"]) for r in failed} == {
+        ("covering-roundtrip", 5, 2), ("covering-shift", 5, 2)}
+    [trips] = [r for r in failed if r.check_id == "covering-roundtrip"]
+    [shifted] = [r for r in failed if r.check_id == "covering-shift"]
+    assert trips.expected == shifted.expected == 20 and trips.actual == 1
+    assert shifted.actual.startswith("ValueError: positions must be strictly increasing")
+
+
 def test_reconstruct_to_another_point_fails_only_the_round_trip(monkeypatch):
     # a valid covering point, but r shifts away from the one with that sum
     rebuild, shift = verify.reconstruct, verify.shift_action

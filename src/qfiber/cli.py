@@ -17,7 +17,9 @@ decimal string; Python's limit on the digits of an int converted to or
 from a string is lifted for the duration of `main`, and the output size is
 capped instead.
 The cap is --max-enum (`fibers` and `orbits` only), else QFIBER_MAX_ENUM,
-else 10^7.  Before computing, each command checks an estimate against it:
+else 10^7.  It is this module's alone: the library routes take no cap, and
+only the commands here compare an estimate with it or raise
+EnumerationCapError.  Before computing, each command checks an estimate:
 `coeffs` the full product formula's work m*n*min(m, n), kept as an upper
 bound on the kernel, which computes only the low half of the palindromic
 vector and mirrors it (so `coeffs 216 216` still exits 3); `residue-sums m n r`
@@ -52,7 +54,7 @@ from typing import Iterable
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .heisenberg import delta_fiber_sizes_via_partitions
 from .qbinomial import coefficient_work, gaussian_coefficients, residue_sums, residue_sums_work
-from .surjections import GROUPS, _check_sequence_count, orbit_histogram
+from .surjections import GROUPS, orbit_histogram
 from .verify import (
     DEFAULT_KL_BOUND,
     DEFAULT_MULTIPLIER_BOUND,
@@ -146,6 +148,20 @@ def _binomial_digits(top: int, bottom: int) -> int:
     return k * mark // den + 1
 
 
+def _binomial_exceeds(top: int, bottom: int, cap: int) -> bool:
+    """Whether C(top, bottom) > cap, for 0 <= bottom <= top, without computing
+    a binomial far past the cap.  With k the smaller of bottom and
+    top - bottom, the partial products C(top - k + i, i) at least double with
+    each i <= k, so the loop ends within about log2(cap) + 2 steps."""
+    k = min(bottom, top - bottom)
+    value = 1
+    for i in range(1, k + 1):
+        if value > cap:
+            break
+        value = value * (top - k + i) // i
+    return value > cap
+
+
 def _check_table_size(
     args: argparse.Namespace, work: int, entries: int, top: int, bottom: int
 ) -> None:
@@ -202,15 +218,19 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
+    k, l, cap = args.k, args.l, args.max_enum
     # the cap bounds the step sequences the enumerating oracle would build
-    _check_sequence_count(args.k, args.l, args.max_enum)
-    sizes = orbit_histogram(args.k, args.l, args.group)
+    if _binomial_exceeds(k + l - 1, l - 1, cap):
+        raise EnumerationCapError(
+            f"C({k + l - 1}, {l - 1}) step sequences for (k={k}, l={l}) exceed the cap of {cap}"
+        )
+    sizes = orbit_histogram(k, l, args.group)
     histogram = [[str(size), str(count)] for size, count in sizes.items()]
-    total = str(comb(args.k + args.l - 1, args.l - 1))
+    total = str(comb(k + l - 1, l - 1))
     result = {"histogram": histogram, "total_sequences": total}
     rows = histogram + [["total", total]]
     lines = [" ".join(pair) for pair in histogram] + [f"total {total}"]
-    parameters = {"k": args.k, "l": args.l, "group": args.group}
+    parameters = {"k": k, "l": l, "group": args.group}
     _emit(args, parameters, result, ["orbit_size", "orbit_count"], rows, lines)
     return 0
 
@@ -416,7 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = _shared_parser().parse_args(argv)
+        args, extra = _shared_parser().parse_known_args(argv)
+        if extra:  # under the usage of the command given, not the top-level one
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
         _validate(args)
         return args.handler(args)
     except EnumerationCapError as exc:

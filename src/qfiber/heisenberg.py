@@ -15,8 +15,7 @@ from itertools import accumulate, combinations, repeat
 from operator import add, index, lt, sub
 from typing import Iterable, Iterator, Union
 
-from .errors import EnumerationCapError
-from .qbinomial import _binomial_exceeds, residue_sums
+from .qbinomial import residue_sums
 
 # Values are validated once, where they enter the library: each class below
 # checks its arguments in one hand-written __init__ before storing them
@@ -224,21 +223,13 @@ def shift_action(point: CoveringPoint, steps: int = 1) -> CoveringPoint:
     return _built(CoveringPoint, moved, n)
 
 
-def _check_gap_vector_count(ring_size: int, marked: int, max_elements: int | None) -> None:
-    """Reject marked outside [1, ring_size], and refuse with EnumerationCapError
-    when the C(ring_size - 1, marked - 1) gap vectors exceed max_elements."""
+def _check_gap_vector_count(ring_size: int, marked: int) -> None:
+    """Reject marked outside [1, ring_size]."""
     if marked < 1 or marked > ring_size:
         raise ValueError("need 1 <= marked <= ring_size")
-    if max_elements is not None and _binomial_exceeds(ring_size - 1, marked - 1, max_elements):
-        raise EnumerationCapError(
-            f"C({ring_size - 1}, {marked - 1}) gap vectors for (N={ring_size}, r={marked}) "
-            f"exceed the cap of {max_elements}"
-        )
 
 
-def delta_fiber_sizes(
-    ring_size: int, marked: int, max_elements: int | None = None
-) -> list[int]:
+def delta_fiber_sizes(ring_size: int, marked: int) -> list[int]:
     """Fiber sizes of the gap-vector compatibility classes, by direct count.
 
     Gap vectors are the compositions of ring_size into `marked` positive
@@ -252,9 +243,11 @@ def delta_fiber_sizes(
     t_beta = c_beta - c_{beta-1}, c_0 = 0 and c_r = N.
     Summation by parts gives sum_beta beta * t_beta = r * N - sum(cuts), so
     the congruence reduces to s = sum(cuts) mod r: the class of a gap vector
-    is the sum of its cut positions mod r, and no gap is ever formed.
+    is the sum of its cut positions mod r, and no gap is ever formed.  Like
+    every library route it takes no cap, so bound the C(N-1, r-1) gap
+    vectors before calling it.
     """
-    _check_gap_vector_count(ring_size, marked, max_elements)
+    _check_gap_vector_count(ring_size, marked)
     table = [0] * marked
     for cuts in combinations(range(1, ring_size), marked - 1):
         table[sum(cuts) % marked] += 1
@@ -272,10 +265,10 @@ def delta_fiber_sizes_via_partitions(ring_size: int, marked: int) -> list[int]:
     single coefficients (0, d-1) at the divisors d of gcd(N, r), so the cost
     is the binomials plus `residue_sums_work(N - r, r - 1, r)`, about 0.6 s
     at N = r = 10^6 (Python 3.11, 2 cores), and no gap vector is
-    enumerated.  Like `residue_sums` it takes no cap: `qfiber fibers` checks
-    that work estimate and the output digits before calling it.
+    enumerated.  Like every library route it takes no cap: `qfiber fibers`
+    checks that work estimate and the output digits before calling it.
     """
-    _check_gap_vector_count(ring_size, marked, None)
+    _check_gap_vector_count(ring_size, marked)
     n, r = ring_size, marked
     base = residue_sums(n - r, r - 1, r)
     offset = r * (r - 1) // 2 + n

@@ -11,7 +11,7 @@ cap's upper bound on it, so `qfiber coeffs 216 216` is still refused.
 `residue_sums` gets the class sums by the q-Lucas theorem without it.  This
 module also provides the closed-form values those sums take in the
 equal-class cases, the work estimates the command line checks against its
-cap, and the package's one trial-division loop and binomial cap comparison.
+cap, and the package's one trial-division loop.
 """
 
 from __future__ import annotations
@@ -54,20 +54,6 @@ def _divisors(n: int) -> list[int]:
             powers.append(powers[-1] * p)
         divisors = [d * q for d in divisors for q in powers]
     return sorted(divisors)
-
-
-def _binomial_exceeds(top: int, bottom: int, cap: int) -> bool:
-    """Whether C(top, bottom) > cap, for 0 <= bottom <= top, without computing
-    a binomial far past the cap.  With k the smaller of bottom and
-    top - bottom, the partial products C(top - k + i, i) at least double with
-    each i <= k, so the loop ends within about log2(cap) + 2 steps."""
-    k = min(bottom, top - bottom)
-    value = 1
-    for i in range(1, k + 1):
-        if value > cap:
-            break
-        value = value * (top - k + i) // i
-    return value > cap
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,8 @@ from itertools import accumulate, combinations, product
 from math import comb, gcd, prod
 from typing import Callable, Iterator, Sequence
 
-from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .partitions import Partition
-from .qbinomial import _binomial_exceeds, _divisors, _prime_powers
+from .qbinomial import _divisors, _prime_powers
 
 
 @dataclass(frozen=True, order=True)
@@ -59,6 +58,8 @@ class ThresholdSequence:
 
     def __post_init__(self):
         thresholds = tuple(self.thresholds)
+        if not isinstance(self.domain_length, int):
+            raise ValueError(f"domain_length must be an integer: {self.domain_length!r}")
         if self.domain_length < 1:
             raise ValueError("domain_length must be positive")
         if any(not isinstance(t, int) for t in thresholds):
@@ -167,24 +168,16 @@ def act_on_partition(
     return surjection_to_partition(steps_to_thresholds(moved))
 
 
-def _check_sequence_count(k: int, l: int, max_elements: int | None) -> None:
-    """Reject (k, l) outside k >= 0, l >= 1, and refuse with EnumerationCapError
-    when the C(k+l-1, l-1) step sequences exceed max_elements."""
+def _check_sequence_count(k: int, l: int) -> None:
+    """Reject (k, l) outside k >= 0, l >= 1."""
     if k < 0 or l < 1:
         raise ValueError("need k >= 0 and l >= 1")
-    if max_elements is not None and _binomial_exceeds(k + l - 1, l - 1, max_elements):
-        raise EnumerationCapError(
-            f"C({k + l - 1}, {l - 1}) step sequences for (k={k}, l={l}) exceed the cap "
-            f"of {max_elements}"
-        )
 
 
-def enumerate_step_sequences(
-    k: int, l: int, max_elements: int | None = None
-) -> Iterator[StepSequence]:
+def enumerate_step_sequences(k: int, l: int) -> Iterator[StepSequence]:
     """All C(k+l-1, l-1) compositions of k+l into l positive steps, in
-    ascending cut-position order."""
-    _check_sequence_count(k, l, max_elements)
+    ascending cut-position order.  Takes no cap: the caller bounds the count."""
+    _check_sequence_count(k, l)
     length = k + l
     for cuts in combinations(range(1, length), l - 1):
         bounds = (0,) + cuts + (length,)
@@ -203,26 +196,24 @@ def _unit_orbit(s: StepSequence) -> frozenset[StepSequence]:
     return frozenset(act_unit(s, u) for u in range(1, l + 1) if gcd(u, l) == 1)
 
 
-def orbits(
-    k: int, l: int, group: str, max_elements: int | None = DEFAULT_ENUMERATION_CAP
-) -> list[frozenset[StepSequence]]:
+def orbits(k: int, l: int, group: str) -> list[frozenset[StepSequence]]:
     """Partition all step sequences for (k, l) into orbits of the chosen group.
 
     `group` is one of "cyclic" (rotations), "units" (unit scaling of
     positions) or "symmetric" (all permutations; orbits are the multiset
     classes).  Returns the orbits as frozensets, sorted by their smallest
-    element.  Raises EnumerationCapError when C(k+l-1, l-1) exceeds
-    max_elements.
+    element.
 
     This is the enumerating oracle: it builds every one of the C(k+l-1, l-1)
     sequences and closes each orbit by applying the group, at about
     C(k+l-1, l-1) * l element operations for "symmetric" and |G| times that
-    for the other two.  `orbit_histogram` gives the orbit sizes without
-    enumerating.
+    for the other two.  Like every library route it takes no cap, so bound
+    C(k+l-1, l-1) before calling it.  `orbit_histogram` gives the orbit sizes
+    without enumerating.
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
-    sequences = list(enumerate_step_sequences(k, l, max_elements))
+    sequences = list(enumerate_step_sequences(k, l))
     classes: list[frozenset[StepSequence]]
     if group == "symmetric":
         by_multiset: dict[tuple[int, ...], list[StepSequence]] = {}
@@ -247,9 +238,10 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     """Map from orbit size to the number of orbits of that size, ascending by size.
 
     Equals the histogram of `len(o)` over `orbits(k, l, group)`, with the same
-    argument checks, but enumerates no sequence and takes no cap: `qfiber
-    orbits` checks C(k+l-1, l-1) against its cap first.  Taking 1 from every
-    step turns a sequence into a spread of k units over the l positions.
+    argument checks, but enumerates no sequence.  Like `orbits` it takes no
+    cap: `qfiber orbits` checks C(k+l-1, l-1) against its cap first.  Taking
+    1 from every step turns a sequence into a spread of k units over the l
+    positions.
     "symmetric" orbits are then the partitions of k into at most l parts,
     generated directly, so the cost grows with the number of orbits.
     "cyclic" and "units" are abelian groups acting on the positions Z/l and go
@@ -260,7 +252,7 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
-    _check_sequence_count(k, l, None)
+    _check_sequence_count(k, l)
     if group == "symmetric":
         return _symmetric_histogram(k, l)
     if group == "cyclic":

@@ -249,6 +249,20 @@ def test_main_restores_the_int_digit_limit(capsys, monkeypatch):
         sys.set_int_max_str_digits(limit)
 
 
+def test_binomial_exceeds_matches_comb():
+    for top in range(60):
+        for bottom in range(top + 1):
+            value = comb(top, bottom)
+            for cap in (-5, 0, 1, 2, value - 1, value, value + 1, 2 * value, 10**7):
+                assert cli._binomial_exceeds(top, bottom, cap) == (value > cap)
+    # C(2999999, 999999) has about 829,000 digits; the comparison stops near 24 steps
+    started = time.perf_counter()
+    assert cli._binomial_exceeds(2999999, 999999, 10**7)
+    assert cli._binomial_exceeds(29999999, 9999999, 10**7)
+    assert not cli._binomial_exceeds(29999999, 29999998, 10**8)
+    assert time.perf_counter() - started < 0.01
+
+
 def test_binomial_digit_estimate_is_never_short():
     # every C(top, b) below 700 by Pascal's rule, and the powers of ten
     # C(10^j, 1), whose log10 is an integer, so an estimate a little low loses a digit
@@ -540,6 +554,9 @@ def test_validation_errors_print_the_command_usage(capsys, monkeypatch):
          "qfiber verify: error: --k-max and --l-max must be at least 2"),
         (["verify", "all", "--n-max", "2"], None,
          "qfiber verify: error: --n-max must be at least 3"),
+        (["coeffs", "3", "3", "--max-enum", "5"], None,
+         "qfiber coeffs: error: unrecognized arguments: --max-enum 5"),
+        (["fibers", "3", "2", "7"], None, "qfiber fibers: error: unrecognized arguments: 7"),
     ):
         if env is None:
             monkeypatch.delenv("QFIBER_MAX_ENUM", raising=False)

@@ -53,20 +53,6 @@ def test_trial_division_against_brute_force():
     assert time.perf_counter() - started < 0.01
 
 
-def test_binomial_exceeds_matches_comb():
-    for top in range(60):
-        for bottom in range(top + 1):
-            value = comb(top, bottom)
-            for cap in (-5, 0, 1, 2, value - 1, value, value + 1, 2 * value, 10**7):
-                assert qbinomial._binomial_exceeds(top, bottom, cap) == (value > cap)
-    # C(2999999, 999999) has about 829,000 digits; the comparison stops near 24 steps
-    started = time.perf_counter()
-    assert qbinomial._binomial_exceeds(2999999, 999999, 10**7)
-    assert qbinomial._binomial_exceeds(29999999, 9999999, 10**7)
-    assert not qbinomial._binomial_exceeds(29999999, 29999998, 10**8)
-    assert time.perf_counter() - started < 0.01
-
-
 def test_trivial_boxes():
     assert gaussian_coefficients(0, 0) == (1,)
     assert gaussian_coefficients(0, 7) == (1,)

@@ -5,7 +5,6 @@ Everything computes with exact integer arithmetic; the `verify` module and
 the `qfiber` CLI cross-check every identity against independent enumeration.
 """
 
-from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .heisenberg import (
     Configuration,
     CoveringPoint,
@@ -62,8 +61,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
-    "EnumerationCapError",
     "Configuration",
     "CoveringPoint",
     "RelativePositions",

@@ -16,10 +16,10 @@ exit status 1.  Machine formats (json, csv) serialize every integer as a
 decimal string; Python's limit on the digits of an int converted to or
 from a string is lifted for the duration of `main`, and the output size is
 capped instead.
-The cap is --max-enum (`fibers` and `orbits` only), else QFIBER_MAX_ENUM,
-else 10^7.  It is this module's alone: the library routes take no cap, and
-only the commands here compare an estimate with it or raise
-EnumerationCapError.  Before computing, each command checks an estimate:
+The cap is the environment variable QFIBER_MAX_ENUM, else 10^7, for every
+command.  It is this module's alone, and so is EnumerationCapError: the
+library routes take no cap, and only the commands here compare an estimate
+with it.  Before computing, each command checks an estimate:
 `coeffs` the full product formula's work m*n*min(m, n), kept as an upper
 bound on the kernel, which computes only the low half of the palindromic
 vector and mirrors it (so `coeffs 216 216` still exits 3); `residue-sums m n r`
@@ -51,7 +51,6 @@ from itertools import chain
 from math import comb, isqrt, log, log1p, pi
 from typing import Iterable
 
-from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .heisenberg import delta_fiber_sizes_via_partitions
 from .qbinomial import coefficient_work, gaussian_coefficients, residue_sums, residue_sums_work
 from .surjections import GROUPS, orbit_histogram
@@ -69,6 +68,11 @@ from .verify import (
 
 SCHEMA_VERSION = "1"
 FORMATS = ("table", "csv", "json")
+DEFAULT_ENUMERATION_CAP = 10_000_000
+
+
+class EnumerationCapError(RuntimeError):
+    """A command's estimated work or output exceeds the cap (exit 3)."""
 
 
 def _nonneg(text: str) -> int:
@@ -327,20 +331,12 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-enum",
-        type=_positive,
-        default=None,
-        help="enumeration cap (default: QFIBER_MAX_ENUM or 10^7)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfiber",
         description="Exact coefficient tables, orbit histograms, ring fiber counts, "
-        "and identity verification.",
+        "and identity verification.  Every command refuses (exit 3) work or output "
+        "estimated past the cap QFIBER_MAX_ENUM, a positive integer (default 10^7).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -348,20 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("m", type=_nonneg, help="box width (max part size)")
     coeffs.add_argument("n", type=_nonneg, help="box height (max part count)")
     _add_format(coeffs)
-    coeffs.set_defaults(handler=_cmd_coeffs, max_enum=None)
+    coeffs.set_defaults(handler=_cmd_coeffs)
 
     sums = sub.add_parser("residue-sums", help="coefficient sums per index class mod r")
     sums.add_argument("m", type=_nonneg, help="box width")
     sums.add_argument("n", type=_nonneg, help="box height")
     sums.add_argument("r", type=_positive, help="modulus")
     _add_format(sums)
-    sums.set_defaults(handler=_cmd_residue_sums, max_enum=None)
+    sums.set_defaults(handler=_cmd_residue_sums)
 
     fibers = sub.add_parser("fibers", help="gap-vector fiber sizes for a marked ring")
     fibers.add_argument("ring_size", metavar="N", type=_positive, help="ring size")
     fibers.add_argument("marked", metavar="r", type=_positive, help="marked nodes")
     _add_format(fibers)
-    _add_cap(fibers)
     fibers.set_defaults(handler=_cmd_fibers)
 
     orb = sub.add_parser("orbits", help="orbit-size histogram of step sequences")
@@ -369,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     orb.add_argument("l", type=_positive)
     orb.add_argument("group", choices=GROUPS)
     _add_format(orb)
-    _add_cap(orb)
     orb.set_defaults(handler=_cmd_orbits)
 
     ver = sub.add_parser("verify", help="run an identity suite")
@@ -387,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the time per check id and the ten slowest checks to stderr",
     )
     _add_format(ver)
-    ver.set_defaults(handler=_cmd_verify, max_enum=None)
+    ver.set_defaults(handler=_cmd_verify)
 
     # `_validate` reports its errors under the chosen command's usage
     for command in sub.choices.values():
@@ -403,13 +397,12 @@ def _validate(args: argparse.Namespace) -> None:
     """The argument checks argparse cannot make, as usage errors of the chosen
     command.  --primes is tested only once the cap admits the test's work."""
     parser = args.command_parser
-    # the cap: --max-enum, else QFIBER_MAX_ENUM (checked as the flag is), else 10^7
-    if args.max_enum is None:
-        env = os.environ.get("QFIBER_MAX_ENUM")
-        try:
-            args.max_enum = DEFAULT_ENUMERATION_CAP if env is None else _positive(env)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"QFIBER_MAX_ENUM: {exc}")
+    # the cap, read afresh on every call: QFIBER_MAX_ENUM, else 10^7
+    env = os.environ.get("QFIBER_MAX_ENUM")
+    try:
+        args.max_enum = DEFAULT_ENUMERATION_CAP if env is None else _positive(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"QFIBER_MAX_ENUM: {exc}")
     if args.command == "fibers" and args.marked > args.ring_size:
         parser.error(f"r={args.marked} must not exceed N={args.ring_size}")
     if args.command == "verify":

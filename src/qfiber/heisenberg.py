@@ -223,7 +223,7 @@ def shift_action(point: CoveringPoint, steps: int = 1) -> CoveringPoint:
     return _built(CoveringPoint, moved, n)
 
 
-def _check_gap_vector_count(ring_size: int, marked: int) -> None:
+def _check_marked_in_ring(ring_size: int, marked: int) -> None:
     """Reject marked outside [1, ring_size]."""
     if marked < 1 or marked > ring_size:
         raise ValueError("need 1 <= marked <= ring_size")
@@ -247,7 +247,7 @@ def delta_fiber_sizes(ring_size: int, marked: int) -> list[int]:
     every library route it takes no cap, so bound the C(N-1, r-1) gap
     vectors before calling it.
     """
-    _check_gap_vector_count(ring_size, marked)
+    _check_marked_in_ring(ring_size, marked)
     table = [0] * marked
     for cuts in combinations(range(1, ring_size), marked - 1):
         table[sum(cuts) % marked] += 1
@@ -268,7 +268,7 @@ def delta_fiber_sizes_via_partitions(ring_size: int, marked: int) -> list[int]:
     enumerated.  Like every library route it takes no cap: `qfiber fibers`
     checks that work estimate and the output digits before calling it.
     """
-    _check_gap_vector_count(ring_size, marked)
+    _check_marked_in_ring(ring_size, marked)
     n, r = ring_size, marked
     base = residue_sums(n - r, r - 1, r)
     offset = r * (r - 1) // 2 + n

@@ -151,7 +151,7 @@ def act_symmetric(s: StepSequence, sigma: Sequence[int]) -> StepSequence:
     and then sigma equals applying i -> tau(sigma(i)) at once.
     """
     l = s.level_count
-    if sorted(sigma) != list(range(1, l + 1)):
+    if not all(isinstance(i, int) for i in sigma) or sorted(sigma) != list(range(1, l + 1)):
         raise ValueError(f"sigma must be a permutation of 1..{l}: {sigma!r}")
     return StepSequence(tuple(s.steps[sigma[i] - 1] for i in range(l)))
 
@@ -168,7 +168,7 @@ def act_on_partition(
     return surjection_to_partition(steps_to_thresholds(moved))
 
 
-def _check_sequence_count(k: int, l: int) -> None:
+def _check_k_nonneg_l_positive(k: int, l: int) -> None:
     """Reject (k, l) outside k >= 0, l >= 1."""
     if k < 0 or l < 1:
         raise ValueError("need k >= 0 and l >= 1")
@@ -177,7 +177,7 @@ def _check_sequence_count(k: int, l: int) -> None:
 def enumerate_step_sequences(k: int, l: int) -> Iterator[StepSequence]:
     """All C(k+l-1, l-1) compositions of k+l into l positive steps, in
     ascending cut-position order.  Takes no cap: the caller bounds the count."""
-    _check_sequence_count(k, l)
+    _check_k_nonneg_l_positive(k, l)
     length = k + l
     for cuts in combinations(range(1, length), l - 1):
         bounds = (0,) + cuts + (length,)
@@ -252,7 +252,7 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
-    _check_sequence_count(k, l)
+    _check_k_nonneg_l_positive(k, l)
     if group == "symmetric":
         return _symmetric_histogram(k, l)
     if group == "cyclic":

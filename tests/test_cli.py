@@ -199,9 +199,6 @@ def test_table_guards_read_the_environment_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "residue-sums", "999999999999999", "1", "1")
     assert code == 3 and out == ""
     assert "estimated output of 16 digits exceeds the cap of 15" in err
-    # the table commands take no --max-enum flag
-    code, _, _ = run_expecting_exit(capsys, "coeffs", "3", "2", "--max-enum", "100")
-    assert code == 2
 
 
 def test_residue_sums_past_the_int_digit_limit(capsys):
@@ -331,10 +328,8 @@ def test_orbits_rejects_unknown_group(capsys):
     assert "usage" in err
 
 
-def test_orbits_cap_via_flag_and_env(capsys, monkeypatch):
-    code, _, err = run(capsys, "orbits", "10", "10", "cyclic", "--max-enum", "10")
-    assert code == 3
-    assert "cap" in err
+def test_orbits_cap_via_env(capsys, monkeypatch):
+    monkeypatch.delenv("QFIBER_MAX_ENUM", raising=False)
     # the binomial count is named, not printed: its ~8000 digits exceed str()'s limit
     code, _, err = run(capsys, "orbits", "20000", "10000", "cyclic")
     assert code == 3
@@ -349,8 +344,9 @@ def test_orbits_cap_via_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("QFIBER_MAX_ENUM", "10")
     code, _, err = run(capsys, "orbits", "10", "10", "cyclic")
     assert code == 3
-    # an explicit flag overrides the environment
-    code, out, _ = run(capsys, "orbits", "10", "10", "cyclic", "--max-enum", "100000")
+    assert "cap" in err
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "100000")
+    code, out, _ = run(capsys, "orbits", "10", "10", "cyclic")
     assert code == 0 and out.endswith("total 92378\n")
     monkeypatch.setenv("QFIBER_MAX_ENUM", "not-a-number")
     code, _, err = run_expecting_exit(capsys, "orbits", "10", "10", "cyclic")
@@ -426,14 +422,16 @@ def test_fibers_guard_estimates_the_class_sum_work(capsys, monkeypatch):
     code, _, err = run(capsys, "fibers", "100", "3")
     assert code == 3 and "estimated output of 16 digits exceeds the cap of 15" in err
     assert tables[-1] != (100, 3)
-    code, out, _ = run(capsys, "fibers", "100", "3", "--max-enum", "16")
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "16")
+    code, out, _ = run(capsys, "fibers", "100", "3")
     assert (code, out) == (0, "1617 1617 1617\ntotal 4851\n")
     assert tables[-1] == (100, 3)
     # fibers 100001 2: 2 fibers and the total 100000, 3 numbers of at most 6 digits
     monkeypatch.setenv("QFIBER_MAX_ENUM", "17")
     code, out, err = run(capsys, "fibers", "100001", "2")
     assert (code, out) == (3, "") and "estimated output of 18 digits exceeds the cap of 17" in err
-    code, out, _ = run(capsys, "fibers", "100001", "2", "--max-enum", "18")
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "18")
+    code, out, _ = run(capsys, "fibers", "100001", "2")
     assert (code, out) == (0, "50000 50000\ntotal 100000\n")
 
 
@@ -648,9 +646,32 @@ def test_environment_cap_must_be_a_positive_integer(capsys, monkeypatch):
             assert code == 2 and out == ""
             assert err.startswith("usage: ") and f"QFIBER_MAX_ENUM: {cap!r} {problem}" in err
     assert suites_run == []
-    # the flag, checked the same way, overrides the variable
-    assert run(capsys, "orbits", "5", "3", "cyclic", "--max-enum", "21")[:2] == (
-        0, "3 7\ntotal 21\n")
+
+
+# (argv, a QFIBER_MAX_ENUM below its estimate, the refusal) for every command
+CAPPED_CALLS = [
+    (["coeffs", "3", "2"], "13", "estimated output of 14 digits exceeds the cap of 13"),
+    (["residue-sums", "3", "3", "4"], "14", "estimated work of 15 exceeds the cap of 14"),
+    (["fibers", "12", "6"], "5", "estimated work of 12 exceeds the cap of 5"),
+    (["orbits", "10", "10", "cyclic"], "10",
+     "C(19, 9) step sequences for (k=10, l=10) exceed the cap of 10"),
+    (["verify", "fibrations", "--n-max", "12"], "1000",
+     "11*2^12 + 1 covering points for --n-max 12 exceed the cap of 1000"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, cap, message", CAPPED_CALLS, ids=[argv[0] for argv, _, _ in CAPPED_CALLS]
+)
+def test_every_command_takes_its_cap_from_the_environment_alone(
+    capsys, monkeypatch, argv, cap, message
+):
+    monkeypatch.setenv("QFIBER_MAX_ENUM", cap)
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+    code, out, err = run_expecting_exit(capsys, *argv, "--max-enum", "5")
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: qfiber {argv[0]} "), err
+    assert err.endswith("error: unrecognized arguments: --max-enum 5\n"), err
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -672,6 +693,20 @@ def test_verify_csv_format(capsys):
     assert all(row[4] == "pass" for row in rows[1:])
     table_row = next(row for row in rows if row[0] == "counterexample-6x5-table")
     assert table_row[3] == "80 75 78 76 78 75"
+
+
+def test_verify_csv_quotes_free_text(capsys, monkeypatch):
+    def broken(m, n, r):
+        raise ValueError('sides (6, 5) disagree, "badly"')
+
+    monkeypatch.setattr(verify, "residue_sums", broken)
+    code, out, _ = run(capsys, "verify", "counterexamples", "--format", "csv")
+    assert code == 1
+    # the comma and the quotes are quoted, and the quotes doubled
+    field = '"ValueError: sides (6, 5) disagree, ""badly"""'
+    row = next(row for row in parse_csv(out) if row[0] == "counterexample-6x5-table")
+    assert row[3] == 'ValueError: sides (6, 5) disagree, "badly"'
+    assert f"m=6 n=5 r=6,80 75 78 76 78 75,{field},fail\n" in out
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
@@ -784,9 +819,10 @@ MIXED_CALLS = [
     ),
     (["--help"], None),
     (["verify", "--help"], None),
-    # work at least 2 * 6, over the flag's cap, then the same command without the flag
-    (["fibers", "12", "6", "--max-enum", "5"], None),
+    # work at least 2 * 6, over the cap, then the same command under the default cap
+    (["fibers", "12", "6"], "5"),
     (["fibers", "12", "6"], None),
+    # no command takes a cap flag
     (["orbits", "6", "6", "units", "--max-enum", "100"], None),
     (["orbits", "6", "6", "units"], "100"),
     (["orbits", "6", "6", "units"], "1000"),
@@ -796,7 +832,7 @@ MIXED_CALLS = [
     (["fibers", "12", "6"], "not-a-number"),
     (["fibers", "3", "5"], None),
     (["orbits", "3", "2", "dihedral"], None),
-    (["coeffs", "3", "2", "--max-enum", "100"], None),
+    (["coeffs", "3", "2"], "100"),
     (["verify", "therm", "--primes", "3,x"], None),
     (["verify", "therm", "--primes", "4"], None),
     (["coeffs", "3", "2"], "0"),

@@ -191,6 +191,10 @@ def test_act_symmetric_examples():
     assert act_symmetric(s, (3, 1, 2)) == act_cyclic(s, 1)
     with pytest.raises(ValueError):
         act_symmetric(s, (1, 1, 3))
+    # floats that sort like a permutation are not one
+    with pytest.raises(ValueError) as excinfo:
+        act_symmetric(StepSequence((1, 2, 3)), (2.0, 1.0, 3.0))
+    assert str(excinfo.value) == "sigma must be a permutation of 1..3: (2.0, 1.0, 3.0)"
 
 
 @given(step_sequences)

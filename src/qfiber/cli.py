@@ -18,19 +18,10 @@ from a string is lifted for the duration of `main`, and the output size is
 capped instead.
 The cap is the environment variable QFIBER_MAX_ENUM, else 10^7, for every
 command.  It is this module's alone, and so is EnumerationCapError: the
-library routes take no cap, and only the commands here compare an estimate
-with it.  Before computing, each command checks an estimate:
-`coeffs` the full product formula's work m*n*min(m, n), kept as an upper
-bound on the kernel, which computes only the low half of the palindromic
-vector and mirrors it (so `coeffs 216 216` still exits 3); `residue-sums m n r`
-and `fibers N r`, checked as `residue-sums N-r r-1 r`, `residue_sums_work`
-after its lower bound 2r, so a huge r is never factored; all three their
-output digits, the total of `fibers` counted as an entry; `orbits` the
-C(k+l-1, l-1) step sequences enumeration would build; `verify` the trial
-divisions that test its --primes, at most isqrt(p) each, then (exit 2 if
-they are not odd primes) the covering points of its fibrations sweep and
-`verify.suite_work` of its other suites.  `verify --timings` writes the
-time per check id and the ten slowest checks to stderr.
+library routes take no cap.  Before a handler computes anything, `_admit`
+refuses (exit 3) at the first of its command's `estimates` past the cap.
+`verify --timings` writes the time per check id and the ten slowest checks
+to stderr.
 
 `main` builds its parser on its first call in a process and reuses it for
 every later call, so a later command spends about 35 us parsing its
@@ -49,7 +40,7 @@ import os
 import sys
 from itertools import chain
 from math import comb, isqrt, log, log1p, pi
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .heisenberg import delta_fiber_sizes_via_partitions
 from .qbinomial import coefficient_work, gaussian_coefficients, residue_sums, residue_sums_work
@@ -69,6 +60,7 @@ from .verify import (
 SCHEMA_VERSION = "1"
 FORMATS = ("table", "csv", "json")
 DEFAULT_ENUMERATION_CAP = 10_000_000
+Estimates = Iterator[tuple[int, str]]  # (amount, text) pairs, checked by `_admit`
 
 
 class EnumerationCapError(RuntimeError):
@@ -152,43 +144,61 @@ def _binomial_digits(top: int, bottom: int) -> int:
     return k * mark // den + 1
 
 
-def _binomial_exceeds(top: int, bottom: int, cap: int) -> bool:
-    """Whether C(top, bottom) > cap, for 0 <= bottom <= top, without computing
-    a binomial far past the cap.  With k the smaller of bottom and
-    top - bottom, the partial products C(top - k + i, i) at least double with
-    each i <= k, so the loop ends within about log2(cap) + 2 steps."""
-    k = min(bottom, top - bottom)
-    value = 1
-    for i in range(1, k + 1):
-        if value > cap:
-            break
-        value = value * (top - k + i) // i
-    return value > cap
+def _admit(estimates: Iterable[tuple[int, str]], cap: int) -> None:
+    """Refuse (exit 3) at the first (amount, text) estimate past the cap, drawn
+    lazily, so a costly estimate can follow a cheap lower bound that refuses."""
+    for amount, text in estimates:
+        if amount > cap:
+            raise EnumerationCapError(f"{text} the cap of {cap}")
 
 
-def _check_table_size(
-    args: argparse.Namespace, work: int, entries: int, top: int, bottom: int
-) -> None:
-    """Refuse, before computing it, a table whose estimated work or output
-    digits exceed the cap.  The digits are the entries times the digits of
-    C(top, bottom), which bounds every entry of the table."""
-    cap = args.max_enum
-    if work > cap:
-        raise EnumerationCapError(f"estimated work of {work} exceeds the cap of {cap}")
+def _table_estimates(work: int, entries: int, top: int, bottom: int) -> Estimates:
+    """A table's work, then its output digits: `entries` numbers, each at most C(top, bottom)."""
+    yield work, f"estimated work of {work} exceeds"
     digits = entries * _binomial_digits(top, bottom)
-    if digits > cap:
-        raise EnumerationCapError(f"estimated output of {digits} digits exceeds the cap of {cap}")
+    yield digits, f"estimated output of {digits} digits exceeds"
 
 
-def _class_sum_work(args: argparse.Namespace, m: int, n: int, r: int) -> int:
-    """The work of the class sums mod r of the m x n box, or its lower bound
-    2r once that passes the cap, so a huge r is never factored."""
-    return 2 * r if 2 * r > args.max_enum else residue_sums_work(m, n, r)
+def _class_sum_estimates(m: int, n: int, r: int, entries: int) -> Estimates:
+    """The class sums mod r of the m x n box, printed as `entries` numbers,
+    after the lower bound 2r on their work, so a huge r is never factored."""
+    yield 2 * r, f"estimated work of {2 * r} exceeds"
+    yield from _table_estimates(residue_sums_work(m, n, r), entries, m + n, n)
+
+
+def _orbits_estimates(args: argparse.Namespace) -> Estimates:
+    k, l, cap = args.k, args.l, args.max_enum
+    top, bottom = k + l - 1, l - 1
+    # the step sequences enumeration would build, not multiplied out once its
+    # digit estimate, at most one over, passes the cap's digits by two
+    past = _binomial_digits(top, bottom) > len(str(cap)) + 1
+    text = f"C({top}, {bottom}) step sequences for (k={k}, l={l}) exceed"
+    yield (cap + 1 if past else comb(top, bottom)), text
+    # that count is 1 at k = 0 and at l = 1; for k >= 1 and l >= 2 it bounds these
+    if args.group == "units":
+        yield l, f"{l} residues tested for units mod l={l} exceed"
+        yield k + 1, f"{k + 1} entries of a fixed-point count for k={k} exceed"
+    elif args.group == "cyclic":
+        yield isqrt(l), f"{isqrt(l)} trial divisions of l={l} exceed"
+
+
+def _sweep(args: argparse.Namespace) -> dict:
+    return dict(k_max=args.k_max, l_max=args.l_max, primes=args.primes, multiplier_max=args.m_max)
+
+
+def _verify_estimates(args: argparse.Namespace) -> Estimates:
+    n = args.n_max
+    if args.suite in ("fibrations", "all"):
+        # the covering points, after their lower bound 2^n, formed only up to the cap's bit length
+        text = f"{n - 1}*2^{n} + 1 covering points for --n-max {n} exceed"
+        yield 2 ** min(n, args.max_enum.bit_length()), text
+        yield (n - 1) * 2**n + 1, text
+    work = suite_work(args.suite, **_sweep(args))
+    yield work, f"estimated work of {work} for verify {args.suite} exceeds"
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
-    _check_table_size(args, coefficient_work(m, n), m * n + 1, m + n, n)
     values = [str(c) for c in gaussian_coefficients(m, n)]
     rows = ([str(i), v] for i, v in enumerate(values))
     parameters = {"m": m, "n": n}
@@ -198,7 +208,6 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 def _cmd_residue_sums(args: argparse.Namespace) -> int:
     m, n, r = args.m, args.n, args.r
-    _check_table_size(args, _class_sum_work(args, m, n, r), r, m + n, n)
     values = [str(v) for v in residue_sums(m, n, r)]
     rows = ([str(i), v] for i, v in enumerate(values))
     parameters = {"m": m, "n": n, "r": r}
@@ -208,9 +217,6 @@ def _cmd_residue_sums(args: argparse.Namespace) -> int:
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
     n, r = args.ring_size, args.marked
-    # the fibers are the class sums of the (N-r) x (r-1) box, reordered; with
-    # their total C(N-1, r-1), which bounds each, r + 1 numbers are printed
-    _check_table_size(args, _class_sum_work(args, n - r, r - 1, r), r + 1, n - 1, r - 1)
     values = [str(v) for v in delta_fiber_sizes_via_partitions(n, r)]
     total = str(comb(n - 1, r - 1))
     rows = chain(([str(s), v] for s, v in enumerate(values)), [["total", total]])
@@ -222,12 +228,7 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
-    k, l, cap = args.k, args.l, args.max_enum
-    # the cap bounds the step sequences the enumerating oracle would build
-    if _binomial_exceeds(k + l - 1, l - 1, cap):
-        raise EnumerationCapError(
-            f"C({k + l - 1}, {l - 1}) step sequences for (k={k}, l={l}) exceed the cap of {cap}"
-        )
+    k, l = args.k, args.l
     sizes = orbit_histogram(k, l, args.group)
     histogram = [[str(size), str(count)] for size, count in sizes.items()]
     total = str(comb(k + l - 1, l - 1))
@@ -253,21 +254,7 @@ def _report_payload(report: CheckReport) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    n, cap = args.n_max, args.max_enum
-    # (n-1) * 2^n + 1 covering points; once 2^n alone passes the cap, it is never formed
-    if args.suite in ("fibrations", "all") and (
-        n >= cap.bit_length() or (n - 1) * 2**n + 1 > cap
-    ):
-        raise EnumerationCapError(
-            f"{n - 1}*2^{n} + 1 covering points for --n-max {n} exceed the cap of {cap}"
-        )
-    sweep = dict(k_max=args.k_max, l_max=args.l_max, primes=args.primes, multiplier_max=args.m_max)
-    work = suite_work(args.suite, **sweep)
-    if work > cap:
-        raise EnumerationCapError(
-            f"estimated work of {work} for verify {args.suite} exceeds the cap of {cap}"
-        )
-    reports = run_suite(args.suite, ring_max=args.n_max, **sweep)
+    reports = run_suite(args.suite, ring_max=args.n_max, **_sweep(args))
     failures = sum(1 for report in reports if report.status != "pass")
     payloads = [_report_payload(report) for report in reports]
     rows, lines = [], []
@@ -344,27 +331,32 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("m", type=_nonneg, help="box width (max part size)")
     coeffs.add_argument("n", type=_nonneg, help="box height (max part count)")
     _add_format(coeffs)
-    coeffs.set_defaults(handler=_cmd_coeffs)
+    coeffs.set_defaults(handler=_cmd_coeffs, estimates=lambda a: _table_estimates(
+        coefficient_work(a.m, a.n), a.m * a.n + 1, a.m + a.n, a.n))
 
     sums = sub.add_parser("residue-sums", help="coefficient sums per index class mod r")
     sums.add_argument("m", type=_nonneg, help="box width")
     sums.add_argument("n", type=_nonneg, help="box height")
     sums.add_argument("r", type=_positive, help="modulus")
     _add_format(sums)
-    sums.set_defaults(handler=_cmd_residue_sums)
+    sums.set_defaults(handler=_cmd_residue_sums,
+                      estimates=lambda a: _class_sum_estimates(a.m, a.n, a.r, a.r))
 
     fibers = sub.add_parser("fibers", help="gap-vector fiber sizes for a marked ring")
     fibers.add_argument("ring_size", metavar="N", type=_positive, help="ring size")
     fibers.add_argument("marked", metavar="r", type=_positive, help="marked nodes")
     _add_format(fibers)
-    fibers.set_defaults(handler=_cmd_fibers)
+    # the fibers are the class sums of the (N-r) x (r-1) box, reordered, and
+    # their total C(N-1, r-1), which bounds each: r + 1 numbers
+    fibers.set_defaults(handler=_cmd_fibers, estimates=lambda a: _class_sum_estimates(
+        a.ring_size - a.marked, a.marked - 1, a.marked, a.marked + 1))
 
     orb = sub.add_parser("orbits", help="orbit-size histogram of step sequences")
     orb.add_argument("k", type=_nonneg)
     orb.add_argument("l", type=_positive)
     orb.add_argument("group", choices=GROUPS)
     _add_format(orb)
-    orb.set_defaults(handler=_cmd_orbits)
+    orb.set_defaults(handler=_cmd_orbits, estimates=_orbits_estimates)
 
     ver = sub.add_parser("verify", help="run an identity suite")
     ver.add_argument("suite", choices=SUITES)
@@ -381,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the time per check id and the ten slowest checks to stderr",
     )
     _add_format(ver)
-    ver.set_defaults(handler=_cmd_verify)
+    ver.set_defaults(handler=_cmd_verify, estimates=_verify_estimates)
 
     # `_validate` reports its errors under the chosen command's usage
     for command in sub.choices.values():
@@ -407,18 +399,14 @@ def _validate(args: argparse.Namespace) -> None:
         parser.error(f"r={args.marked} must not exceed N={args.ring_size}")
     if args.command == "verify":
         steps = sum(isqrt(p) for p in args.primes if p >= 2)  # bounds is_prime's divisions
-        if steps > args.max_enum:
-            raise EnumerationCapError(
-                f"{steps} trial divisions for --primes exceed the cap of {args.max_enum}")
+        _admit([(steps, f"{steps} trial divisions for --primes exceed")], args.max_enum)
         try:
             _validate_primes(args.primes)
         except ValueError as exc:
             parser.error(f"argument --primes: {exc}")
-    if args.command == "verify" and args.suite in ("main1", "all"):
-        if args.k_max < 2 or args.l_max < 2:
+        if args.suite in ("main1", "all") and (args.k_max < 2 or args.l_max < 2):
             parser.error("--k-max and --l-max must be at least 2")
-    if args.command == "verify" and args.suite in ("fibrations", "all"):
-        if args.n_max < 3:
+        if args.suite in ("fibrations", "all") and args.n_max < 3:
             parser.error("--n-max must be at least 3")
 
 
@@ -433,6 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         if extra:  # under the usage of the command given, not the top-level one
             args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
         _validate(args)
+        _admit(args.estimates(args), args.max_enum)
         return args.handler(args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

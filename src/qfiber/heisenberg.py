@@ -15,7 +15,7 @@ from itertools import accumulate, combinations, repeat
 from operator import add, index, lt, sub
 from typing import Iterable, Iterator, Union
 
-from .qbinomial import residue_sums
+from .qbinomial import _check_integers, residue_sums
 
 # Values are validated once, where they enter the library: each class below
 # checks its arguments in one hand-written __init__ before storing them
@@ -224,7 +224,8 @@ def shift_action(point: CoveringPoint, steps: int = 1) -> CoveringPoint:
 
 
 def _check_marked_in_ring(ring_size: int, marked: int) -> None:
-    """Reject marked outside [1, ring_size]."""
+    """Reject a non-integer ring_size or marked, or marked outside [1, ring_size]."""
+    _check_integers(ring_size=ring_size, marked=marked)
     if marked < 1 or marked > ring_size:
         raise ValueError("need 1 <= marked <= ring_size")
 

@@ -23,6 +23,13 @@ from operator import add, mul, sub
 from typing import Iterator
 
 
+def _check_integers(**arguments: int) -> None:
+    """Reject a non-integer argument with a ValueError that names it."""
+    for name, value in arguments.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer: {value!r}")
+
+
 def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
     """(p, p^a) for each prime power p^a exactly dividing n, by increasing p:
     trial division, lazy, so a caller may stop at the smallest factor."""
@@ -56,7 +63,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(divisors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so 2.0 is refused even once (2, n) is cached
 def gaussian_coefficients(m: int, n: int) -> tuple[int, ...]:
     """Coefficients of the Gaussian binomial [m+n choose n]_q, index = weight:
     a tuple of m*n + 1 entries.
@@ -72,6 +79,7 @@ def gaussian_coefficients(m: int, n: int) -> tuple[int, ...]:
     The Theory of Partitions, ch. 3).  For sides up to 200 that is at most
     0.75 of the additions of the full product formula, `coefficient_work`.
     """
+    _check_integers(m=m, n=n)
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
     wide, narrow = max(m, n), min(m, n)
@@ -147,6 +155,7 @@ def residue_sums(m: int, n: int, r: int) -> list[int]:
     of the m x n box.  The division by r is checked, and a remainder raises
     ArithmeticError.
     """
+    _check_integers(m=m, n=n, r=r)
     if r < 1:
         raise ValueError("modulus must be positive")
     if m < 0 or n < 0:

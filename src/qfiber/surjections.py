@@ -16,7 +16,7 @@ from math import comb, gcd, prod
 from typing import Callable, Iterator, Sequence
 
 from .partitions import Partition
-from .qbinomial import _divisors, _prime_powers
+from .qbinomial import _check_integers, _divisors, _prime_powers
 
 
 @dataclass(frozen=True, order=True)
@@ -58,8 +58,7 @@ class ThresholdSequence:
 
     def __post_init__(self):
         thresholds = tuple(self.thresholds)
-        if not isinstance(self.domain_length, int):
-            raise ValueError(f"domain_length must be an integer: {self.domain_length!r}")
+        _check_integers(domain_length=self.domain_length)
         if self.domain_length < 1:
             raise ValueError("domain_length must be positive")
         if any(not isinstance(t, int) for t in thresholds):
@@ -169,7 +168,8 @@ def act_on_partition(
 
 
 def _check_k_nonneg_l_positive(k: int, l: int) -> None:
-    """Reject (k, l) outside k >= 0, l >= 1."""
+    """Reject (k, l) outside the integers k >= 0, l >= 1."""
+    _check_integers(k=k, l=l)
     if k < 0 or l < 1:
         raise ValueError("need k >= 0 and l >= 1")
 
@@ -239,7 +239,7 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
 
     Equals the histogram of `len(o)` over `orbits(k, l, group)`, with the same
     argument checks, but enumerates no sequence.  Like `orbits` it takes no
-    cap: `qfiber orbits` checks C(k+l-1, l-1) against its cap first.  Taking
+    cap: `qfiber orbits` checks its estimates against its cap first.  Taking
     1 from every step turns a sequence into a spread of k units over the l
     positions.
     "symmetric" orbits are then the partitions of k into at most l parts,

@@ -9,10 +9,13 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb, log10, sqrt
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qfiber.cli as cli
 import qfiber.verify as verify
@@ -246,17 +249,28 @@ def test_main_restores_the_int_digit_limit(capsys, monkeypatch):
         sys.set_int_max_str_digits(limit)
 
 
+def binomial_refused(top, bottom, cap):
+    """Whether the gate refuses C(top, bottom) step sequences: the symmetric
+    group adds no estimate of its own to `orbits`."""
+    args = argparse.Namespace(k=top - bottom, l=bottom + 1, group="symmetric", max_enum=cap)
+    try:
+        cli._admit(cli._orbits_estimates(args), cap)
+    except cli.EnumerationCapError:
+        return True
+    return False
+
+
 def test_binomial_exceeds_matches_comb():
     for top in range(60):
         for bottom in range(top + 1):
             value = comb(top, bottom)
             for cap in (-5, 0, 1, 2, value - 1, value, value + 1, 2 * value, 10**7):
-                assert cli._binomial_exceeds(top, bottom, cap) == (value > cap)
-    # C(2999999, 999999) has about 829,000 digits; the comparison stops near 24 steps
+                assert binomial_refused(top, bottom, cap) == (value > cap)
+    # C(2999999, 999999) has about 829,000 digits; its digit estimate refuses it
     started = time.perf_counter()
-    assert cli._binomial_exceeds(2999999, 999999, 10**7)
-    assert cli._binomial_exceeds(29999999, 9999999, 10**7)
-    assert not cli._binomial_exceeds(29999999, 29999998, 10**8)
+    assert binomial_refused(2999999, 999999, 10**7)
+    assert binomial_refused(29999999, 9999999, 10**7)
+    assert not binomial_refused(29999999, 29999998, 10**8)
     assert time.perf_counter() - started < 0.01
 
 
@@ -657,12 +671,25 @@ CAPPED_CALLS = [
      "C(19, 9) step sequences for (k=10, l=10) exceed the cap of 10"),
     (["verify", "fibrations", "--n-max", "12"], "1000",
      "11*2^12 + 1 covering points for --n-max 12 exceed the cap of 1000"),
+    # C(k+l-1, l-1) is 1 at l = 1 and at k = 0: the routes' own work is counted
+    (["orbits", "1000000", "1", "units"], "10",
+     "1000001 entries of a fixed-point count for k=1000000 exceed the cap of 10"),
+    (["orbits", "0", "1000000000000000003", "cyclic"], "10",
+     "1000000000 trial divisions of l=1000000000000000003 exceed the cap of 10"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, cap, message", CAPPED_CALLS, ids=[argv[0] for argv, _, _ in CAPPED_CALLS]
-)
+def call_ids(calls):
+    """Each call's command, or its whole argv once an earlier call has that command."""
+    seen = set()
+    ids = []
+    for argv, _, _ in calls:
+        ids.append("-".join(argv) if argv[0] in seen else argv[0])
+        seen.add(argv[0])
+    return ids
+
+
+@pytest.mark.parametrize("argv, cap, message", CAPPED_CALLS, ids=call_ids(CAPPED_CALLS))
 def test_every_command_takes_its_cap_from_the_environment_alone(
     capsys, monkeypatch, argv, cap, message
 ):
@@ -672,6 +699,65 @@ def test_every_command_takes_its_cap_from_the_environment_alone(
     assert code == 2 and out == ""
     assert err.startswith(f"usage: qfiber {argv[0]} "), err
     assert err.endswith("error: unrecognized arguments: --max-enum 5\n"), err
+
+
+# The exit-code contract over drawn argvs, under a cap low enough that every
+# admitted call stays small: integers log-uniform over 0..10^40 and the edges.
+CONTRACT_CAP = 1000
+NUMBERS = st.one_of(
+    st.sampled_from([0, 1, CONTRACT_CAP - 1, CONTRACT_CAP, CONTRACT_CAP + 1, 2**63]),
+    st.integers(0, 40).flatmap(lambda digits: st.integers(0, 10**digits)),
+).map(str)
+PRIMES = st.lists(st.one_of(st.sampled_from(["3", "5", "7", "101"]), NUMBERS),
+                  min_size=1, max_size=3).map(",".join)
+ARITY = {"coeffs": 2, "residue-sums": 3, "fibers": 2, "orbits": 2}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from([*ARITY, "verify"]))
+    if command == "verify":
+        argv = [command, draw(st.sampled_from(verify.SUITES))]
+        for flag, value in (("--k-max", NUMBERS), ("--l-max", NUMBERS), ("--m-max", NUMBERS),
+                            ("--n-max", NUMBERS), ("--primes", PRIMES)):
+            if draw(st.booleans()):
+                argv += [flag, draw(value)]
+    else:
+        argv = [command, *(draw(NUMBERS) for _ in range(ARITY[command]))]
+        if command == "orbits":
+            argv.append(draw(st.sampled_from(cli.GROUPS)))
+    return argv + ["--format", draw(st.sampled_from(cli.FORMATS))]
+
+
+def reports_a_failure(out):
+    lines = out.splitlines()
+    return any(line.startswith("FAIL ") or line.endswith(",fail") for line in lines) or (
+        '"status":"fail"' in out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+@example(["orbits", "1000000000000000000000000000000", "1", "units"])
+@example(["orbits", "1000000", "1", "units"])
+@example(["orbits", "1000000000", "1", "units"])
+@example(["orbits", "0", "27720", "units"])
+@example(["orbits", "0", "1000000000000000003", "cyclic"])
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"QFIBER_MAX_ENUM": str(CONTRACT_CAP)}), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser's exit 2; any other exception fails the test
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code == 1:
+        assert argv[0] == "verify" and reports_a_failure(out), (argv, out)
+    if code in (2, 3):
+        assert out == "", argv
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):

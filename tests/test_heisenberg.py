@@ -419,6 +419,11 @@ def test_delta_validation_and_cap():
         delta_fiber_sizes(5, 0)
     with pytest.raises(ValueError):
         delta_fiber_sizes_via_partitions(2, 5)
+    for route in (delta_fiber_sizes, delta_fiber_sizes_via_partitions):
+        with pytest.raises(ValueError, match=re.escape("ring_size must be an integer: 5.0")):
+            route(5.0, 2)
+        with pytest.raises(ValueError, match=re.escape("marked must be an integer: 2.0")):
+            route(5, 2.0)
     # neither route takes a cap: `qfiber fibers` checks its estimates first
     with pytest.raises(TypeError):
         delta_fiber_sizes(12, 6, max_elements=462)

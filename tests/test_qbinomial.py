@@ -58,6 +58,9 @@ def test_trivial_boxes():
     assert gaussian_coefficients(0, 7) == (1,)
     assert gaussian_coefficients(1, 1) == (1, 1)
     assert gaussian_coefficients(2, 2) == (1, 1, 2, 1, 1)
+    # the cache keys 2.0 apart from 2, so the float is refused after the int is cached
+    with pytest.raises(ValueError, match=r"^m must be an integer: 2\.0$"):
+        gaussian_coefficients(2.0, 2)
 
 
 def test_coefficients_match_brute_force():
@@ -191,6 +194,11 @@ def test_lost_moebius_signs_raise(monkeypatch):
 def test_residue_sums_rejects_bad_modulus():
     with pytest.raises(ValueError):
         residue_sums(3, 3, 0)
+    for args, message in (((3, 3, 2.0), "r must be an integer: 2.0"),
+                          ((3.0, 3, 2), "m must be an integer: 3.0")):
+        with pytest.raises(ValueError) as excinfo:
+            residue_sums(*args)
+        assert str(excinfo.value) == message
 
 
 def test_complement_class_symmetry():

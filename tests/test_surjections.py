@@ -387,12 +387,15 @@ def test_package_exports_the_orbit_histogram():
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_orbit_histogram_refuses_like_orbits(group):
-    for args in ((-1, 3, group), (3, 0, group), (3, 2, "dihedral")):
+    for args in ((-1, 3, group), (3, 0, group), (3, 2, "dihedral"), (2.0, 2, group),
+                 (2.5, 2, group), (2, 2.0, group)):
         with pytest.raises(ValueError) as by_enumeration:
             orbits(*args)
         with pytest.raises(ValueError) as by_counting:
             orbit_histogram(*args)
         assert str(by_counting.value) == str(by_enumeration.value)
+    with pytest.raises(ValueError, match=r"^k must be an integer: 2\.5$"):
+        orbit_histogram(2.5, 2, group)
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ import functools
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from math import comb, isqrt, log, log1p, pi
 from typing import Iterable, Iterator
 
@@ -92,6 +92,20 @@ def _prime_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
 
 
+# Rows joined per write by `_write_csv`, so its memory does not grow with the table.
+CSV_BATCH_ROWS = 4096
+
+
+def _write_csv(header: list[str], rows: Iterable[list[str]]) -> None:
+    """CSV of two-field rows whose fields need no quoting (decimal integers
+    and plain words): each row joined with "," and ended with "\n", the same
+    bytes as `csv.writer` with lineterminator "\n", in batches of rows.  A
+    joined batch is empty only once the rows are exhausted."""
+    write, rows = sys.stdout.write, chain([header], rows)
+    while batch := "\n".join(map(",".join, islice(rows, CSV_BATCH_ROWS))):
+        write(batch + "\n")
+
+
 def _emit(
     args: argparse.Namespace,
     parameters: dict,
@@ -99,10 +113,13 @@ def _emit(
     header: list[str],
     rows: Iterable[list[str]],
     lines: list[str],
+    free_text: bool = False,
 ) -> None:
     """Print one command's output in the chosen format: the JSON record of
     its parameters (stringified) and result, the CSV header and rows, or the
-    table lines.  The rows may be a generator: only CSV reads them."""
+    table lines.  The rows may be a generator: only CSV reads them.  Rows
+    with `free_text`, which may hold commas or quotes, go through
+    `csv.writer`; the number tables' rows are joined by `_write_csv`."""
     if args.format == "json":
         record = {
             "schema_version": SCHEMA_VERSION,
@@ -111,10 +128,12 @@ def _emit(
             "result": result,
         }
         print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    elif args.format == "csv":
+    elif args.format == "csv" and free_text:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    elif args.format == "csv":
+        _write_csv(header, rows)
     else:
         for line in lines:
             print(line)
@@ -276,7 +295,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     result = {"checks": str(len(reports)), "failures": str(failures), "reports": payloads}
     header = ["check_id", "parameters", "expected", "actual", "status"]
-    _emit(args, bounds, result, header, rows, lines)
+    _emit(args, bounds, result, header, rows, lines, free_text=True)
     if args.timings:
         _print_timings(reports)
     return 1 if failures else 0

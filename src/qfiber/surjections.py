@@ -108,8 +108,7 @@ def surjection_to_partition(t: ThresholdSequence) -> Partition:
 def partition_to_surjection(pi: Partition, k: int, l: int) -> ThresholdSequence:
     """Cut positions of the surjection for a partition in the k x (l-1) box;
     exact inverse of surjection_to_partition."""
-    if k < 0 or l < 1:
-        raise ValueError("need k >= 0 and l >= 1")
+    _check_k_nonneg_l_positive(k, l)
     if not pi.fits(k, l - 1):
         raise ValueError(f"{pi} does not fit a {k} x {l - 1} box")
     padded = pi.parts + (0,) * (l - 1 - len(pi.parts))

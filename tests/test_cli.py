@@ -20,6 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 import qfiber.cli as cli
 import qfiber.verify as verify
 from qfiber.cli import main
+from qfiber.heisenberg import delta_fiber_sizes_via_partitions
+from qfiber.qbinomial import gaussian_coefficients, residue_sums
+from qfiber.surjections import orbit_histogram
 from qfiber.verify import CheckReport
 
 
@@ -793,6 +796,54 @@ def test_verify_csv_quotes_free_text(capsys, monkeypatch):
     row = next(row for row in parse_csv(out) if row[0] == "counterexample-6x5-table")
     assert row[3] == 'ValueError: sides (6, 5) disagree, "badly"'
     assert f"m=6 n=5 r=6,80 75 78 76 78 75,{field},fail\n" in out
+
+
+def _csv_writer_text(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _number_table(command):
+    """The header and rows of a number-table command, from the library."""
+    name, *args = command.split()
+    numbers = [int(arg) for arg in args if arg.isdigit()]
+    if name == "orbits":
+        k, l = numbers
+        histogram = orbit_histogram(k, l, args[2]).items()
+        rows = [[str(size), str(count)] for size, count in histogram]
+        return ["orbit_size", "orbit_count"], rows + [["total", str(comb(k + l - 1, l - 1))]]
+    header, values = {
+        "coeffs": (["index", "coefficient"], gaussian_coefficients),
+        "residue-sums": (["residue", "sum"], residue_sums),
+        "fibers": (["class", "cardinality"], delta_fiber_sizes_via_partitions),
+    }[name]
+    rows = [[str(i), str(v)] for i, v in enumerate(values(*numbers))]
+    if name == "fibers":
+        n, r = numbers
+        rows.append(["total", str(comb(n - 1, r - 1))])
+    return header, rows
+
+
+NUMBER_TABLES = [
+    "coeffs 0 0", "coeffs 1 0", "coeffs 3 2", "coeffs 5 5", "coeffs 70 70",
+    "residue-sums 0 0 1", "residue-sums 3 3 4", "residue-sums 6 5 6", "residue-sums 10 9 10",
+    "fibers 1 1", "fibers 5 2", "fibers 10 5", "fibers 12 12", "fibers 1000 10",
+    "orbits 0 1 cyclic", "orbits 6 6 units", "orbits 4 6 symmetric", "orbits 5 3 cyclic",
+]
+
+
+@pytest.mark.parametrize("batch", [1, 3, cli.CSV_BATCH_ROWS])
+@pytest.mark.parametrize("command", NUMBER_TABLES)
+def test_number_table_csv_matches_csv_writer(capsys, monkeypatch, command, batch):
+    # the joined rows, written in batches, are the bytes csv.writer gives
+    # for the same header and rows, the `total` rows included
+    monkeypatch.setattr(cli, "CSV_BATCH_ROWS", batch)
+    code, out, _ = run(capsys, *command.split(), "--format", "csv")
+    assert code == 0
+    assert out == _csv_writer_text(*_number_table(command))
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):

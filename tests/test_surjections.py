@@ -68,7 +68,7 @@ def test_threshold_sequence_validation():
         ThresholdSequence((5, 15), 15)
     with pytest.raises(ValueError, match=r"^domain_length must be an integer: 3\.5$"):
         ThresholdSequence((1,), 3.5)
-    with pytest.raises(ValueError, match=r"^domain_length must be an integer: 3\.5$"):
+    with pytest.raises(ValueError, match=r"^k must be an integer: 1\.5$"):
         partition_to_surjection(Partition(()), 1.5, 2)
     assert ThresholdSequence((), 3).level_count == 1
 

@@ -252,6 +252,19 @@ def test_covering_checks_count_against_the_closed_form(monkeypatch):
             assert report.expected == r * comb(n, r) != report.actual
 
 
+def test_orbit_starts_are_the_checked_points():
+    # built unchecked, the starts equal the points the public constructor
+    # makes from the same r-subsets, and are of exactly its class
+    for n in range(1, 9):
+        for r in range(n + 2):
+            starts = list(verify._orbit_starts(n, r))
+            assert starts == [CoveringPoint(c, n) for c in combinations(range(1, n + 1), r)]
+            assert all(type(point) is CoveringPoint for point in starts)
+    for ring_size in (0, -1, 2.0, "3"):
+        with pytest.raises(ValueError, match="ring_size must be a positive integer"):
+            verify._orbit_starts(ring_size, 1)
+
+
 def assert_walk_covers_first_mark_points(monkeypatch):
     """For N <= 9, the points the covering walk passes to
     `relative_positions` are those with first mark in [1, N], built

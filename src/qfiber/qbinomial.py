@@ -4,8 +4,10 @@ The coefficient of q^w in the Gaussian binomial for an m x n box counts the
 partitions of w with at most n parts, each at most m.  Sums of coefficients
 over an index class mod r are therefore partition counts by weight class.
 `gaussian_coefficients` builds the vector, a tuple indexed by weight, by the
-product formula, computing only the low half (the vector is palindromic, as
-the complement in the box maps weight w to m*n - w) and mirroring it;
+product formula.  Every partial product is itself a palindromic Gaussian
+binomial (the complement in its box maps weight w to the top degree minus
+w), so each step computes only its low half, extended from the previous low
+half by its mirror, and the last is mirrored into the whole vector;
 `coefficient_work`, the full formula's m*n*min(m, n) additions, stays the
 cap's upper bound on it, so `qfiber coeffs 216 216` is still refused.
 `residue_sums` gets the class sums by the q-Lucas theorem without it.  This
@@ -69,40 +71,43 @@ def gaussian_coefficients(m: int, n: int) -> tuple[int, ...]:
     a tuple of m*n + 1 entries.
 
     Built from the product formula prod_{i=1..narrow} (1 - q^(wide+i)) / (1 - q^i)
-    over the smaller side, as power series truncated after q^(half-1), half =
-    m*n//2 + 1, and after the degree wide*i of the first i factors' product.
-    Each factor multiplies by 1 - q^(wide+i) as one slice subtraction, then
-    divides by 1 - q^i as i prefix sums of stride i, all in builtins.  Both
-    steps are causal (coefficient w reads only coefficients <= w), so the
-    truncated coefficients are exact; the top m*n - half + 1 mirror the low
-    ones, as the complement in the box maps weight w to m*n - w (Andrews,
-    The Theory of Partitions, ch. 3).  For sides up to 200 that is at most
-    0.75 of the additions of the full product formula, `coefficient_work`.
+    over the smaller side.  The product of the first i factors is the
+    Gaussian binomial [wide+i choose i]_q, palindromic of degree wide*i, as
+    the complement in its box maps weight w to wide*i - w (Andrews, The
+    Theory of Partitions, ch. 3); so step i keeps only its low wide*i//2 + 1
+    coefficients.  It extends the previous low half by its own mirror (a
+    reversed copy, no additions) and by zeros past degree wide*(i-1), then
+    multiplies by 1 - q^(wide+i) as one slice subtraction and divides by
+    1 - q^i as i prefix sums of stride i, all in builtins.  Both steps are
+    causal (coefficient w reads only coefficients <= w), so the truncated
+    coefficients are exact; after the last step the top ones mirror the low
+    half.  That is at most half of the additions of the full product
+    formula, `coefficient_work`.
     """
     _check_integers(m=m, n=n)
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
     wide, narrow = max(m, n), min(m, n)
-    half = m * n // 2 + 1
     coeffs = [1]
     for i in range(1, narrow + 1):
-        # the product of the first i factors has degree wide*i
-        size = min(half, wide * i + 1)
+        # coeffs holds the low half of the first i-1 factors' product, of
+        # degree top; extend it by its mirror up to top, then by zeros
+        top, size = wide * (i - 1), wide * i // 2 + 1
         shift = wide + i
+        coeffs += reversed(coeffs[max(top + 1 - size, 0) : top + 1 - len(coeffs)])
         coeffs += [0] * (size - len(coeffs))
         if shift < size:
             coeffs[shift:] = map(sub, coeffs[shift:], coeffs[: size - shift])
         for j in range(i):
             coeffs[j::i] = accumulate(coeffs[j::i])
-    coeffs += reversed(coeffs[: m * n + 1 - half])
+    coeffs += reversed(coeffs[: m * n + 1 - len(coeffs)])
     return tuple(coeffs)
 
 
 def coefficient_work(m: int, n: int) -> int:
     """About m*n*min(m, n): the big-int additions of the full product formula,
     kept as the cap's upper bound on `gaussian_coefficients(m, n)`, which
-    does at most 0.75 of them for sides up to 200 (`coeffs 216 216` is
-    still refused)."""
+    does at most half of them (`coeffs 216 216` is still refused)."""
     return m * n * min(m, n)
 
 

@@ -21,7 +21,7 @@ import qfiber.cli as cli
 import qfiber.verify as verify
 from qfiber.cli import main
 from qfiber.heisenberg import delta_fiber_sizes_via_partitions
-from qfiber.qbinomial import gaussian_coefficients, residue_sums
+from qfiber.qbinomial import coefficient_work, gaussian_coefficients, residue_sums
 from qfiber.surjections import orbit_histogram
 from qfiber.verify import CheckReport
 
@@ -205,6 +205,25 @@ def test_table_guards_read_the_environment_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "residue-sums", "999999999999999", "1", "1")
     assert code == 3 and out == ""
     assert "estimated output of 16 digits exceeds the cap of 15" in err
+
+
+def test_coeffs_gate_keeps_the_full_product_count(monkeypatch):
+    # the kernel does at most half of m*n*min(m, n) additions, but the gate
+    # keeps the full count: tightening it would let coeffs 216 216 through
+    def kernel(m, n):
+        raise AssertionError("the gate ran the kernel")
+
+    monkeypatch.setattr(cli, "gaussian_coefficients", kernel)
+    assert coefficient_work(215, 215) == 215**3
+    assert coefficient_work(216, 40) == 216 * 40 * 40
+
+    def admit(side):
+        args = cli.build_parser().parse_args(["coeffs", str(side), str(side)])
+        cli._admit(args.estimates(args), cli.DEFAULT_ENUMERATION_CAP)
+
+    admit(215)
+    with pytest.raises(cli.EnumerationCapError, match="^estimated work of 10077696 exceeds"):
+        admit(216)
 
 
 def test_residue_sums_past_the_int_digit_limit(capsys):

@@ -73,9 +73,11 @@ def test_coefficients_match_counting_route():
     # same numbers through the box recurrence instead of the product formula;
     # with m*n + 1 classes nothing wraps, so the class table is the full vector.
     # The larger boxes have truncation and mirror both acting (narrow side >= 2,
-    # m*n odd and even, both orders)
-    boxes = [(m, n) for m in range(9) for n in range(9)] + [(1, 200), (200, 1), (3, 150)]
+    # m*n odd and even, both orders); in the last row each step's mirror of the
+    # previous low half meets odd and even degrees wide*(i-1)
+    boxes = [(m, n) for m in range(17) for n in range(17)] + [(1, 200), (200, 1), (3, 150)]
     boxes += [(5, 8), (8, 5), (9, 31), (31, 9), (17, 18), (25, 25), (40, 3)]
+    boxes += [(2, 31), (31, 2), (3, 7), (7, 3), (12, 13), (13, 12), (40, 39), (40, 40)]
     for m, n in boxes:
         assert list(gaussian_coefficients(m, n)) == count_by_residue(m, n, m * n + 1), (m, n)
 

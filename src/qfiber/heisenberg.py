@@ -134,6 +134,7 @@ def _built(cls, marks, ring_size):
 
 def enumerate_configurations(ring_size: int, marked: int) -> Iterator[Configuration]:
     """All C(ring_size, marked) configurations in lexicographic node order."""
+    _check_integers(ring_size=ring_size, marked=marked)
     if ring_size < 1:
         raise ValueError("ring_size must be positive")
     if not 0 <= marked <= ring_size:

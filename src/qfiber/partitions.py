@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .qbinomial import _check_integers
+
 
 @dataclass(frozen=True, order=True)
 class Partition:
@@ -43,6 +45,7 @@ class Partition:
 
 
 def _validate_box(max_part: int, max_count: int) -> None:
+    _check_integers(max_part=max_part, max_count=max_count)
     if max_part < 0 or max_count < 0:
         raise ValueError("rectangle dimensions must be nonnegative")
 
@@ -79,6 +82,7 @@ def count_by_residue(max_part: int, max_count: int, modulus: int) -> list[int]:
     min(max_part, max_count).
     """
     _validate_box(max_part, max_count)
+    _check_integers(modulus=modulus)
     if modulus < 1:
         raise ValueError("modulus must be positive")
     # A partition in the (a, b) box has fewer than b parts, or exactly b
@@ -103,6 +107,7 @@ def count_exact_parts_by_residue(part_bound: int, exact_count: int, modulus: int
     Removing one unit from each part is a bijection onto the
     (part_bound - 1, exact_count) box that lowers each weight by exact_count.
     """
+    _check_integers(part_bound=part_bound, exact_count=exact_count, modulus=modulus)
     if part_bound < 0:
         raise ValueError("part_bound must be nonnegative")
     if exact_count < 1:

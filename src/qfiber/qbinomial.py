@@ -51,6 +51,7 @@ def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
 def is_prime(n: int) -> bool:
     """Deterministic trial division, stopped at the smallest prime factor;
     meant for small inputs (fast up to ~10**12, exact for any n)."""
+    _check_integers(n=n)
     return n > 1 and next(_prime_powers(n)) == (n, n)
 
 
@@ -197,6 +198,7 @@ def _exact_div(numerator: int, divisor: int) -> int:
 
 
 def _validate_odd_prime(p: int) -> None:
+    _check_integers(p=p)
     if p == 2 or not is_prime(p):
         raise ValueError(f"p={p} must be an odd prime")
 
@@ -210,6 +212,7 @@ def coprime_class_sum(k: int, l: int, r: int) -> int:
     cannot divide k), so `verify` checks it against the folded coefficient
     vector instead.
     """
+    _check_integers(k=k, l=l, r=r)
     if k < 1 or l < 1:
         raise ValueError("k and l must be positive")
     if gcd(k, l) != 1:
@@ -229,6 +232,7 @@ def prime_multiple_class_sum(p: int, multiplier: int, height: int, residue: int)
     vector instead.
     """
     _validate_odd_prime(p)
+    _check_integers(multiplier=multiplier, height=height, residue=residue)
     if multiplier < 1:
         raise ValueError("multiplier must be positive")
     if not 1 <= height <= p - 1:
@@ -247,6 +251,7 @@ def prime_adjacent_class_sum(p: int, height: int) -> int:
     `verify` checks it against the folded coefficient vector instead.
     """
     _validate_odd_prime(p)
+    _check_integers(height=height)
     if not 1 <= height <= p - 1:
         raise ValueError(f"height must lie in [1, {p - 1}]")
     return _exact_div(comb(p - 1 + height, height), p)

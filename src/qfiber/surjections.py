@@ -242,7 +242,9 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     1 from every step turns a sequence into a spread of k units over the l
     positions.
     "symmetric" orbits are then the partitions of k into at most l parts,
-    generated directly, so the cost grows with the number of orbits.
+    walked as part values with their multiplicities, each orbit's size a
+    running product of binomials, so the cost grows with the number of
+    orbits and no partition is built.
     "cyclic" and "units" are abelian groups acting on the positions Z/l and go
     through stabilizer counting over their subgroup lattices: one subgroup
     per divisor of l for "cyclic", every subgroup of (Z/l)^* for "units"
@@ -370,25 +372,26 @@ def _fixed_count(k: int, orbit_sizes: list[int]) -> int:
 def _symmetric_histogram(k: int, l: int) -> dict[int, int]:
     """One orbit per partition of k into at most l parts; a partition with
     multiplicities m_v and l - n zero parts has l! / (prod m_v! * (l - n)!)
-    arrangements."""
+    arrangements: the product of comb(free, m_v) over its values, largest
+    first, with `free` the positions still open.  The walk goes value by
+    value, largest first, carrying that product, and takes only the
+    multiplicities that leave room for the rest: m copies of v leave
+    total - m*v for free - m parts below v, which fit when
+    m >= total - (v-1)*free.  So every step leads to a partition."""
+    if k == 0:
+        return {1: 1}  # the all-zero spread, alone in its orbit
     histogram: Counter[int] = Counter()
-    for parts in _partitions(k, k, l):
-        size, free = 1, l
-        for multiplicity in Counter(parts).values():
-            size *= comb(free, multiplicity)
-            free -= multiplicity
-        histogram[size] += 1
+
+    def place(total: int, largest: int, free: int, size: int) -> None:
+        for value in range(min(total, largest), 0, -1):
+            if value * free < total:
+                return
+            for m in range(max(1, total - (value - 1) * free), min(free, total // value) + 1):
+                rest, arranged = total - m * value, size * comb(free, m)
+                if rest:
+                    place(rest, value - 1, free - m, arranged)
+                else:
+                    histogram[arranged] += 1
+
+    place(k, k, l, 1)
     return dict(sorted(histogram.items()))
-
-
-def _partitions(total: int, largest: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of `total` into at most `slots` parts no larger than
-    `largest`, as non-increasing tuples; every branch taken yields one."""
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, largest), 0, -1):
-        if part * slots < total:
-            return
-        for rest in _partitions(total - part, part, slots - 1):
-            yield (part,) + rest

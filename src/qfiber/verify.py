@@ -25,6 +25,7 @@ from .heisenberg import (
 )
 from .partitions import count_by_residue, count_exact_parts_by_residue
 from .qbinomial import (
+    _check_integers,
     _divisors,
     coprime_class_sum,
     gaussian_coefficients,
@@ -106,6 +107,7 @@ def _ordered(reports: list[CheckReport]) -> list[CheckReport]:
 def _validate_primes(primes: Sequence[int]) -> None:
     if not primes:
         raise ValueError("need at least one prime")
+    _check_integers(**{f"primes[{i}]": p for i, p in enumerate(primes)})
     bad = [p for p in primes if p == 2 or not is_prime(p)]
     if bad:
         raise ValueError(f"not odd primes: {bad}")
@@ -127,6 +129,7 @@ def check_main1(k_max: int = DEFAULT_KL_BOUND, l_max: int = DEFAULT_KL_BOUND) ->
     vector, must all equal C(k+l-1, l-1) / r.
     Non-coprime pairs are skipped; they are covered by `counterexamples`.
     """
+    _check_integers(k_max=k_max, l_max=l_max)
     if k_max < 2 or l_max < 2:
         raise ValueError("bounds must be at least 2")
     reports = []
@@ -153,6 +156,7 @@ def check_therm(
     box mod p must give p equal sums.
     """
     _validate_primes(primes)
+    _check_integers(multiplier_max=multiplier_max)
     if multiplier_max < 1:
         raise ValueError("multiplier_max must be positive")
     reports = []
@@ -182,6 +186,7 @@ def check_thmp(
     C(bound - 1 + k, k).
     """
     _validate_primes(primes)
+    _check_integers(multiplier_max=multiplier_max)
     if multiplier_max < 1:
         raise ValueError("multiplier_max must be positive")
     reports = []
@@ -318,6 +323,7 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
     (N, r): `covering-shift` there holds the error text, and
     `covering-roundtrip` the count reached so far, so both fail.
     """
+    _check_integers(ring_max=ring_max)
     if ring_max < 3:
         raise ValueError("ring_max must be at least 3")
     reports = []

@@ -994,7 +994,23 @@ MIXED_CALLS = [
     (["coeffs", "3", "2"], "0"),
     ([], None),
     (["fibers", "12", "6", "--format", "json"], None),
+    # a command first goes straight to its parser, anything else through the top level
+    (["coeffs", "--", "2", "2"], None),
+    (["--format", "csv", "coeffs", "2", "2"], None),
+    (["fibers", "5", "2", "-h"], None),
+    (["bogus"], None),
+    (["-h"], None),
 ]
+
+
+def call_main(capsys, argv):
+    """Exit code, stdout and stderr of `main(argv)`, a SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_calls_in_one_process_are_independent(capsys, monkeypatch):
@@ -1005,12 +1021,50 @@ def test_calls_in_one_process_are_independent(capsys, monkeypatch):
             monkeypatch.delenv("QFIBER_MAX_ENUM", raising=False)
         else:
             monkeypatch.setenv("QFIBER_MAX_ENUM", cap)
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        alone = run_fresh("-m", "qfiber.cli", *argv, cap=cap)
-        assert (code, captured.out, captured.err) == alone, (argv, cap)
-        codes.add(code)
+        result = call_main(capsys, argv)
+        assert result == run_fresh("-m", "qfiber.cli", *argv, cap=cap), (argv, cap)
+        codes.add(result[0])
     assert codes == {0, 2, 3}
+
+
+def test_both_parse_routes_give_the_same_result(capsys, monkeypatch):
+    # with no subparser known to `main`, every argv goes through the top level
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, commands = cli._shared_parser()
+    for argv, cap in MIXED_CALLS:
+        if cap is None:
+            monkeypatch.delenv("QFIBER_MAX_ENUM", raising=False)
+        else:
+            monkeypatch.setenv("QFIBER_MAX_ENUM", cap)
+        direct = call_main(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_shared_parser", lambda: (parser, {}))
+            assert call_main(capsys, argv) == direct, (argv, cap)
+
+
+def test_a_leading_command_skips_the_top_level_parse(capsys, monkeypatch):
+    parser, _ = cli._shared_parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("top-level parse")
+
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    assert run(capsys, "coeffs", "2", "2")[:2] == (0, "1 1 2 1 1\n")
+    record = json.loads(run(capsys, "orbits", "4", "4", "symmetric", "--format", "json")[1])
+    assert record["command"] == "orbits"
+    assert run_expecting_exit(capsys, "fibers", "3", "5")[0] == 2
+    assert run_expecting_exit(capsys, "verify", "--help")[0] == 0
+    for argv in ([], ["--help"], ["bogus"], ["--format", "csv", "coeffs", "2", "2"]):
+        with pytest.raises(AssertionError, match="top-level parse"):
+            main(argv)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qfiber", "coeffs", "2", "2"])
+    assert main() == 0
+    assert capsys.readouterr().out == "1 1 2 1 1\n"
+    monkeypatch.setattr(sys, "argv", ["qfiber", "--help"])
+    with pytest.raises(SystemExit) as excinfo:
+        main(None)
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qfiber [-h]")

@@ -380,6 +380,21 @@ def test_orbit_histogram_edges_and_sylow_products():
         assert orbit_histogram(k, l, "units") == expected
 
 
+def test_symmetric_histogram_matches_enumeration_over_the_benchmark_range():
+    for k in range(10):
+        for l in range(1, 10):
+            expected = Counter(len(o) for o in orbits(k, l, "symmetric"))
+            assert orbit_histogram(k, l, "symmetric") == expected, (k, l)
+
+
+@pytest.mark.parametrize("k, l", [(25, 8), (400, 3), (60, 12)])
+def test_symmetric_histogram_beyond_enumeration(k, l):
+    # 3.4e6, 8.1e4 and 2.6e12 sequences; one orbit per partition of k into at most l parts
+    histogram = orbit_histogram(k, l, "symmetric")
+    assert sum(size * count for size, count in histogram.items()) == comb(k + l - 1, l - 1)
+    assert sum(histogram.values()) == burnside_orbit_count(k, l, "symmetric")
+
+
 def test_package_exports_the_orbit_histogram():
     assert qfiber.orbit_histogram is qfiber.surjections.orbit_histogram
     assert "orbit_histogram" in qfiber.__all__

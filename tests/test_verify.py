@@ -10,7 +10,8 @@ import pytest
 import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
-from qfiber.heisenberg import CoveringPoint
+from qfiber.heisenberg import CoveringPoint, enumerate_configurations
+from qfiber.partitions import count_by_residue, count_exact_parts_by_residue
 from qfiber.verify import (
     CheckReport,
     check_counterexamples,
@@ -119,6 +120,28 @@ def test_check_main1_rejects_small_bounds():
         check_main1(1, 6)
     with pytest.raises(ValueError):
         check_main1(6, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qbinomial.is_prime(7.0), "n must be an integer: 7.0"),
+    (lambda: run_suite("therm", primes=(3.0,)), "primes[0] must be an integer: 3.0"),
+    (lambda: run_suite("thmp", primes=(3, 5.0)), "primes[1] must be an integer: 5.0"),
+    (lambda: check_therm((3,), 1.0), "multiplier_max must be an integer: 1.0"),
+    (lambda: check_main1(4.0, 4), "k_max must be an integer: 4.0"),
+    (lambda: check_fibrations(5.0), "ring_max must be an integer: 5.0"),
+    (lambda: qbinomial.coprime_class_sum(2, 3, 3.0), "r must be an integer: 3.0"),
+    (lambda: qbinomial.prime_multiple_class_sum(5.0, 1, 1, 0), "p must be an integer: 5.0"),
+    (lambda: qbinomial.prime_adjacent_class_sum(5, 1.0), "height must be an integer: 1.0"),
+    (lambda: count_by_residue(2, 2.0, 3), "max_count must be an integer: 2.0"),
+    (lambda: count_exact_parts_by_residue(2, 2, 3.0), "modulus must be an integer: 3.0"),
+    (lambda: list(enumerate_configurations(5.0, 2)), "ring_size must be an integer: 5.0"),
+])
+def test_non_integer_arguments_are_refused_by_name(call, message):
+    # 7.0 passes the trial division, so a float prime or bound used to end in
+    # a bare TypeError from `range` or a list product
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 def test_check_therm_passes():

@@ -10,7 +10,7 @@ bijection (the production route) and by direct enumeration (its oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
 from operator import add, index, lt, sub
 from typing import Iterable, Iterator, Union
@@ -20,11 +20,10 @@ from .qbinomial import _check_integers, residue_sums
 # Values are validated once, where they enter the library: each class below
 # checks its arguments in one hand-written __init__ before storing them
 # (equality, ordering, hashing and repr stay generated), with builtin loops
-# (map, all, min) rather than generator frames.  The maps further down take
-# an instance of exactly the class as valid, and store their results, which
-# are valid by construction, through the slot setters below, unchecked; any
-# other argument goes through the public constructor first.
-_set = object.__setattr__
+# (map, all, min) rather than generator frames.  Code in this module builds
+# values that are valid by construction without the checks; the maps take
+# an instance of exactly the class as valid, and any other argument goes
+# through the public constructor first.
 
 
 @dataclass(frozen=True, order=True, init=False, slots=True)
@@ -47,8 +46,8 @@ class Configuration:
             raise ValueError(f"nodes must lie in [1, {ring_size}]: {nodes!r}")
         if not all(map(lt, nodes, nodes[1:])):
             raise ValueError(f"nodes must be strictly increasing: {nodes!r}")
-        _set(self, "nodes", nodes)
-        _set(self, "ring_size", ring_size)
+        _set_nodes(self, nodes)
+        _set_nodes_ring_size(self, ring_size)
 
 
 @dataclass(frozen=True, order=True, init=False, slots=True)
@@ -71,8 +70,8 @@ class CoveringPoint:
             raise ValueError(f"positions must be strictly increasing: {positions!r}")
         if positions and positions[-1] >= positions[0] + ring_size:
             raise ValueError(f"span must be less than ring_size={ring_size}: {positions!r}")
-        _set(self, "positions", positions)
-        _set(self, "ring_size", ring_size)
+        _set_positions(self, positions)
+        _set_point_ring_size(self, ring_size)
 
     @property
     def center_sum(self) -> int:
@@ -98,49 +97,54 @@ class RelativePositions:
             raise ValueError(f"gaps must be positive integers: {gaps!r}")
         if sum(gaps) != ring_size:
             raise ValueError(f"gaps must sum to ring_size={ring_size}: {gaps!r}")
-        _set(self, "gaps", gaps)
-        _set(self, "ring_size", ring_size)
+        _set_gaps(self, gaps)
+        _set_gaps_ring_size(self, ring_size)
 
 
-# The classes are slotted, so each field can be stored through its slot
-# descriptor's __set__, which passes the frozen __setattr__ by as
-# object.__setattr__ does, without finding the slot by name.  The setters
-# are looked up here, once.  The three maps below, which the covering walk
-# of `verify` calls on every point, store their results through the setters
-# bound to module names, with no `_built` frame and no lookup in this dict:
-# the three calls for one covering point, with the position sum passed to
-# `reconstruct`, took 6.0 us of CPU time against 6.5 us through `_built`
-# (medians of 30 interleaved runs over the 24,576 points with N = 12,
-# Python 3.11.7, shared 2-core host).
-_SLOT_SETTERS = {
-    cls: tuple(getattr(cls, field.name).__set__ for field in fields(cls))
-    for cls in (CoveringPoint, RelativePositions)
-}
-_set_positions, _set_point_ring_size = _SLOT_SETTERS[CoveringPoint]
-_set_gaps, _set_gaps_ring_size = _SLOT_SETTERS[RelativePositions]
+# Every field is stored through its slot descriptor's __set__, bound here
+# once, by the constructors after their checks and unchecked by the builds
+# below: it passes the frozen __setattr__ by without finding the slot by
+# name, which counts where the covering walk builds three values per point.
+_set_nodes, _set_nodes_ring_size = Configuration.nodes.__set__, Configuration.ring_size.__set__
+_set_positions = CoveringPoint.positions.__set__
+_set_point_ring_size = CoveringPoint.ring_size.__set__
+_set_gaps, _set_gaps_ring_size = RelativePositions.gaps.__set__, RelativePositions.ring_size.__set__
 _new = object.__new__
 
 
-def _built(cls, marks, ring_size):
-    """An instance of `cls` holding `marks` (its first field) and `ring_size`
-    as given, stored through its slot setters and unchecked: only for values
-    that obey every rule of `cls`, as the orbit starts of `verify` do."""
-    built = _new(cls)
-    set_marks, set_ring_size = _SLOT_SETTERS[cls]
-    set_marks(built, marks)
-    set_ring_size(built, ring_size)
-    return built
+def _subsets(cls, set_marks, set_ring_size, subsets, ring_size):
+    """An instance of `cls` holding each r-subset of [1, ring_size] from
+    `subsets` and ring_size, stored through the given setters, unchecked."""
+    for marks in subsets:
+        value = _new(cls)
+        set_marks(value, marks)
+        set_ring_size(value, ring_size)
+        yield value
 
 
 def enumerate_configurations(ring_size: int, marked: int) -> Iterator[Configuration]:
-    """All C(ring_size, marked) configurations in lexicographic node order."""
+    """All C(ring_size, marked) configurations in lexicographic node order.
+    Each is an r-subset of [1, ring_size] from `combinations`, strictly
+    increasing inside [1, ring_size], so it is valid and is built unchecked."""
     _check_integers(ring_size=ring_size, marked=marked)
     if ring_size < 1:
         raise ValueError("ring_size must be positive")
     if not 0 <= marked <= ring_size:
         raise ValueError("need 0 <= marked <= ring_size")
-    for nodes in combinations(range(1, ring_size + 1), marked):
-        yield Configuration(nodes, ring_size)
+    return _subsets(Configuration, _set_nodes, _set_nodes_ring_size,
+                    combinations(range(1, ring_size + 1), marked), ring_size)
+
+
+def orbit_starts(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
+    """The covering points with every mark in [1, ring_size], in lexicographic
+    order: one on each `shift_action` orbit of the points with first mark in
+    [1, ring_size].  Each is an r-subset of [1, ring_size] from
+    `combinations`, strictly increasing and spanning at most ring_size - 1,
+    so once ring_size is a positive integer it is valid and built unchecked."""
+    if not isinstance(ring_size, int) or ring_size < 1:
+        raise ValueError(f"ring_size must be a positive integer: {ring_size!r}")
+    return _subsets(CoveringPoint, _set_positions, _set_point_ring_size,
+                    combinations(range(1, ring_size + 1), marked), ring_size)
 
 
 def center_projection(c: Configuration) -> int:

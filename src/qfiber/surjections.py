@@ -250,10 +250,14 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     per divisor of l for "cyclic", every subgroup of (Z/l)^* for "units"
     (thousands when l is highly composite, 4086 at l = 2520), each with a
     fixed-point count of cost O(#position orbits * k).
+    At k = 0 the one spread is all zeros, which every group fixes, so each
+    group gives {1: 1} at once, with no lattice or partition walk.
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
     _check_k_nonneg_l_positive(k, l)
+    if k == 0:
+        return {1: 1}  # the all-zero spread, alone in its orbit
     if group == "symmetric":
         return _symmetric_histogram(k, l)
     if group == "cyclic":
@@ -370,7 +374,7 @@ def _fixed_count(k: int, orbit_sizes: list[int]) -> int:
 
 
 def _symmetric_histogram(k: int, l: int) -> dict[int, int]:
-    """One orbit per partition of k into at most l parts; a partition with
+    """One orbit per partition of k >= 1 into at most l parts; a partition with
     multiplicities m_v and l - n zero parts has l! / (prod m_v! * (l - n)!)
     arrangements: the product of comb(free, m_v) over its values, largest
     first, with `free` the positions still open.  The walk goes value by
@@ -378,8 +382,6 @@ def _symmetric_histogram(k: int, l: int) -> dict[int, int]:
     multiplicities that leave room for the rest: m copies of v leave
     total - m*v for free - m parts below v, which fit when
     m >= total - (v-1)*free.  So every step leads to a partition."""
-    if k == 0:
-        return {1: 1}  # the all-zero spread, alone in its orbit
     histogram: Counter[int] = Counter()
 
     def place(total: int, largest: int, free: int, size: int) -> None:

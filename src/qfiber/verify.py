@@ -9,16 +9,15 @@ sweep; callers decide what to do with failures.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, repeat
 from math import comb, gcd
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .heisenberg import (
-    CoveringPoint as _CoveringPoint,
-    _built,
     delta_fiber_sizes,
     delta_fiber_sizes_via_partitions,
+    orbit_starts,
     reconstruct,
     relative_positions,
     shift_action,
@@ -111,6 +110,9 @@ def _validate_primes(primes: Sequence[int]) -> None:
     bad = [p for p in primes if p == 2 or not is_prime(p)]
     if bad:
         raise ValueError(f"not odd primes: {bad}")
+    repeated = sorted(p for p, count in Counter(primes).items() if count > 1)
+    if repeated:
+        raise ValueError(f"repeated primes: {repeated}")
 
 
 def _folded_coefficients(m: int, n: int, r: int) -> list[int]:
@@ -238,22 +240,6 @@ def check_counterexamples() -> list[CheckReport]:
     return _ordered(reports)
 
 
-def _orbit_starts(ring_size: int, marked: int) -> Iterator[_CoveringPoint]:
-    """The covering points with every mark in [1, ring_size], one per orbit
-    of the shift among the points walked by `_covering_walk`.
-
-    An r-subset of [1, N] from `combinations` is a strictly increasing
-    integer tuple spanning at most N - 1, so once N is a positive integer
-    every start is valid and is built unchecked.  The class is bound under
-    a private name, which tools that wrap a module's public imports (the
-    benchmark's tracer) leave as the class `_built` needs.
-    """
-    if not isinstance(ring_size, int) or ring_size < 1:
-        raise ValueError(f"ring_size must be a positive integer: {ring_size!r}")
-    return map(_built, repeat(_CoveringPoint), combinations(range(1, ring_size + 1), marked),
-               repeat(ring_size))
-
-
 def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
     """Count, in one pass over the covering points with first mark in
     [1, ring_size], those that `reconstruct` round-trips and those whose
@@ -273,21 +259,22 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
     all r.  Hence the points are the r * C(N, r) = N * C(N-1, r-1) distinct
     shift^k(c).
 
-    Only the C(N, r) starting points c are built here; each later point is
-    the output of `shift_action`, and the walk's own position sum goes up by
-    N at each step.  A point counts for the shift check only if its shift
-    has the positions (j_2, ..., j_r, j_1 + N) and that raised sum, so a
-    wrong shift fails the check wherever the walk meets it.
+    The C(N, r) starting points c come from `orbit_starts`; each later
+    point is the output of `shift_action`, and the walk's own position sum
+    goes up by N at each step.  A point counts for the shift check only if
+    its shift has the positions (j_2, ..., j_r, j_1 + N) and that raised
+    sum, so a wrong shift fails the check wherever the walk meets it.
 
-    The three maps are read from this module's globals once per call, so a
-    map rebound there is the one walked, and the positions and position
-    sum of the current point are carried from one step to the next.
+    The starts and the three maps are read from this module's globals once
+    per call, so a function rebound there is the one walked, and the
+    positions and position sum of the current point are carried from one
+    step to the next.
     """
     n = ring_size
     gap_vector, rebuild, shift = relative_positions, reconstruct, shift_action
     round_trips = shifted = 0
     failure = None
-    for point in _orbit_starts(n, marked):
+    for point in orbit_starts(n, marked):
         positions = point.positions
         total = sum(positions)
         for _ in range(marked):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb, log10, sqrt
 from pathlib import Path
@@ -649,6 +650,20 @@ def test_verify_rejects_bad_primes(capsys, monkeypatch):
     assert suites_run == []
 
 
+def test_verify_refuses_repeated_primes(capsys, monkeypatch):
+    # a repeated prime would run and report each of its checks twice
+    suites_run = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, **bounds: suites_run.append(suite) or [])
+    for suite, primes, repeated in (
+        ("therm", "3,3", [3]), ("thmp", "5,5", [5]), ("all", "5,3,5,3", [3, 5])
+    ):
+        code, out, err = run_expecting_exit(capsys, "verify", suite, "--primes", primes)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: qfiber verify "), err
+        assert err.endswith(f"error: argument --primes: repeated primes: {repeated}\n"), err
+    assert suites_run == []
+
+
 def test_verify_refuses_huge_primes_before_testing_them(capsys, monkeypatch):
     # is_prime would divide by up to 10^9 candidates; the cap refuses that first
     suites_run = []
@@ -1015,14 +1030,19 @@ def call_main(capsys, argv):
 
 def test_calls_in_one_process_are_independent(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
+    # the fresh interpreters run two at a time, all before the in-process
+    # calls start changing the environment
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        spawned = list(pool.map(
+            lambda call: run_fresh("-m", "qfiber.cli", *call[0], cap=call[1]), MIXED_CALLS))
     codes = set()
-    for argv, cap in MIXED_CALLS:
+    for (argv, cap), spawn in zip(MIXED_CALLS, spawned):
         if cap is None:
             monkeypatch.delenv("QFIBER_MAX_ENUM", raising=False)
         else:
             monkeypatch.setenv("QFIBER_MAX_ENUM", cap)
         result = call_main(capsys, argv)
-        assert result == run_fresh("-m", "qfiber.cli", *argv, cap=cap), (argv, cap)
+        assert result == spawn, (argv, cap)
         codes.add(result[0])
     assert codes == {0, 2, 3}
 

@@ -173,6 +173,19 @@ def test_enumerate_configurations_counts():
         list(enumerate_configurations(3, 4))
 
 
+def test_enumerated_configurations_are_the_checked_ones():
+    # built unchecked, each equals what the public constructor makes from the
+    # same r-subset, and is of exactly its class
+    for n in range(1, 9):
+        for r in range(n + 1):
+            enumerated = list(enumerate_configurations(n, r))
+            assert enumerated == [Configuration(c, n) for c in combinations(range(1, n + 1), r)]
+            assert all(type(c) is Configuration for c in enumerated)
+    # the arguments are checked when called, not when iterated
+    with pytest.raises(ValueError, match="need 0 <= marked <= ring_size"):
+        enumerate_configurations(3, 4)
+
+
 def test_center_projection_values():
     assert center_projection(Configuration((1, 2), 3)) == 0
     assert center_projection(Configuration((1, 3), 3)) == 1

@@ -380,6 +380,18 @@ def test_orbit_histogram_edges_and_sylow_products():
         assert orbit_histogram(k, l, "units") == expected
 
 
+@pytest.mark.parametrize("group", GROUPS)
+def test_orbit_histogram_at_k_zero_builds_no_lattice(group, monkeypatch):
+    # the one all-zero spread is fixed by every group, at any l
+    def refuse(*args):
+        raise AssertionError("subgroup lattice built")
+
+    monkeypatch.setattr(qfiber.surjections, "_unit_lattice", refuse)
+    monkeypatch.setattr(qfiber.surjections, "_divisors", refuse)
+    for l in (1, 2, 2520, 720720, 10**6):
+        assert orbit_histogram(0, l, group) == {1: 1}
+
+
 def test_symmetric_histogram_matches_enumeration_over_the_benchmark_range():
     for k in range(10):
         for l in range(1, 10):

@@ -10,7 +10,7 @@ import pytest
 import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
-from qfiber.heisenberg import CoveringPoint, enumerate_configurations
+from qfiber.heisenberg import CoveringPoint, enumerate_configurations, orbit_starts
 from qfiber.partitions import count_by_residue, count_exact_parts_by_residue
 from qfiber.verify import (
     CheckReport,
@@ -171,6 +171,26 @@ def test_check_therm_rejects_bad_primes():
         check_therm((3,), 0)
 
 
+@pytest.mark.parametrize("primes, message", [
+    ((3, 3), "repeated primes: [3]"),
+    ((5, 3, 5, 3, 5), "repeated primes: [3, 5]"),
+    # the earlier checks come first, so their messages stay
+    ((3, 9, 9), "not odd primes: [9, 9]"),
+    ((3, 3.0), "primes[1] must be an integer: 3.0"),
+])
+def test_repeated_primes_are_refused(primes, message):
+    with pytest.raises(ValueError) as by_validation:
+        verify._validate_primes(primes)
+    assert str(by_validation.value) == message
+    for check in (check_therm, check_thmp):
+        with pytest.raises(ValueError) as by_suite:
+            check(primes, 1)
+        assert str(by_suite.value) == message
+    with pytest.raises(ValueError) as by_run:
+        run_suite("therm", primes=primes, multiplier_max=1)
+    assert str(by_run.value) == message
+
+
 def test_check_thmp_passes_and_reports_reference_tables():
     reports = check_thmp((3, 5), 2)
     assert not failures(reports)
@@ -264,9 +284,9 @@ def test_covering_checks_keep_no_point_list():
 def test_covering_checks_count_against_the_closed_form(monkeypatch):
     # a walk that skips every point, or meets each twice, fails all 42
     # covering checks of N <= 6: each compares its count with r * C(N, r)
-    starts = verify._orbit_starts
-    for walked in (lambda n, r: iter(()), lambda n, r: chain(starts(n, r), starts(n, r))):
-        monkeypatch.setattr(verify, "_orbit_starts", walked)
+    for walked in (lambda n, r: iter(()),
+                   lambda n, r: chain(orbit_starts(n, r), orbit_starts(n, r))):
+        monkeypatch.setattr(verify, "orbit_starts", walked)
         reports = check_fibrations(6)
         covering = [r for r in reports if r.check_id.startswith("covering-")]
         assert len(covering) == 42 and failures(reports) == covering
@@ -278,14 +298,15 @@ def test_covering_checks_count_against_the_closed_form(monkeypatch):
 def test_orbit_starts_are_the_checked_points():
     # built unchecked, the starts equal the points the public constructor
     # makes from the same r-subsets, and are of exactly its class
+    assert verify.orbit_starts is orbit_starts
     for n in range(1, 9):
         for r in range(n + 2):
-            starts = list(verify._orbit_starts(n, r))
+            starts = list(orbit_starts(n, r))
             assert starts == [CoveringPoint(c, n) for c in combinations(range(1, n + 1), r)]
             assert all(type(point) is CoveringPoint for point in starts)
     for ring_size in (0, -1, 2.0, "3"):
         with pytest.raises(ValueError, match="ring_size must be a positive integer"):
-            verify._orbit_starts(ring_size, 1)
+            orbit_starts(ring_size, 1)
 
 
 def assert_walk_covers_first_mark_points(monkeypatch):

@@ -23,16 +23,26 @@ refuses (exit 3) at the first of its command's `estimates` past the cap.
 `verify --timings` writes the time per check id and the ten slowest checks
 to stderr.
 
-`main` builds its parsers, the top-level one and one per command, all on
-its first call in a process, and reuses them for every later call.  An
-argv that starts with a command name goes straight to that command's
+Each command is described once, in `_COMMANDS`, and an argv takes one of
+two routes.  `_read_direct` reads a well-formed one without argparse: a
+command, exactly its positionals, then any of its options, each at most
+once, as its exact name and a value not starting with "-", or the bare
+`--timings`; every value goes through argparse's converter and choices.
+Every other argv goes to argparse: help, `--`, `--opt=value`, an
+abbreviation, a repeated option, an option first, an unknown or missing
+token, and every value argparse refuses.  So argparse alone accepts what
+only it accepts, writes help and makes usage errors, `_validate`'s
+included.  Its parsers, the top-level one and one per command, are built
+from the same table on the first call that needs them and reused after:
+the build takes 2-3 ms, plus 1-2 ms for the `locale` module, which
+argparse's gettext imports for its message strings on the first parser
+built.  A well-formed command spends about 5-8 us in `_read_direct`
+instead (Python 3.11, 2 cores), builds no parser and imports no `locale`.
+An argv that starts with a command name goes straight to that command's
 parser, which is all the top-level parser would do with it; anything else
 (no argument, an option first, an unknown command) goes through the top
-level.  So a later command spends about 30 us parsing its arguments (55 us
-through the top level) instead of the 2-3 ms the build takes, plus 1-2 ms
-for the `locale` import that argparse's messages pull in on it (Python
-3.11, 2 cores).  Nothing is built at import, and `build_parser` returns a
-new parser on every call.
+level.  Nothing is built at import, and `build_parser` returns a new
+parser on every call.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import os
 import sys
 from itertools import chain, islice
 from math import comb, isqrt, log, log1p, pi
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .heisenberg import delta_fiber_sizes_via_partitions
 from .qbinomial import coefficient_work, gaussian_coefficients, residue_sums, residue_sums_work
@@ -336,10 +346,134 @@ def _print_timings(reports: list[CheckReport]) -> None:
         print(line.rstrip(), file=sys.stderr)
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=FORMATS, default="table", help="output format (default: table)"
-    )
+class _Arg(NamedTuple):
+    """One argument of a command: a positional by its dest, an option by its
+    name.  `convert` and `choices` are argparse's `type` and `choices`; `flag`
+    makes a bare store_true option."""
+
+    name: str
+    help: str | None = None
+    convert: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    metavar: str | None = None
+    flag: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+class _Command(NamedTuple):
+    """One command: the source of both its argparse parser and `_read_direct`."""
+
+    help: str
+    positionals: tuple[_Arg, ...]
+    options: dict[str, _Arg]  # by name
+    handler: Callable[[argparse.Namespace], int]
+    estimates: Callable[[argparse.Namespace], Estimates]
+
+
+_FORMAT = _Arg("--format", "output format (default: table)", choices=FORMATS, default="table")
+
+
+def _options(*options: _Arg) -> dict[str, _Arg]:
+    """A command's options by name: its own, then --format."""
+    return {option.name: option for option in (*options, _FORMAT)}
+
+
+_COMMANDS = {
+    "coeffs": _Command(
+        "coefficient vector for an m x n box",
+        (_Arg("m", "box width (max part size)", _nonneg),
+         _Arg("n", "box height (max part count)", _nonneg)),
+        _options(),
+        _cmd_coeffs,
+        lambda a: _table_estimates(coefficient_work(a.m, a.n), a.m * a.n + 1, a.m + a.n, a.n),
+    ),
+    "residue-sums": _Command(
+        "coefficient sums per index class mod r",
+        (_Arg("m", "box width", _nonneg), _Arg("n", "box height", _nonneg),
+         _Arg("r", "modulus", _positive)),
+        _options(),
+        _cmd_residue_sums,
+        lambda a: _class_sum_estimates(a.m, a.n, a.r, a.r),
+    ),
+    "fibers": _Command(
+        "gap-vector fiber sizes for a marked ring",
+        (_Arg("ring_size", "ring size", _positive, metavar="N"),
+         _Arg("marked", "marked nodes", _positive, metavar="r")),
+        _options(),
+        _cmd_fibers,
+        # the fibers are the class sums of the (N-r) x (r-1) box, reordered, and
+        # their total C(N-1, r-1), which bounds each: r + 1 numbers
+        lambda a: _class_sum_estimates(
+            a.ring_size - a.marked, a.marked - 1, a.marked, a.marked + 1),
+    ),
+    "orbits": _Command(
+        "orbit-size histogram of step sequences",
+        (_Arg("k", convert=_nonneg), _Arg("l", convert=_positive),
+         _Arg("group", choices=GROUPS)),
+        _options(),
+        _cmd_orbits,
+        _orbits_estimates,
+    ),
+    "verify": _Command(
+        "run an identity suite",
+        (_Arg("suite", choices=SUITES),),
+        _options(
+            _Arg("--k-max", convert=_positive, default=DEFAULT_KL_BOUND),
+            _Arg("--l-max", convert=_positive, default=DEFAULT_KL_BOUND),
+            _Arg("--primes", "comma-separated odd primes", _prime_list, default=DEFAULT_PRIMES),
+            _Arg("--m-max", convert=_positive, default=DEFAULT_MULTIPLIER_BOUND),
+            _Arg("--n-max", convert=_positive, default=DEFAULT_RING_BOUND),
+            _Arg("--timings", "write the time per check id and the ten slowest checks to stderr",
+                 flag=True),
+        ),
+        _cmd_verify,
+        _verify_estimates,
+    ),
+}
+
+
+def _read_value(arg: _Arg, text: str) -> object:
+    """`text` converted and checked as argparse does for `arg`.  A text that
+    starts with "-", which argparse may read as an option, raises ValueError,
+    as does a value outside the choices."""
+    if text.startswith("-"):
+        raise ValueError(text)
+    value = text if arg.convert is None else arg.convert(text)
+    if arg.choices is not None and value not in arg.choices:
+        raise ValueError(text)
+    return value
+
+
+def _read_direct(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives a well-formed command line, read without
+    argparse, else None.  Well formed is a command, exactly its positionals,
+    then any of its options, each at most once: its exact name and a value
+    that does not start with "-", or the bare flag.  Every value goes through
+    argparse's converter and choices.  Anything else, help and every argument
+    that argparse refuses included, is None and left to argparse."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    tokens = iter(argv[1:])
+    values = {}
+    try:
+        for arg in command.positionals:
+            values[arg.dest] = _read_value(arg, next(tokens, "-"))  # "-": too few
+        for name in tokens:
+            arg = command.options.get(name)
+            if arg is None or arg.dest in values:
+                return None
+            values[arg.dest] = True if arg.flag else _read_value(arg, next(tokens, "-"))
+    except (argparse.ArgumentTypeError, TypeError, ValueError):  # as argparse's own catch
+        return None
+    for arg in command.options.values():
+        values.setdefault(arg.dest, False if arg.flag else arg.default)
+    return argparse.Namespace(
+        command=argv[0], handler=command.handler, estimates=command.estimates, **values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subparsers by command name."""
+    """The top-level parser and its subparsers by command name, from `_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="qfiber",
         description="Exact coefficient tables, orbit histograms, ring fiber counts, "
@@ -356,89 +490,68 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
         "estimated past the cap QFIBER_MAX_ENUM, a positive integer (default 10^7).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    coeffs = sub.add_parser("coeffs", help="coefficient vector for an m x n box")
-    coeffs.add_argument("m", type=_nonneg, help="box width (max part size)")
-    coeffs.add_argument("n", type=_nonneg, help="box height (max part count)")
-    _add_format(coeffs)
-    coeffs.set_defaults(handler=_cmd_coeffs, estimates=lambda a: _table_estimates(
-        coefficient_work(a.m, a.n), a.m * a.n + 1, a.m + a.n, a.n))
-
-    sums = sub.add_parser("residue-sums", help="coefficient sums per index class mod r")
-    sums.add_argument("m", type=_nonneg, help="box width")
-    sums.add_argument("n", type=_nonneg, help="box height")
-    sums.add_argument("r", type=_positive, help="modulus")
-    _add_format(sums)
-    sums.set_defaults(handler=_cmd_residue_sums,
-                      estimates=lambda a: _class_sum_estimates(a.m, a.n, a.r, a.r))
-
-    fibers = sub.add_parser("fibers", help="gap-vector fiber sizes for a marked ring")
-    fibers.add_argument("ring_size", metavar="N", type=_positive, help="ring size")
-    fibers.add_argument("marked", metavar="r", type=_positive, help="marked nodes")
-    _add_format(fibers)
-    # the fibers are the class sums of the (N-r) x (r-1) box, reordered, and
-    # their total C(N-1, r-1), which bounds each: r + 1 numbers
-    fibers.set_defaults(handler=_cmd_fibers, estimates=lambda a: _class_sum_estimates(
-        a.ring_size - a.marked, a.marked - 1, a.marked, a.marked + 1))
-
-    orb = sub.add_parser("orbits", help="orbit-size histogram of step sequences")
-    orb.add_argument("k", type=_nonneg)
-    orb.add_argument("l", type=_positive)
-    orb.add_argument("group", choices=GROUPS)
-    _add_format(orb)
-    orb.set_defaults(handler=_cmd_orbits, estimates=_orbits_estimates)
-
-    ver = sub.add_parser("verify", help="run an identity suite")
-    ver.add_argument("suite", choices=SUITES)
-    ver.add_argument("--k-max", type=_positive, default=DEFAULT_KL_BOUND)
-    ver.add_argument("--l-max", type=_positive, default=DEFAULT_KL_BOUND)
-    ver.add_argument(
-        "--primes", type=_prime_list, default=DEFAULT_PRIMES, help="comma-separated odd primes"
-    )
-    ver.add_argument("--m-max", type=_positive, default=DEFAULT_MULTIPLIER_BOUND)
-    ver.add_argument("--n-max", type=_positive, default=DEFAULT_RING_BOUND)
-    ver.add_argument(
-        "--timings",
-        action="store_true",
-        help="write the time per check id and the ten slowest checks to stderr",
-    )
-    _add_format(ver)
-    ver.set_defaults(handler=_cmd_verify, estimates=_verify_estimates)
-
-    # `command` is set on both routes of `main`, and `_validate` reports its
-    # errors under the chosen command's usage
-    for name, command in sub.choices.items():
-        command.set_defaults(command=name, command_parser=command)
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        for arg in (*command.positionals, *command.options.values()):
+            if arg.flag:
+                subparser.add_argument(arg.name, action="store_true", help=arg.help)
+            else:
+                subparser.add_argument(arg.name, type=arg.convert, choices=arg.choices,
+                                       default=arg.default, help=arg.help, metavar=arg.metavar)
+        # `command` is set on every route of `main`
+        subparser.set_defaults(command=name, handler=command.handler, estimates=command.estimates)
     return parser, sub.choices
 
 
-# The parsers `main` uses, built on its first call.  No handler writes to them.
+# The argparse parsers `main` uses, built on the first call that needs them:
+# help, a command line `_read_direct` leaves to argparse, or a usage error.
+# No handler writes to them.
 _shared_parser = functools.cache(_build_parsers)
+
+
+def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
+    """Exit 2 with `message` under the usage of the chosen command."""
+    _shared_parser()[1][args.command].error(message)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argparse's reading of argv.  A leading command name goes straight to
+    that command's parser, which is all the top level would do with it;
+    anything else (no argument, an option first, an unknown command) goes
+    through the top level."""
+    parser, commands = _shared_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args, extra = parser.parse_known_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+    if extra:  # under the usage of the command given, not the top-level one
+        _usage_error(args, f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _validate(args: argparse.Namespace) -> None:
     """The argument checks argparse cannot make, as usage errors of the chosen
     command.  --primes is tested only once the cap admits the test's work."""
-    parser = args.command_parser
     # the cap, read afresh on every call: QFIBER_MAX_ENUM, else 10^7
     env = os.environ.get("QFIBER_MAX_ENUM")
     try:
         args.max_enum = DEFAULT_ENUMERATION_CAP if env is None else _positive(env)
     except argparse.ArgumentTypeError as exc:
-        parser.error(f"QFIBER_MAX_ENUM: {exc}")
+        _usage_error(args, f"QFIBER_MAX_ENUM: {exc}")
     if args.command == "fibers" and args.marked > args.ring_size:
-        parser.error(f"r={args.marked} must not exceed N={args.ring_size}")
+        _usage_error(args, f"r={args.marked} must not exceed N={args.ring_size}")
     if args.command == "verify":
         steps = sum(isqrt(p) for p in args.primes if p >= 2)  # bounds is_prime's divisions
         _admit([(steps, f"{steps} trial divisions for --primes exceed")], args.max_enum)
         try:
             _validate_primes(args.primes)
         except ValueError as exc:
-            parser.error(f"argument --primes: {exc}")
+            _usage_error(args, f"argument --primes: {exc}")
         if args.suite in ("main1", "all") and (args.k_max < 2 or args.l_max < 2):
-            parser.error("--k-max and --l-max must be at least 2")
+            _usage_error(args, "--k-max and --l-max must be at least 2")
         if args.suite in ("fibrations", "all") and args.n_max < 3:
-            parser.error("--n-max must be at least 3")
+            _usage_error(args, "--n-max must be at least 3")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -448,16 +561,10 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        parser, commands = _shared_parser()
         argv = sys.argv[1:] if argv is None else argv
-        # the top level would hand all of argv[1:] to a leading command's parser
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
-            args, extra = parser.parse_known_args(argv)
-        else:
-            args, extra = command.parse_known_args(argv[1:])
-        if extra:  # under the usage of the command given, not the top-level one
-            args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _read_direct(argv)
+        if args is None:
+            args = _parse(argv)
         _validate(args)
         _admit(args.estimates(args), args.max_enum)
         return args.handler(args)

@@ -936,16 +936,17 @@ def run_fresh(*args, cap=None):
 
 def test_import_builds_no_parser():
     script = (
-        "import argparse\n"
+        "import argparse, sys\n"
         "built = []\n"
         "init = argparse.ArgumentParser.__init__\n"
         "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
         "import qfiber.cli\n"
         "print(len(built))\n"
         "qfiber.cli.main(['coeffs', '1', '1'])\n"
-        "print(len(built))\n"
+        "print(len(built), 'locale' in sys.modules)\n"
     )
-    assert run_fresh("-c", script) == (0, "0\n1 1\n6\n", "")
+    # a well-formed command builds no parser, so argparse's gettext never imports locale
+    assert run_fresh("-c", script) == (0, "0\n1 1\n0 False\n", "")
 
 
 SUBCOMMANDS = ("coeffs", "residue-sums", "fibers", "orbits", "verify")
@@ -961,13 +962,17 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     cli._shared_parser.cache_clear()
+    # well-formed commands build nothing
     assert run(capsys, "coeffs", "2", "2")[:2] == (0, "1 1 2 1 1\n")
-    # the top parser, then one per subcommand
-    assert built == ["qfiber"] + [f"qfiber {name}" for name in SUBCOMMANDS]
     assert run(capsys, "fibers", "5", "2")[:2] == (0, "2 2\ntotal 4\n")
     assert run(capsys, "orbits", "6", "6", "units", "--format", "csv")[0] == 0
+    assert built == []
+    # the first usage error builds the top parser, then one per subcommand
     assert run_expecting_exit(capsys, "fibers", "3", "5")[0] == 2
+    assert built == ["qfiber"] + [f"qfiber {name}" for name in SUBCOMMANDS]
     assert run_expecting_exit(capsys, "--help")[0] == 0
+    assert run_expecting_exit(capsys, "coeffs", "2", "2", "--format", "xml")[0] == 2
+    assert run(capsys, "coeffs", "--format=csv", "2", "2")[0] == 0
     assert len(built) == 6
     # build_parser itself stays a factory
     assert cli.build_parser() is not cli.build_parser()
@@ -1015,6 +1020,10 @@ MIXED_CALLS = [
     (["fibers", "5", "2", "-h"], None),
     (["bogus"], None),
     (["-h"], None),
+    # forms only argparse reads: `--opt=value`, an abbreviation, a repeated option
+    (["coeffs", "--format=csv", "2", "2"], None),
+    (["fibers", "5", "2", "--fo", "json"], None),
+    (["orbits", "6", "6", "units", "--format", "json", "--format", "csv"], None),
 ]
 
 
@@ -1047,8 +1056,18 @@ def test_calls_in_one_process_are_independent(capsys, monkeypatch):
     assert codes == {0, 2, 3}
 
 
+class TopLevelOnly(dict):
+    """Command parsers that `main`'s choice of route never finds, so every
+    argv goes through the top level, while a usage error still finds its
+    command's parser."""
+
+    def get(self, key, default=None):
+        return default
+
+
 def test_both_parse_routes_give_the_same_result(capsys, monkeypatch):
-    # with no subparser known to `main`, every argv goes through the top level
+    # three routes: the direct reader; with it off, a leading command's
+    # parser; with no subparser found either, the top level
     monkeypatch.setenv("COLUMNS", "80")
     parser, commands = cli._shared_parser()
     for argv, cap in MIXED_CALLS:
@@ -1058,25 +1077,129 @@ def test_both_parse_routes_give_the_same_result(capsys, monkeypatch):
             monkeypatch.setenv("QFIBER_MAX_ENUM", cap)
         direct = call_main(capsys, argv)
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_shared_parser", lambda: (parser, {}))
+            patch.setattr(cli, "_read_direct", lambda argv: None)
+            assert call_main(capsys, argv) == direct, (argv, cap)
+            patch.setattr(cli, "_shared_parser", lambda: (parser, TopLevelOnly(commands)))
             assert call_main(capsys, argv) == direct, (argv, cap)
 
 
 def test_a_leading_command_skips_the_top_level_parse(capsys, monkeypatch):
-    parser, _ = cli._shared_parser()
+    parser, commands = cli._shared_parser()
+    parsed = []
 
     def refuse(*args, **kwargs):
         raise AssertionError("top-level parse")
 
+    def recording(name, parse):
+        return lambda *args, **kwargs: parsed.append(name) or parse(*args, **kwargs)
+
     monkeypatch.setattr(parser, "parse_known_args", refuse)
+    for name, command in commands.items():
+        monkeypatch.setattr(command, "parse_known_args", recording(name, command.parse_known_args))
+    # well-formed command lines take the direct reader, usage errors of `_validate` included
     assert run(capsys, "coeffs", "2", "2")[:2] == (0, "1 1 2 1 1\n")
     record = json.loads(run(capsys, "orbits", "4", "4", "symmetric", "--format", "json")[1])
     assert record["command"] == "orbits"
     assert run_expecting_exit(capsys, "fibers", "3", "5")[0] == 2
+    assert parsed == []
+    # help and the forms only argparse reads go to the command's parser
     assert run_expecting_exit(capsys, "verify", "--help")[0] == 0
+    assert run(capsys, "fibers", "5", "2", "--fo", "json")[0] == 0
+    assert run(capsys, "orbits", "6", "6", "units", "--format", "json", "--format", "csv")[0] == 0
+    assert parsed == ["verify", "fibers", "orbits"]
     for argv in ([], ["--help"], ["bogus"], ["--format", "csv", "coeffs", "2", "2"]):
         with pytest.raises(AssertionError, match="top-level parse"):
             main(argv)
+
+
+# Tokens of the differential test: command names, option names and their
+# abbreviations, the forms only argparse reads, and words that int() or
+# argparse may read unexpectedly.
+NUMBER_WORDS = ["0", "1", "2", "3", "7", "12", "+5", " 5", "5_0", "\u0663", "3,5"]
+WORDS = [*NUMBER_WORDS, "-5", "-3,5", "", " 3, 5", "3,x", *cli.FORMATS, *cli.GROUPS, *verify.SUITES,
+         "x", "dihedral", "-", "-x"]
+ODD_OPTIONS = ["--fo", "--form", "--k", "--pr", "--tim", "--n-", "--m", "--", "-h", "--help",
+               "--format=json", "--primes=3,5"]
+TOKENS = [*SUBCOMMANDS, "bogus", *cli._COMMANDS["verify"].options, *ODD_OPTIONS, *WORDS]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, a word per positional, then up to three distinct options of
+    its own, each with a word unless it is a flag.  A word fits its argument
+    three times in four.  Then, one time in four each, an odd option goes in
+    among them, one token of TOKENS is put in anywhere and one taken out."""
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    command = cli._COMMANDS[name]
+
+    def word(arg):
+        fitting = arg.choices if arg is not None and arg.choices else NUMBER_WORDS
+        return draw(st.sampled_from(WORDS if draw(st.integers(0, 3)) == 0 else fitting))
+
+    argv = [name, *(word(arg) for arg in command.positionals)]
+    options = draw(st.lists(st.sampled_from(list(command.options)), max_size=3, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        options.insert(draw(st.integers(0, len(options))), draw(st.sampled_from(ODD_OPTIONS)))
+    for option in options:
+        arg = command.options.get(option)
+        argv += [option] if arg is not None and arg.flag else [option, word(arg)]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS)))
+    if draw(st.integers(0, 3)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+def argparse_reading(parse, argv):
+    """The Namespace `parse(argv)` gives, or None where argparse exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return parse(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(command_lines(), st.lists(st.sampled_from(TOKENS), max_size=8)))
+@example(["coeffs", "2", "2"])
+@example(["orbits", "6", "6", "units", "--format", "json"])
+@example(["verify", "all", "--timings", "--primes", " 3, 5", "--n-max", "5_0"])
+@example(["residue-sums", "+5", "\u0663", " 5", "--format", "csv"])
+@example(["fibers", "5", "2", "--format", "json", "--format", "csv"])
+@example(["verify", "therm", "--primes", "3,x"])
+@example(["verify", "therm", "--primes", "-3,5"])
+@example(["verify", "therm", "--primes"])
+@example(["fibers", "-5", "2"])
+@example(["coeffs", "2"])
+def test_direct_reader_agrees_with_argparse(argv):
+    parser, commands = cli._shared_parser()
+    direct = cli._read_direct(list(argv))
+    top = argparse_reading(parser.parse_args, argv)
+    command = commands.get(argv[0]) if argv else None
+    routed = top if command is None else argparse_reading(command.parse_args, argv[1:])
+    if direct is None:
+        return
+    # a command line the reader reads, both argparse routes read alike
+    assert top is not None and routed is not None, argv
+    assert vars(direct) == vars(top) == vars(routed), argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argvs())
+def test_argparse_alone_gives_the_same_result(argv):
+    def outcome():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    with mock.patch.dict(os.environ, {"QFIBER_MAX_ENUM": str(CONTRACT_CAP)}):
+        direct = outcome()
+        with mock.patch.object(cli, "_read_direct", lambda argv: None):
+            assert outcome() == direct, argv
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

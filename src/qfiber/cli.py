@@ -23,6 +23,16 @@ refuses (exit 3) at the first of its command's `estimates` past the cap.
 `verify --timings` writes the time per check id and the ten slowest checks
 to stderr.
 
+A handler computes its whole table, or all its reports, before it writes a
+byte, then hands `_emit` one sequence of items: ints for the number tables,
+(size, count) pairs for `orbits`, CheckReports for `verify`.  Every format,
+`verify`'s included, is written in batches of CSV_BATCH_ROWS items, each
+item made text only inside its batch, so no command holds its output as
+text.  JSON is the record encoded once with its item array empty, split
+there, and the items written between; each report is encoded on its own.
+`verify` keeps `csv.writer` for its rows, whose texts may hold commas and
+quotes; the number tables' fields need no quoting.
+
 Each command is described once, in `_COMMANDS`, and an argv takes one of
 two routes.  `_read_direct` reads a well-formed one without argparse: a
 command, exactly its positionals, then any of its options, each at most
@@ -107,51 +117,66 @@ def _prime_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
 
 
-# Rows joined per write by `_write_csv`, so its memory does not grow with the table.
+# Item texts made, joined and written together by `_emit`, so no format
+# holds more than one batch of a command's output.
 CSV_BATCH_ROWS = 4096
 
 
-def _write_csv(header: list[str], rows: Iterable[list[str]]) -> None:
-    """CSV of two-field rows whose fields need no quoting (decimal integers
-    and plain words): each row joined with "," and ended with "\n", the same
-    bytes as `csv.writer` with lineterminator "\n", in batches of rows.  A
-    joined batch is empty only once the rows are exhausted."""
-    write, rows = sys.stdout.write, chain([header], rows)
-    while batch := "\n".join(map(",".join, islice(rows, CSV_BATCH_ROWS))):
-        write(batch + "\n")
-
-
-def _emit(
-    args: argparse.Namespace,
-    parameters: dict,
-    result: dict,
-    header: list[str],
-    rows: Iterable[list[str]],
-    lines: list[str],
-    free_text: bool = False,
-) -> None:
-    """Print one command's output in the chosen format: the JSON record of
-    its parameters (stringified) and result, the CSV header and rows, or the
-    table lines.  The rows may be a generator: only CSV reads them.  Rows
-    with `free_text`, which may hold commas or quotes, go through
-    `csv.writer`; the number tables' rows are joined by `_write_csv`."""
+def _emit(args: argparse.Namespace, parameters: dict, fields: dict, key: str, texts: tuple) -> None:
+    """Write one command's output from `texts`: an iterator of item texts,
+    the separator between two, and the texts before and after them, all made
+    for `args.format` by `_numbers`, `_pairs` or `_reports`.  The item texts
+    are drawn, joined and written CSV_BATCH_ROWS at a time, so each is made
+    only inside its batch; none is empty, so a joined batch is empty only once
+    they are exhausted.  In JSON the items are the result's array `key`,
+    beside its fixed `fields`, in the record of the parameters (stringified):
+    the record is encoded with that array empty and split there."""
+    items, sep, start, end = texts
     if args.format == "json":
         record = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
-            "parameters": {key: str(value) for key, value in parameters.items()},
-            "result": result,
+            "parameters": {name: str(value) for name, value in parameters.items()},
+            "result": {**fields, key: []},
         }
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    elif args.format == "csv" and free_text:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    elif args.format == "csv":
-        _write_csv(header, rows)
-    else:
-        for line in lines:
-            print(line)
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        # the only `"key":[]`, as a string value escapes its quotes
+        head, _, tail = text.partition(f'"{key}":[]')
+        start, end = f'{head}"{key}":[{start}', f"{end}]{tail}\n"
+    write = sys.stdout.write
+    write(start)
+    lead = ""
+    while batch := sep.join(islice(items, CSV_BATCH_ROWS)):
+        write(lead + batch)
+        lead = sep
+    write(end)
+
+
+def _pairs(fmt: str, pairs: Iterable[tuple], header: list[str], total: int | None = None) -> tuple:
+    """Rows of two ints: JSON arrays ["a","b"], or a CSV row "a,b" each under
+    `header`, or a line "a b" each, then the `total` row or line, if any.  The
+    fields need no quoting, so the CSV is the bytes of `csv.writer`."""
+    if fmt == "json":
+        return map('["%s","%s"]'.__mod__, pairs), ",", "", ""
+    rows = pairs if total is None else chain(pairs, [("total", total)])
+    if fmt == "csv":
+        return map("%s,%s\n".__mod__, rows), "", f"{','.join(header)}\n", ""
+    return map("%s %s\n".__mod__, rows), "", "", ""
+
+
+def _numbers(
+    fmt: str, values: list[int] | tuple[int, ...], header: list[str], total: int | None = None
+) -> tuple:
+    """A table of ints: JSON strings, joined by '","' inside one pair of
+    quotes, as decimal digits need no escaping; or in CSV a row each with its
+    index, as `_pairs` writes it; or one line of them; then the `total` row or
+    line, if any."""
+    if fmt == "json":
+        quote = '"' if values else ""
+        return map(str, values), '","', quote, quote
+    if fmt == "csv":
+        return _pairs(fmt, enumerate(values), header, total)
+    return map(str, values), " ", "", "\n" if total is None else f"\ntotal {total}\n"
 
 
 def _binomial_digits(top: int, bottom: int) -> int:
@@ -208,12 +233,12 @@ def _orbits_estimates(args: argparse.Namespace) -> Estimates:
     past = _binomial_digits(top, bottom) > len(str(cap)) + 1
     text = f"C({top}, {bottom}) step sequences for (k={k}, l={l}) exceed"
     yield (cap + 1 if past else comb(top, bottom)), text
-    # that count is 1 at k = 0 and at l = 1; for k >= 1 and l >= 2 it bounds these
+    # For k >= 1 and l >= 2 that count, at least l and k + 1, bounds the l units
+    # tested mod l and the isqrt(l) trial divisions of l; at k = 0 every group
+    # answers {1: 1} at once.  At l = 1 the count is 1, but a units fixed-point
+    # count still has k + 1 entries.
     if args.group == "units":
-        yield l, f"{l} residues tested for units mod l={l} exceed"
         yield k + 1, f"{k + 1} entries of a fixed-point count for k={k} exceed"
-    elif args.group == "cyclic":
-        yield isqrt(l), f"{isqrt(l)} trial divisions of l={l} exceed"
 
 
 def _sweep(args: argparse.Namespace) -> dict:
@@ -233,44 +258,34 @@ def _verify_estimates(args: argparse.Namespace) -> Estimates:
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
-    values = [str(c) for c in gaussian_coefficients(m, n)]
-    rows = ([str(i), v] for i, v in enumerate(values))
-    parameters = {"m": m, "n": n}
-    _emit(args, parameters, {"coeffs": values}, ["index", "coefficient"], rows, [" ".join(values)])
+    texts = _numbers(args.format, gaussian_coefficients(m, n), ["index", "coefficient"])
+    _emit(args, {"m": m, "n": n}, {}, "coeffs", texts)
     return 0
 
 
 def _cmd_residue_sums(args: argparse.Namespace) -> int:
     m, n, r = args.m, args.n, args.r
-    values = [str(v) for v in residue_sums(m, n, r)]
-    rows = ([str(i), v] for i, v in enumerate(values))
-    parameters = {"m": m, "n": n, "r": r}
-    _emit(args, parameters, {"sums": values}, ["residue", "sum"], rows, [" ".join(values)])
+    texts = _numbers(args.format, residue_sums(m, n, r), ["residue", "sum"])
+    _emit(args, {"m": m, "n": n, "r": r}, {}, "sums", texts)
     return 0
 
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
     n, r = args.ring_size, args.marked
-    values = [str(v) for v in delta_fiber_sizes_via_partitions(n, r)]
-    total = str(comb(n - 1, r - 1))
-    rows = chain(([str(s), v] for s, v in enumerate(values)), [["total", total]])
-    result = {"sizes": values, "total": total}
-    lines = [" ".join(values), f"total {total}"]
-    parameters = {"N": n, "r": r}
-    _emit(args, parameters, result, ["class", "cardinality"], rows, lines)
+    sizes = delta_fiber_sizes_via_partitions(n, r)
+    total = comb(n - 1, r - 1)
+    texts = _numbers(args.format, sizes, ["class", "cardinality"], total)
+    _emit(args, {"N": n, "r": r}, {"total": str(total)}, "sizes", texts)
     return 0
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     k, l = args.k, args.l
     sizes = orbit_histogram(k, l, args.group)
-    histogram = [[str(size), str(count)] for size, count in sizes.items()]
-    total = str(comb(k + l - 1, l - 1))
-    result = {"histogram": histogram, "total_sequences": total}
-    rows = histogram + [["total", total]]
-    lines = [" ".join(pair) for pair in histogram] + [f"total {total}"]
+    total = comb(k + l - 1, l - 1)
+    texts = _pairs(args.format, sizes.items(), ["orbit_size", "orbit_count"], total)
     parameters = {"k": k, "l": l, "group": args.group}
-    _emit(args, parameters, result, ["orbit_size", "orbit_count"], rows, lines)
+    _emit(args, parameters, {"total_sequences": str(total)}, "histogram", texts)
     return 0
 
 
@@ -287,19 +302,46 @@ def _report_payload(report: CheckReport) -> dict:
     }
 
 
+def _report_row(payload: dict) -> list[str]:
+    """A CSV row, with the two sides' tables spaced."""
+    sides = (payload["expected"], payload["actual"])
+    spaced = [" ".join(side) if isinstance(side, list) else side for side in sides]
+    return [payload["check_id"], _parameter_text(payload["parameters"]), *spaced, payload["status"]]
+
+
+def _report_line(payload: dict) -> str:
+    """A table line, which names the classes at which two tables of equal
+    length differ."""
+    params = _parameter_text(payload["parameters"])
+    line = f"{payload['status'].upper():4s} {payload['check_id']} {params}".rstrip()
+    expected, actual = payload["expected"], payload["actual"]
+    if (isinstance(expected, list) and isinstance(actual, list)
+            and len(expected) == len(actual) and expected != actual):
+        classes = [str(j) for j, (e, a) in enumerate(zip(expected, actual)) if e != a]
+        line += f" (classes {','.join(classes)} differ)"
+    return line + "\n"
+
+
+def _reports(fmt: str, reports: list[CheckReport], failures: int) -> tuple:
+    """The reports' JSON objects; or a CSV row each under a header, quoted by
+    `csv.writer`, as their texts may hold commas and quotes; or a line each,
+    then how many passed."""
+    payloads = map(_report_payload, reports)
+    if fmt == "json":
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        return map(encode, payloads), ",", "", ""
+    if fmt == "csv":
+        # `writerow` returns what the file's `write` returns: here the row's text
+        row = csv.writer(argparse.Namespace(write=str), lineterminator="\n").writerow
+        header = row(["check_id", "parameters", "expected", "actual", "status"])
+        return map(row, map(_report_row, payloads)), "", header, ""
+    summary = f"{len(reports) - failures} of {len(reports)} checks passed\n"
+    return map(_report_line, payloads), "", "", summary
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_suite(args.suite, ring_max=args.n_max, **_sweep(args))
     failures = sum(1 for report in reports if report.status != "pass")
-    payloads = [_report_payload(report) for report in reports]
-    rows, lines = [], []
-    for payload in payloads:
-        params = _parameter_text(payload["parameters"])
-        sides = (payload["expected"], payload["actual"])
-        spaced = [" ".join(side) if isinstance(side, list) else side for side in sides]
-        rows.append([payload["check_id"], params, *spaced, payload["status"]])
-        line = f"{payload['status'].upper():4s} {payload['check_id']} {params}".rstrip()
-        lines.append(line + _differing_classes(*sides))
-    lines.append(f"{len(reports) - failures} of {len(reports)} checks passed")
     bounds = {
         "suite": args.suite,
         "k_max": args.k_max,
@@ -308,20 +350,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "m_max": args.m_max,
         "n_max": args.n_max,
     }
-    result = {"checks": str(len(reports)), "failures": str(failures), "reports": payloads}
-    header = ["check_id", "parameters", "expected", "actual", "status"]
-    _emit(args, bounds, result, header, rows, lines, free_text=True)
+    fields = {"checks": str(len(reports)), "failures": str(failures)}
+    _emit(args, bounds, fields, "reports", _reports(args.format, reports, failures))
     if args.timings:
         _print_timings(reports)
     return 1 if failures else 0
-
-
-def _differing_classes(expected: list[str] | str, actual: list[str] | str) -> str:
-    """For a table line: the classes at which two tables of equal length differ."""
-    if not (isinstance(expected, list) and isinstance(actual, list)) or expected == actual:
-        return ""
-    classes = [str(j) for j, (e, a) in enumerate(zip(expected, actual)) if e != a]
-    return f" (classes {','.join(classes)} differ)" if len(expected) == len(actual) else ""
 
 
 def _parameter_text(parameters: dict) -> str:

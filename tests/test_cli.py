@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb, log10, sqrt
@@ -365,6 +366,16 @@ def test_orbits_rejects_unknown_group(capsys):
     assert "usage" in err
 
 
+def test_orbits_at_k_zero_is_admitted_at_any_l(capsys, monkeypatch):
+    # every group answers {1: 1} at once, so only the count C(l-1, l-1) = 1 is charged
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "1")
+    for group in ("cyclic", "units", "symmetric"):
+        started = time.perf_counter()
+        result = run(capsys, "orbits", "0", "1000000000000000003", group)
+        assert time.perf_counter() - started < 1
+        assert result == (0, "1 1\ntotal 1\n", "")
+
+
 def test_orbits_cap_via_env(capsys, monkeypatch):
     monkeypatch.delenv("QFIBER_MAX_ENUM", raising=False)
     # the binomial count is named, not printed: its ~8000 digits exceed str()'s limit
@@ -708,11 +719,12 @@ CAPPED_CALLS = [
      "C(19, 9) step sequences for (k=10, l=10) exceed the cap of 10"),
     (["verify", "fibrations", "--n-max", "12"], "1000",
      "11*2^12 + 1 covering points for --n-max 12 exceed the cap of 1000"),
-    # C(k+l-1, l-1) is 1 at l = 1 and at k = 0: the routes' own work is counted
+    # C(k+l-1, l-1) is 1 at l = 1: a units fixed-point count is counted
     (["orbits", "1000000", "1", "units"], "10",
      "1000001 entries of a fixed-point count for k=1000000 exceed the cap of 10"),
-    (["orbits", "0", "1000000000000000003", "cyclic"], "10",
-     "1000000000 trial divisions of l=1000000000000000003 exceed the cap of 10"),
+    (["orbits", "1", "1000000000000000003", "cyclic"], "10",
+     "C(1000000000000000003, 1000000000000000002) step sequences for"
+     " (k=1, l=1000000000000000003) exceed the cap of 10"),
 ]
 
 
@@ -841,24 +853,37 @@ def _csv_writer_text(header, rows):
 
 
 def _number_table(command):
-    """The header and rows of a number-table command, from the library."""
+    """The whole outputs of a number-table command, from the library: its
+    CSV header and rows, its JSON record and its table lines."""
     name, *args = command.split()
     numbers = [int(arg) for arg in args if arg.isdigit()]
     if name == "orbits":
         k, l = numbers
         histogram = orbit_histogram(k, l, args[2]).items()
-        rows = [[str(size), str(count)] for size, count in histogram]
-        return ["orbit_size", "orbit_count"], rows + [["total", str(comb(k + l - 1, l - 1))]]
-    header, values = {
-        "coeffs": (["index", "coefficient"], gaussian_coefficients),
-        "residue-sums": (["residue", "sum"], residue_sums),
-        "fibers": (["class", "cardinality"], delta_fiber_sizes_via_partitions),
-    }[name]
-    rows = [[str(i), str(v)] for i, v in enumerate(values(*numbers))]
-    if name == "fibers":
-        n, r = numbers
-        rows.append(["total", str(comb(n - 1, r - 1))])
-    return header, rows
+        pairs = [[str(size), str(count)] for size, count in histogram]
+        total = str(comb(k + l - 1, l - 1))
+        parameters = {"k": args[0], "l": args[1], "group": args[2]}
+        result = {"histogram": pairs, "total_sequences": total}
+        header, rows = ["orbit_size", "orbit_count"], pairs + [["total", total]]
+        lines = [" ".join(pair) for pair in pairs] + [f"total {total}"]
+    else:
+        header, names, key, route = {
+            "coeffs": (["index", "coefficient"], "m n", "coeffs", gaussian_coefficients),
+            "residue-sums": (["residue", "sum"], "m n r", "sums", residue_sums),
+            "fibers": (["class", "cardinality"], "N r", "sizes", delta_fiber_sizes_via_partitions),
+        }[name]
+        values = [str(v) for v in route(*numbers)]
+        parameters = dict(zip(names.split(), args))
+        result = {key: values}
+        rows = [[str(i), v] for i, v in enumerate(values)]
+        lines = [" ".join(values)]
+        if name == "fibers":
+            n, r = numbers
+            result["total"] = str(comb(n - 1, r - 1))
+            rows.append(["total", result["total"]])
+            lines.append(f"total {result['total']}")
+    record = {"schema_version": "1", "command": name, "parameters": parameters, "result": result}
+    return header, rows, record, lines
 
 
 NUMBER_TABLES = [
@@ -877,7 +902,87 @@ def test_number_table_csv_matches_csv_writer(capsys, monkeypatch, command, batch
     monkeypatch.setattr(cli, "CSV_BATCH_ROWS", batch)
     code, out, _ = run(capsys, *command.split(), "--format", "csv")
     assert code == 0
-    assert out == _csv_writer_text(*_number_table(command))
+    header, rows, _, _ = _number_table(command)
+    assert out == _csv_writer_text(header, rows)
+
+
+@pytest.mark.parametrize("batch", [1, 3, cli.CSV_BATCH_ROWS])
+@pytest.mark.parametrize("command", NUMBER_TABLES)
+def test_number_table_json_and_table_match_whole_outputs(capsys, monkeypatch, command, batch):
+    # written in batches, the JSON is the whole record encoded at once, and
+    # the table is its lines printed one by one
+    monkeypatch.setattr(cli, "CSV_BATCH_ROWS", batch)
+    _, _, record, lines = _number_table(command)
+    code, out, _ = run(capsys, *command.split(), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    code, out, _ = run(capsys, *command.split(), "--format", "table")
+    assert code == 0
+    assert out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("suite", [["counterexamples"], ["fibrations", "--n-max", "6"]])
+def test_verify_output_does_not_depend_on_the_batch(capsys, monkeypatch, suite, fmt):
+    argv = ["verify", *suite, "--format", fmt]
+    whole = run(capsys, *argv)
+    assert whole[0] == 0
+    for batch in (1, 3):
+        monkeypatch.setattr(cli, "CSV_BATCH_ROWS", batch)
+        assert run(capsys, *argv) == whole
+
+
+class Discard:
+    """A stdout that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("kind", ["numbers", "pairs", "reports"])
+def test_writing_holds_a_few_batches_of_the_output(monkeypatch, kind, fmt):
+    # 100,000 ints or pairs, or 10,000 reports, built before tracing; the
+    # text of one item is a str of at least 50 bytes, so holding every item's
+    # text, or the whole output, would pass the bound several times over
+    big = 10**12
+    if kind == "numbers":
+        values = list(range(big, big + 100_000))
+        monkeypatch.setattr(cli, "residue_sums", lambda m, n, r: values)
+        argv = ["residue-sums", "1", "1", str(len(values))]
+    elif kind == "pairs":
+        histogram = dict.fromkeys(range(big, big + 100_000), big)
+        monkeypatch.setattr(cli, "orbit_histogram", lambda k, l, group: histogram)
+        argv = ["orbits", "2", "2", "cyclic"]
+    else:
+        reports = [CheckReport("check", {"m": i}, [big, i], [big, i], "pass", 0.0)
+                   for i in range(10_000)]
+        monkeypatch.setattr(cli, "run_suite", lambda suite, **bounds: reports)
+        argv = ["verify", "counterexamples"]
+    tracemalloc.start()
+    try:
+        with redirect_stdout(Discard()):
+            assert main([*argv, "--format", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000  # about 2 MB at most: one batch of texts and their join
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_a_failing_route_writes_nothing(capsys, monkeypatch, fmt):
+    # every command holds its whole table or its reports before the first write
+    def failing(*args, **kwargs):
+        raise RuntimeError("the route failed")
+
+    for name, argv in (("residue_sums", ["residue-sums", "3", "3", "4"]),
+                       ("orbit_histogram", ["orbits", "6", "6", "units"]),
+                       ("run_suite", ["verify", "counterexamples"])):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, failing)
+            with pytest.raises(RuntimeError, match="the route failed"):
+                main([*argv, "--format", fmt])
+        assert capsys.readouterr() == ("", "")
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):

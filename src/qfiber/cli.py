@@ -48,11 +48,8 @@ the build takes 2-3 ms, plus 1-2 ms for the `locale` module, which
 argparse's gettext imports for its message strings on the first parser
 built.  A well-formed command spends about 5-8 us in `_read_direct`
 instead (Python 3.11, 2 cores), builds no parser and imports no `locale`.
-An argv that starts with a command name goes straight to that command's
-parser, which is all the top-level parser would do with it; anything else
-(no argument, an option first, an unknown command) goes through the top
-level.  Nothing is built at import, and `build_parser` returns a new
-parser on every call.
+Nothing is built at import, and `build_parser` returns a new parser on
+every call.
 """
 
 from __future__ import annotations
@@ -548,16 +545,8 @@ def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argparse's reading of argv.  A leading command name goes straight to
-    that command's parser, which is all the top level would do with it;
-    anything else (no argument, an option first, an unknown command) goes
-    through the top level."""
-    parser, commands = _shared_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        args, extra = parser.parse_known_args(argv)
-    else:
-        args, extra = command.parse_known_args(argv[1:])
+    """argparse's reading of argv."""
+    args, extra = _shared_parser()[0].parse_known_args(argv)
     if extra:  # under the usage of the command given, not the top-level one
         _usage_error(args, f"unrecognized arguments: {' '.join(extra)}")
     return args

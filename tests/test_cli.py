@@ -1119,7 +1119,7 @@ MIXED_CALLS = [
     (["coeffs", "3", "2"], "0"),
     ([], None),
     (["fibers", "12", "6", "--format", "json"], None),
-    # a command first goes straight to its parser, anything else through the top level
+    # help, `--`, an option first and an unknown command go to argparse
     (["coeffs", "--", "2", "2"], None),
     (["--format", "csv", "coeffs", "2", "2"], None),
     (["fibers", "5", "2", "-h"], None),
@@ -1161,20 +1161,9 @@ def test_calls_in_one_process_are_independent(capsys, monkeypatch):
     assert codes == {0, 2, 3}
 
 
-class TopLevelOnly(dict):
-    """Command parsers that `main`'s choice of route never finds, so every
-    argv goes through the top level, while a usage error still finds its
-    command's parser."""
-
-    def get(self, key, default=None):
-        return default
-
-
 def test_both_parse_routes_give_the_same_result(capsys, monkeypatch):
-    # three routes: the direct reader; with it off, a leading command's
-    # parser; with no subparser found either, the top level
+    # two routes: the direct reader and, with it off, argparse
     monkeypatch.setenv("COLUMNS", "80")
-    parser, commands = cli._shared_parser()
     for argv, cap in MIXED_CALLS:
         if cap is None:
             monkeypatch.delenv("QFIBER_MAX_ENUM", raising=False)
@@ -1184,37 +1173,23 @@ def test_both_parse_routes_give_the_same_result(capsys, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_read_direct", lambda argv: None)
             assert call_main(capsys, argv) == direct, (argv, cap)
-            patch.setattr(cli, "_shared_parser", lambda: (parser, TopLevelOnly(commands)))
-            assert call_main(capsys, argv) == direct, (argv, cap)
 
 
 def test_a_leading_command_skips_the_top_level_parse(capsys, monkeypatch):
     parser, commands = cli._shared_parser()
-    parsed = []
 
     def refuse(*args, **kwargs):
-        raise AssertionError("top-level parse")
+        raise AssertionError("argparse parse")
 
-    def recording(name, parse):
-        return lambda *args, **kwargs: parsed.append(name) or parse(*args, **kwargs)
-
-    monkeypatch.setattr(parser, "parse_known_args", refuse)
-    for name, command in commands.items():
-        monkeypatch.setattr(command, "parse_known_args", recording(name, command.parse_known_args))
+    for argparser in (parser, *commands.values()):
+        monkeypatch.setattr(argparser, "parse_known_args", refuse)
     # well-formed command lines take the direct reader, usage errors of `_validate` included
     assert run(capsys, "coeffs", "2", "2")[:2] == (0, "1 1 2 1 1\n")
     record = json.loads(run(capsys, "orbits", "4", "4", "symmetric", "--format", "json")[1])
     assert record["command"] == "orbits"
     assert run_expecting_exit(capsys, "fibers", "3", "5")[0] == 2
-    assert parsed == []
-    # help and the forms only argparse reads go to the command's parser
-    assert run_expecting_exit(capsys, "verify", "--help")[0] == 0
-    assert run(capsys, "fibers", "5", "2", "--fo", "json")[0] == 0
-    assert run(capsys, "orbits", "6", "6", "units", "--format", "json", "--format", "csv")[0] == 0
-    assert parsed == ["verify", "fibers", "orbits"]
-    for argv in ([], ["--help"], ["bogus"], ["--format", "csv", "coeffs", "2", "2"]):
-        with pytest.raises(AssertionError, match="top-level parse"):
-            main(argv)
+    with pytest.raises(AssertionError, match="argparse parse"):
+        main(["--help"])
 
 
 # Tokens of the differential test: command names, option names and their
@@ -1277,16 +1252,13 @@ def argparse_reading(parse, argv):
 @example(["fibers", "-5", "2"])
 @example(["coeffs", "2"])
 def test_direct_reader_agrees_with_argparse(argv):
-    parser, commands = cli._shared_parser()
     direct = cli._read_direct(list(argv))
-    top = argparse_reading(parser.parse_args, argv)
-    command = commands.get(argv[0]) if argv else None
-    routed = top if command is None else argparse_reading(command.parse_args, argv[1:])
     if direct is None:
         return
-    # a command line the reader reads, both argparse routes read alike
-    assert top is not None and routed is not None, argv
-    assert vars(direct) == vars(top) == vars(routed), argv
+    # a command line the reader reads, argparse reads alike
+    top = argparse_reading(cli._shared_parser()[0].parse_args, argv)
+    assert top is not None, argv
+    assert vars(direct) == vars(top), argv
 
 
 @settings(max_examples=60, deadline=None)

@@ -375,9 +375,17 @@ def test_orbit_histogram_edges_and_sylow_products():
     for group in GROUPS:
         for k, l in edges:
             assert orbit_histogram(k, l, group) == Counter(len(o) for o in orbits(k, l, group))
-    for k, l in ((2, 21), (2, 24), (3, 15), (2, 63), (1, 120)):
+    for k, l in ((2, 21), (2, 24), (3, 15), (2, 63), (1, 120), (2, 120), (3, 48)):
         expected = Counter(len(o) for o in orbits(k, l, "units"))
         assert orbit_histogram(k, l, "units") == expected
+
+
+@pytest.mark.parametrize("l", [720, 2520, 5040, 27720])
+def test_units_histogram_at_k_one_has_one_orbit_per_divisor(l):
+    # the single unit sits on some layer l / gcd(x, l) = d, a copy of (Z/d)^*
+    # that the units permute in one orbit of size phi(d)
+    phi = Counter(sum(gcd(x, d) == 1 for x in range(d)) for d in range(1, l + 1) if l % d == 0)
+    assert orbit_histogram(1, l, "units") == dict(sorted(phi.items()))
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -386,7 +394,7 @@ def test_orbit_histogram_at_k_zero_builds_no_lattice(group, monkeypatch):
     def refuse(*args):
         raise AssertionError("subgroup lattice built")
 
-    monkeypatch.setattr(qfiber.surjections, "_unit_lattice", refuse)
+    monkeypatch.setattr(qfiber.surjections, "_unit_stabilizers", refuse)
     monkeypatch.setattr(qfiber.surjections, "_divisors", refuse)
     for l in (1, 2, 2520, 720720, 10**6):
         assert orbit_histogram(0, l, group) == {1: 1}
@@ -426,10 +434,13 @@ def test_orbit_histogram_refuses_like_orbits(group):
 
 
 @pytest.mark.parametrize(
-    "k, l, group", [(60, 12, "cyclic"), (60, 12, "units"), (12, 60, "symmetric")])
+    "k, l, group", [(60, 12, "cyclic"), (60, 12, "units"), (12, 60, "symmetric"),
+                    (2, 360, "units"), (3, 360, "units"), (2, 840, "units")])
 def test_orbit_histogram_beyond_enumeration(k, l, group):
     # C(71, 11) and C(71, 59) are 2.6e12 and 1.3e13 sequences, far past any
-    # enumeration; the symmetric cost grows with the orbits (77 partitions of 12)
+    # enumeration; the symmetric cost grows with the orbits (77 partitions of 12);
+    # (Z/360)^* and (Z/840)^* have 236 and 1362 subgroups; at k = 2 only 118
+    # and 267 of them can stabilize a spread
     started = time.perf_counter()
     histogram = orbit_histogram(k, l, group)
     elapsed = time.perf_counter() - started

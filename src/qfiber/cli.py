@@ -65,7 +65,14 @@ from math import comb, isqrt, log, log1p, pi
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .heisenberg import delta_fiber_sizes_via_partitions
-from .qbinomial import coefficient_work, gaussian_coefficients, residue_sums, residue_sums_work
+from .qbinomial import (
+    _divisors,
+    _prime_powers,
+    coefficient_work,
+    gaussian_coefficients,
+    residue_sums,
+    residue_sums_work,
+)
 from .surjections import GROUPS, orbit_histogram
 from .verify import (
     DEFAULT_KL_BOUND,
@@ -230,11 +237,18 @@ def _orbits_estimates(args: argparse.Namespace) -> Estimates:
     past = _binomial_digits(top, bottom) > len(str(cap)) + 1
     text = f"C({top}, {bottom}) step sequences for (k={k}, l={l}) exceed"
     yield (cap + 1 if past else comb(top, bottom)), text
-    # For k >= 1 and l >= 2 that count, at least l and k + 1, bounds the l units
-    # tested mod l and the isqrt(l) trial divisions of l; at k = 0 every group
-    # answers {1: 1} at once.  At l = 1 the count is 1, but a units fixed-point
-    # count still has k + 1 entries.
+    # At k = 0 every group answers {1: 1} at once.  For k >= 1 that count, at
+    # least l and k + 1, bounds l, so factoring l takes at most isqrt(cap)
+    # trial divisions; the units route then takes each of the phi(l) units of
+    # Z/l mod each of the tau(l) divisors of l.  At l = 1 the count is 1, but
+    # a units fixed-point count still has k + 1 entries.
     if args.group == "units":
+        if k:
+            phi = 1
+            for p, power in _prime_powers(l):
+                phi *= power - power // p
+            residues = len(_divisors(l)) * phi
+            yield residues, f"{residues} unit residues (tau(l)*phi(l)) for (k={k}, l={l}) exceed"
         yield k + 1, f"{k + 1} entries of a fixed-point count for k={k} exceed"
 
 

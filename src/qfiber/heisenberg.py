@@ -10,26 +10,27 @@ bijection (the production route) and by direct enumeration (its oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
 from operator import add, index, lt, sub
 from typing import Iterable, Iterator, Union
 
+from ._value import Value
 from .qbinomial import _check_integers, residue_sums
 
 # Values are validated once, where they enter the library: each class below
 # checks its arguments in one hand-written __init__ before storing them
-# (equality, ordering, hashing and repr stay generated), with builtin loops
-# (map, all, min) rather than generator frames.  Code in this module builds
-# values that are valid by construction without the checks; the maps take
-# an instance of exactly the class as valid, and any other argument goes
-# through the public constructor first.
+# (equality, ordering, hashing and repr come from `Value`, but for
+# `CoveringPoint`'s equality), with builtin loops (map, all, min) rather
+# than generator frames.  Code in this module builds values that are valid
+# by construction without the checks; the maps take an instance of exactly
+# the class as valid, and any other argument goes through the public
+# constructor first.
 
 
-@dataclass(frozen=True, order=True, init=False, slots=True)
-class Configuration:
+class Configuration(Value, order=True):
     """Marked nodes j_1 < ... < j_r inside [1, ring_size]."""
 
+    __slots__ = __match_args__ = ("nodes", "ring_size")
     nodes: tuple[int, ...]
     ring_size: int
 
@@ -50,10 +51,10 @@ class Configuration:
         _set_nodes_ring_size(self, ring_size)
 
 
-@dataclass(frozen=True, order=True, init=False, slots=True)
-class CoveringPoint:
+class CoveringPoint(Value, order=True):
     """Strictly increasing integers whose span is less than ring_size."""
 
+    __slots__ = __match_args__ = ("positions", "ring_size")
     positions: tuple[int, ...]
     ring_size: int
 
@@ -73,16 +74,23 @@ class CoveringPoint:
         _set_positions(self, positions)
         _set_point_ring_size(self, ring_size)
 
+    def __eq__(self, other):
+        # written out, as the covering walk compares each point it rebuilds:
+        # Value's field getter would add about half to each comparison
+        if other.__class__ is self.__class__:
+            return (self.positions, self.ring_size) == (other.positions, other.ring_size)
+        return NotImplemented
+
     @property
     def center_sum(self) -> int:
         """Sum of positions; grows by ring_size under one covering shift."""
         return sum(self.positions)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class RelativePositions:
+class RelativePositions(Value):
     """Gaps between consecutive marks: positive integers summing to ring_size."""
 
+    __slots__ = __match_args__ = ("gaps", "ring_size")
     gaps: tuple[int, ...]
     ring_size: int
 

@@ -7,30 +7,32 @@ past 64-bit coefficient sizes are fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from itertools import repeat
+from operator import ge
+from typing import Iterable, Iterator
 
+from ._value import Value
 from .qbinomial import _check_integers
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(Value, order=True):
     """Weakly decreasing part sizes; trailing zeros are stripped on construction.
 
     The empty tuple is the zero partition.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("parts",)
+    parts: tuple[int, ...]
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if any(not isinstance(p, int) or p < 0 for p in parts):
+    def __init__(self, parts: Iterable[int] = ()) -> None:
+        parts = tuple(parts)
+        if not (all(map(isinstance, parts, repeat(int))) and (not parts or min(parts) >= 0)):
             raise ValueError(f"parts must be nonnegative integers: {parts!r}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if not all(map(ge, parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing: {parts!r}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        object.__setattr__(self, "parts", parts)
+        if parts and not parts[-1]:
+            parts = parts[:parts.index(0)]  # the zeros of a weakly decreasing tuple trail it
+        _set_parts(self, parts)
 
     @property
     def weight(self) -> int:
@@ -42,6 +44,10 @@ class Partition:
     def fits(self, max_part: int, max_count: int) -> bool:
         """True when there are at most max_count parts, each at most max_part."""
         return len(self.parts) <= max_count and (not self.parts or self.parts[0] <= max_part)
+
+
+# The field is stored through its slot descriptor, past the frozen __setattr__.
+_set_parts = Partition.parts.__set__
 
 
 def _validate_box(max_part: int, max_count: int) -> None:

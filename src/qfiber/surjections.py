@@ -10,31 +10,32 @@ scaling of the step positions, and arbitrary position permutations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from math import comb, gcd
-from typing import Callable, Iterator, Sequence
+from operator import lt
+from typing import Callable, Iterable, Iterator, Sequence
 
+from ._value import Value
 from .partitions import Partition
 from .qbinomial import _check_integers, _divisors
 
 
-@dataclass(frozen=True, order=True)
-class StepSequence:
+class StepSequence(Value, order=True):
     """Level-interval lengths (n_1, ..., n_l) of a non-increasing surjection.
 
     Positive integers; their sum is the domain length k+l.
     """
 
+    __slots__ = __match_args__ = ("steps",)
     steps: tuple[int, ...]
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
+    def __init__(self, steps: Iterable[int]) -> None:
+        steps = tuple(steps)
         if not steps:
             raise ValueError("a step sequence needs at least one step")
-        if any(not isinstance(s, int) or s < 1 for s in steps):
+        if not (all(map(isinstance, steps, repeat(int))) and min(steps) >= 1):
             raise ValueError(f"steps must be positive integers: {steps!r}")
-        object.__setattr__(self, "steps", steps)
+        _set_steps(self, steps)
 
     @property
     def domain_length(self) -> int:
@@ -45,35 +46,42 @@ class StepSequence:
         return len(self.steps)
 
 
-@dataclass(frozen=True, order=True)
-class ThresholdSequence:
+class ThresholdSequence(Value, order=True):
     """Ascending cut positions (t_l, ..., t_2) of a non-increasing surjection.
 
     The last cut t_1 equals domain_length and stays implicit; an empty tuple
     encodes the single-level surjection.
     """
 
+    __slots__ = __match_args__ = ("thresholds", "domain_length")
     thresholds: tuple[int, ...]
     domain_length: int
 
-    def __post_init__(self):
-        thresholds = tuple(self.thresholds)
-        _check_integers(domain_length=self.domain_length)
-        if self.domain_length < 1:
+    def __init__(self, thresholds: Iterable[int], domain_length: int) -> None:
+        thresholds = tuple(thresholds)
+        _check_integers(domain_length=domain_length)
+        if domain_length < 1:
             raise ValueError("domain_length must be positive")
-        if any(not isinstance(t, int) for t in thresholds):
+        if not all(map(isinstance, thresholds, repeat(int))):
             raise ValueError(f"thresholds must be integers: {thresholds!r}")
-        if thresholds and not (0 < thresholds[0] and thresholds[-1] < self.domain_length):
+        if thresholds and not (0 < thresholds[0] and thresholds[-1] < domain_length):
             raise ValueError(
-                f"thresholds must lie strictly between 0 and {self.domain_length}: {thresholds!r}"
+                f"thresholds must lie strictly between 0 and {domain_length}: {thresholds!r}"
             )
-        if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+        if not all(map(lt, thresholds, thresholds[1:])):
             raise ValueError(f"thresholds must be strictly increasing: {thresholds!r}")
-        object.__setattr__(self, "thresholds", thresholds)
+        _set_thresholds(self, thresholds)
+        _set_domain_length(self, domain_length)
 
     @property
     def level_count(self) -> int:
         return len(self.thresholds) + 1
+
+
+# Each field is stored through its slot descriptor, past the frozen __setattr__.
+_set_steps = StepSequence.steps.__set__
+_set_thresholds = ThresholdSequence.thresholds.__set__
+_set_domain_length = ThresholdSequence.domain_length.__set__
 
 
 def thresholds_to_steps(t: ThresholdSequence) -> StepSequence:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import Callable, Sequence, Union
 
+from ._value import Value
 from .heisenberg import (
     delta_fiber_sizes,
     delta_fiber_sizes_via_partitions,
@@ -51,8 +51,7 @@ Values = Union[int, list[int], str]
 _CHECK_ERRORS = (ArithmeticError, ValueError)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Value, frozen=False):
     """Outcome of one identity check; passes iff expected equals actual.
 
     A side, or a covering round trip, that raised ArithmeticError or
@@ -62,12 +61,21 @@ class CheckReport:
     its points and each carry half of its time.
     """
 
+    __slots__ = __match_args__ = (
+        "check_id", "parameters", "expected", "actual", "status", "elapsed")
     check_id: str
     parameters: dict[str, int]
     expected: Values
     actual: Values
     status: str
     elapsed: float
+
+    def __init__(
+        self, check_id: str, parameters: dict[str, int], expected: Values, actual: Values,
+        status: str, elapsed: float,
+    ) -> None:
+        self.check_id, self.parameters, self.expected = check_id, parameters, expected
+        self.actual, self.status, self.elapsed = actual, status, elapsed
 
 
 def _check(

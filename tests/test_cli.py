@@ -722,6 +722,9 @@ CAPPED_CALLS = [
     # C(k+l-1, l-1) is 1 at l = 1: a units fixed-point count is counted
     (["orbits", "1000000", "1", "units"], "10",
      "1000001 entries of a fixed-point count for k=1000000 exceed the cap of 10"),
+    # the units route takes its tau(l)*phi(l) unit residues, though C(l, l-1) = l is admitted
+    (["orbits", "1", "2520", "units"], "10000",
+     "27648 unit residues (tau(l)*phi(l)) for (k=1, l=2520) exceed the cap of 10000"),
     (["orbits", "1", "1000000000000000003", "cyclic"], "10",
      "C(1000000000000000003, 1000000000000000002) step sequences for"
      " (k=1, l=1000000000000000003) exceed the cap of 10"),
@@ -1046,12 +1049,13 @@ def test_import_builds_no_parser():
         "init = argparse.ArgumentParser.__init__\n"
         "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
         "import qfiber.cli\n"
-        "print(len(built))\n"
+        "print(len(built), 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
         "qfiber.cli.main(['coeffs', '1', '1'])\n"
         "print(len(built), 'locale' in sys.modules)\n"
     )
-    # a well-formed command builds no parser, so argparse's gettext never imports locale
-    assert run_fresh("-c", script) == (0, "0\n1 1\n0 False\n", "")
+    # a well-formed command builds no parser, so argparse's gettext never imports
+    # locale; the value classes are written out, so nothing imports dataclasses
+    assert run_fresh("-c", script) == (0, "0 False False\n1 1\n0 False\n", "")
 
 
 SUBCOMMANDS = ("coeffs", "residue-sums", "fibers", "orbits", "verify")

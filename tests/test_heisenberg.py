@@ -3,7 +3,6 @@
 import copy
 import pickle
 import re
-from dataclasses import FrozenInstanceError, fields
 from itertools import combinations
 from math import comb, gcd
 from types import SimpleNamespace
@@ -141,14 +140,14 @@ def test_value_classes_keep_their_generated_contract():
     for value, names in [(config, ["nodes", "ring_size"]), (point, ["positions", "ring_size"]),
                          (gaps, ["gaps", "ring_size"])]:
         cls, marks = type(value), getattr(value, names[0])
-        assert [field.name for field in fields(cls)] == names
+        assert list(cls.__match_args__) == names
         twin = cls(marks, 5)
         assert twin == value and hash(twin) == hash(value) and twin is not value
         assert value != (marks, 5) and value != marks
         for name in names:
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(value, name, marks)
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 delattr(value, name)
         for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert type(copied) is cls and copied == value
@@ -303,7 +302,7 @@ def assert_rebuilds(value, cls):
     """`value` is exactly a `cls`, and `cls`'s own constructor takes its
     fields back to an equal, equal-hashing value."""
     assert type(value) is cls
-    again = cls(*(getattr(value, field.name) for field in fields(cls)))
+    again = cls(*(getattr(value, name) for name in cls.__match_args__))
     assert again == value and hash(again) == hash(value)
 
 

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 a verification check failed, 2 bad arguments, 3
 enumeration cap exceeded.  Exit 2 comes only from the parser and
 `_validate`, before any handler runs, under the usage of the command
 given; an internal failure, a ValueError included, is a traceback with
-exit status 1.  Machine formats (json, csv) serialize every integer as a
+exit status 1.  A reader of stdout that goes away early ends the command
+with exit 1 and nothing on stderr.  Machine formats (json, csv) serialize every integer as a
 decimal string; Python's limit on the digits of an int converted to or
 from a string is lifted for the duration of `main`, and the output size is
 capped instead.
@@ -238,18 +239,15 @@ def _orbits_estimates(args: argparse.Namespace) -> Estimates:
     text = f"C({top}, {bottom}) step sequences for (k={k}, l={l}) exceed"
     yield (cap + 1 if past else comb(top, bottom)), text
     # At k = 0 every group answers {1: 1} at once.  For k >= 1 that count, at
-    # least l and k + 1, bounds l, so factoring l takes at most isqrt(cap)
-    # trial divisions; the units route then takes each of the phi(l) units of
-    # Z/l mod each of the tau(l) divisors of l.  At l = 1 the count is 1, but
-    # a units fixed-point count still has k + 1 entries.
-    if args.group == "units":
-        if k:
-            phi = 1
-            for p, power in _prime_powers(l):
-                phi *= power - power // p
-            residues = len(_divisors(l)) * phi
-            yield residues, f"{residues} unit residues (tau(l)*phi(l)) for (k={k}, l={l}) exceed"
-        yield k + 1, f"{k + 1} entries of a fixed-point count for k={k} exceed"
+    # least l, bounds l, so factoring l takes at most isqrt(cap) trial
+    # divisions; the units route then takes each of the phi(l) units of Z/l
+    # mod each of the tau(l) divisors of l.
+    if args.group == "units" and k:
+        phi = 1
+        for p, power in _prime_powers(l):
+            phi *= power - power // p
+        residues = len(_divisors(l)) * phi
+        yield residues, f"{residues} unit residues (tau(l)*phi(l)) for (k={k}, l={l}) exceed"
 
 
 def _sweep(args: argparse.Namespace) -> dict:
@@ -282,7 +280,7 @@ def _cmd_residue_sums(args: argparse.Namespace) -> int:
 
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
-    n, r = args.ring_size, args.marked
+    n, r = args.N, args.r
     sizes = delta_fiber_sizes_via_partitions(n, r)
     total = comb(n - 1, r - 1)
     texts = _numbers(args.format, sizes, ["class", "cardinality"], total)
@@ -400,7 +398,6 @@ class _Arg(NamedTuple):
     convert: Callable[[str], object] | None = None
     choices: tuple[str, ...] | None = None
     default: object = None
-    metavar: str | None = None
     flag: bool = False
 
     @property
@@ -445,14 +442,12 @@ _COMMANDS = {
     ),
     "fibers": _Command(
         "gap-vector fiber sizes for a marked ring",
-        (_Arg("ring_size", "ring size", _positive, metavar="N"),
-         _Arg("marked", "marked nodes", _positive, metavar="r")),
+        (_Arg("N", "ring size", _positive), _Arg("r", "marked nodes", _positive)),
         _options(),
         _cmd_fibers,
         # the fibers are the class sums of the (N-r) x (r-1) box, reordered, and
         # their total C(N-1, r-1), which bounds each: r + 1 numbers
-        lambda a: _class_sum_estimates(
-            a.ring_size - a.marked, a.marked - 1, a.marked, a.marked + 1),
+        lambda a: _class_sum_estimates(a.N - a.r, a.r - 1, a.r, a.r + 1),
     ),
     "orbits": _Command(
         "orbit-size histogram of step sequences",
@@ -541,7 +536,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
                 subparser.add_argument(arg.name, action="store_true", help=arg.help)
             else:
                 subparser.add_argument(arg.name, type=arg.convert, choices=arg.choices,
-                                       default=arg.default, help=arg.help, metavar=arg.metavar)
+                                       default=arg.default, help=arg.help)
         # `command` is set on every route of `main`
         subparser.set_defaults(command=name, handler=command.handler, estimates=command.estimates)
     return parser, sub.choices
@@ -575,8 +570,8 @@ def _validate(args: argparse.Namespace) -> None:
         args.max_enum = DEFAULT_ENUMERATION_CAP if env is None else _positive(env)
     except argparse.ArgumentTypeError as exc:
         _usage_error(args, f"QFIBER_MAX_ENUM: {exc}")
-    if args.command == "fibers" and args.marked > args.ring_size:
-        _usage_error(args, f"r={args.marked} must not exceed N={args.ring_size}")
+    if args.command == "fibers" and args.r > args.N:
+        _usage_error(args, f"r={args.r} must not exceed N={args.N}")
     if args.command == "verify":
         steps = sum(isqrt(p) for p in args.primes if p >= 2)  # bounds is_prime's divisions
         _admit([(steps, f"{steps} trial divisions for --primes exceed")], args.max_enum)
@@ -603,10 +598,19 @@ def main(argv: list[str] | None = None) -> int:
             args = _parse(argv)
         _validate(args)
         _admit(args.estimates(args), args.max_enum)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader of stdout went away.  What is left in its buffer goes to
+        # os.devnull, so the interpreter's flush at exit raises nothing more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

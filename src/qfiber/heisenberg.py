@@ -17,6 +17,12 @@ from typing import Iterable, Iterator, Union
 from ._value import Value
 from .qbinomial import _check_integers, residue_sums
 
+__all__ = [
+    "Configuration", "CoveringPoint", "RelativePositions", "center_projection",
+    "delta_fiber_sizes", "delta_fiber_sizes_via_partitions", "enumerate_configurations",
+    "reconstruct", "relative_positions", "shift_action",
+]
+
 # Values are validated once, where they enter the library: each class below
 # checks its arguments in one hand-written __init__ before storing them
 # (equality, ordering, hashing and repr come from `Value`, but for

@@ -14,6 +14,8 @@ from typing import Iterable, Iterator
 from ._value import Value
 from .qbinomial import _check_integers
 
+__all__ = ["Partition", "count_by_residue", "count_exact_parts_by_residue", "enumerate_restricted"]
+
 
 class Partition(Value, order=True):
     """Weakly decreasing part sizes; trailing zeros are stripped on construction.

@@ -24,6 +24,11 @@ from math import comb, gcd
 from operator import add, mul, sub
 from typing import Iterator
 
+__all__ = [
+    "coprime_class_sum", "gaussian_coefficients", "is_prime", "prime_adjacent_class_sum",
+    "prime_multiple_class_sum", "residue_sums",
+]
+
 
 def _check_integers(**arguments: int) -> None:
     """Reject a non-integer argument with a ValueError that names it."""

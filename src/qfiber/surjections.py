@@ -19,6 +19,13 @@ from ._value import Value
 from .partitions import Partition
 from .qbinomial import _check_integers, _divisors
 
+__all__ = [
+    "GROUPS", "StepSequence", "ThresholdSequence", "act_cyclic", "act_on_partition",
+    "act_symmetric", "act_unit", "enumerate_step_sequences", "integral", "orbit_histogram",
+    "orbits", "partition_to_surjection", "steps_to_thresholds", "surjection_to_partition",
+    "thresholds_to_steps",
+]
+
 
 class StepSequence(Value, order=True):
     """Level-interval lengths (n_1, ..., n_l) of a non-increasing surjection.
@@ -259,14 +266,15 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     for "units" only the subgroups of (Z/l)^* that can be a spread's
     stabilizer, far fewer than the whole lattice when k is small (36 of 4086
     at k = 1, l = 2520; 534 at k = 2).
-    At k = 0 the one spread is all zeros, which every group fixes, so each
-    group gives {1: 1} at once, with no lattice or partition walk.
+    At k = 0 or l = 1 there is one spread (all zeros, or all k units on the
+    one position), which every group fixes, so each group gives {1: 1} at
+    once, with no lattice or partition walk.
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
     _check_k_nonneg_l_positive(k, l)
-    if k == 0:
-        return {1: 1}  # the all-zero spread, alone in its orbit
+    if k == 0 or l == 1:
+        return {1: 1}  # the one spread, alone in its orbit
     if group == "symmetric":
         return _symmetric_histogram(k, l)
     if group == "cyclic":

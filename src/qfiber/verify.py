@@ -34,6 +34,11 @@ from .qbinomial import (
     residue_sums,
 )
 
+__all__ = [
+    "CheckReport", "check_counterexamples", "check_fibrations", "check_main1", "check_therm",
+    "check_thmp", "run_suite",
+]
+
 SUITES = ("main1", "therm", "thmp", "counterexamples", "fibrations", "all")
 
 DEFAULT_KL_BOUND = 24

@@ -374,6 +374,14 @@ def test_orbits_at_k_zero_is_admitted_at_any_l(capsys, monkeypatch):
         result = run(capsys, "orbits", "0", "1000000000000000003", group)
         assert time.perf_counter() - started < 1
         assert result == (0, "1 1\ntotal 1\n", "")
+    # so is l = 1, at any k: its one step sequence is C(k, 0) = 1
+    monkeypatch.setenv("QFIBER_MAX_ENUM", "10")
+    for k in ("1000000", str(10**30)):
+        for group in ("cyclic", "units", "symmetric"):
+            started = time.perf_counter()
+            result = run(capsys, "orbits", k, "1", group)
+            assert time.perf_counter() - started < 1
+            assert result == (0, "1 1\ntotal 1\n", "")
 
 
 def test_orbits_cap_via_env(capsys, monkeypatch):
@@ -719,9 +727,6 @@ CAPPED_CALLS = [
      "C(19, 9) step sequences for (k=10, l=10) exceed the cap of 10"),
     (["verify", "fibrations", "--n-max", "12"], "1000",
      "11*2^12 + 1 covering points for --n-max 12 exceed the cap of 1000"),
-    # C(k+l-1, l-1) is 1 at l = 1: a units fixed-point count is counted
-    (["orbits", "1000000", "1", "units"], "10",
-     "1000001 entries of a fixed-point count for k=1000000 exceed the cap of 10"),
     # the units route takes its tau(l)*phi(l) unit residues, though C(l, l-1) = l is admitted
     (["orbits", "1", "2520", "units"], "10000",
      "27648 unit residues (tau(l)*phi(l)) for (k=1, l=2520) exceed the cap of 10000"),
@@ -935,7 +940,7 @@ def test_verify_output_does_not_depend_on_the_batch(capsys, monkeypatch, suite, 
         assert run(capsys, *argv) == whole
 
 
-class Discard:
+class Discard(io.TextIOBase):
     """A stdout that keeps nothing it is given."""
 
     def write(self, text):
@@ -1056,6 +1061,18 @@ def test_import_builds_no_parser():
     # a well-formed command builds no parser, so argparse's gettext never imports
     # locale; the value classes are written out, so nothing imports dataclasses
     assert run_fresh("-c", script) == (0, "0 False False\n1 1\n0 False\n", "")
+
+
+def test_a_reader_that_goes_away_ends_the_command_quietly():
+    # about 400 kB of output, far past a pipe's buffer, of which one byte is read
+    env = {key: value for key, value in os.environ.items() if key != "QFIBER_MAX_ENUM"}
+    env["PYTHONPATH"] = str(SRC)
+    argv = [sys.executable, "-m", "qfiber.cli", "fibers", "200000", "200000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as spawned:
+        assert spawned.stdout.read(1) == b"0"
+        spawned.stdout.close()
+        assert spawned.wait(timeout=60) == 1
+        assert spawned.stderr.read() == b""
 
 
 SUBCOMMANDS = ("coeffs", "residue-sums", "fibers", "orbits", "verify")

@@ -390,14 +390,16 @@ def test_units_histogram_at_k_one_has_one_orbit_per_divisor(l):
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_orbit_histogram_at_k_zero_builds_no_lattice(group, monkeypatch):
-    # the one all-zero spread is fixed by every group, at any l
+    # the one all-zero spread is fixed by every group, at any l, and so is the
+    # one spread of k units at l = 1
     def refuse(*args):
-        raise AssertionError("subgroup lattice built")
+        raise AssertionError("subgroup lattice or partition walk built")
 
     monkeypatch.setattr(qfiber.surjections, "_unit_stabilizers", refuse)
     monkeypatch.setattr(qfiber.surjections, "_divisors", refuse)
-    for l in (1, 2, 2520, 720720, 10**6):
-        assert orbit_histogram(0, l, group) == {1: 1}
+    monkeypatch.setattr(qfiber.surjections, "_symmetric_histogram", refuse)
+    for k, l in ((0, 1), (0, 2), (0, 2520), (0, 720720), (0, 10**6), (10**30, 1)):
+        assert orbit_histogram(k, l, group) == {1: 1}
 
 
 def test_symmetric_histogram_matches_enumeration_over_the_benchmark_range():

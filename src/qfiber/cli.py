@@ -26,7 +26,9 @@ to stderr.
 
 A handler computes its whole table, or all its reports, before it writes a
 byte, then hands `_emit` one sequence of items: ints for the number tables,
-(size, count) pairs for `orbits`, CheckReports for `verify`.  Every format,
+(size, count) pairs for `orbits`, CheckReports for `verify`.  `fibers`
+computes the closed form's few distinct values first, and its r entries are
+lookups made as they are written, so its table is never held.  Every format,
 `verify`'s included, is written in batches of CSV_BATCH_ROWS items, each
 item made text only inside its batch, so no command holds its output as
 text.  JSON is the record encoded once with its item array empty, split
@@ -62,10 +64,10 @@ import json
 import os
 import sys
 from itertools import chain, islice
-from math import comb, isqrt, log, log1p, pi
+from math import comb, gcd, isqrt, log, log1p, pi
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
-from .heisenberg import delta_fiber_sizes_via_partitions
+from .heisenberg import delta_fiber_sizes_closed_form
 from .qbinomial import (
     _divisors,
     _prime_powers,
@@ -169,16 +171,13 @@ def _pairs(fmt: str, pairs: Iterable[tuple], header: list[str], total: int | Non
     return map("%s %s\n".__mod__, rows), "", "", ""
 
 
-def _numbers(
-    fmt: str, values: list[int] | tuple[int, ...], header: list[str], total: int | None = None
-) -> tuple:
-    """A table of ints: JSON strings, joined by '","' inside one pair of
-    quotes, as decimal digits need no escaping; or in CSV a row each with its
-    index, as `_pairs` writes it; or one line of them; then the `total` row or
-    line, if any."""
+def _numbers(fmt: str, values: Iterable[int], header: list[str], total: int | None = None) -> tuple:
+    """A table of ints, never empty, read once: JSON strings, joined by '","'
+    inside one pair of quotes, as decimal digits need no escaping; or in CSV
+    a row each with its index, as `_pairs` writes it; or one line of them;
+    then the `total` row or line, if any."""
     if fmt == "json":
-        quote = '"' if values else ""
-        return map(str, values), '","', quote, quote
+        return map(str, values), '","', '"', '"'
     if fmt == "csv":
         return _pairs(fmt, enumerate(values), header, total)
     return map(str, values), " ", "", "\n" if total is None else f"\ntotal {total}\n"
@@ -223,11 +222,22 @@ def _table_estimates(work: int, entries: int, top: int, bottom: int) -> Estimate
     yield digits, f"estimated output of {digits} digits exceeds"
 
 
-def _class_sum_estimates(m: int, n: int, r: int, entries: int) -> Estimates:
-    """The class sums mod r of the m x n box, printed as `entries` numbers,
-    after the lower bound 2r on their work, so a huge r is never factored."""
+def _class_sum_estimates(m: int, n: int, r: int) -> Estimates:
+    """The r class sums mod r of the m x n box, after the lower bound 2r on
+    their work, so a huge r is never factored."""
     yield 2 * r, f"estimated work of {2 * r} exceeds"
-    yield from _table_estimates(residue_sums_work(m, n, r), entries, m + n, n)
+    yield from _table_estimates(residue_sums_work(m, n, r), r, m + n, n)
+
+
+def _fibers_estimates(args: argparse.Namespace) -> Estimates:
+    """The closed form's work after its lower bound 2r, so no huge gcd is
+    factored: r gcds and lookups, and tau(g)^2 divisor terms, g = gcd(N, r).
+    Then its output: the r fibers and their total C(N-1, r-1), which bounds
+    each, r + 1 numbers."""
+    n, r = args.N, args.r
+    yield 2 * r, f"estimated work of {2 * r} exceeds"
+    work = 2 * r + len(_divisors(gcd(n, r))) ** 2
+    yield from _table_estimates(work, r + 1, n - 1, r - 1)
 
 
 def _orbits_estimates(args: argparse.Namespace) -> Estimates:
@@ -281,7 +291,7 @@ def _cmd_residue_sums(args: argparse.Namespace) -> int:
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
     n, r = args.N, args.r
-    sizes = delta_fiber_sizes_via_partitions(n, r)
+    sizes = delta_fiber_sizes_closed_form(n, r)
     total = comb(n - 1, r - 1)
     texts = _numbers(args.format, sizes, ["class", "cardinality"], total)
     _emit(args, {"N": n, "r": r}, {"total": str(total)}, "sizes", texts)
@@ -438,16 +448,14 @@ _COMMANDS = {
          _Arg("r", "modulus", _positive)),
         _options(),
         _cmd_residue_sums,
-        lambda a: _class_sum_estimates(a.m, a.n, a.r, a.r),
+        lambda a: _class_sum_estimates(a.m, a.n, a.r),
     ),
     "fibers": _Command(
         "gap-vector fiber sizes for a marked ring",
         (_Arg("N", "ring size", _positive), _Arg("r", "marked nodes", _positive)),
         _options(),
         _cmd_fibers,
-        # the fibers are the class sums of the (N-r) x (r-1) box, reordered, and
-        # their total C(N-1, r-1), which bounds each: r + 1 numbers
-        lambda a: _class_sum_estimates(a.N - a.r, a.r - 1, a.r, a.r + 1),
+        _fibers_estimates,
     ),
     "orbits": _Command(
         "orbit-size histogram of step sequences",

@@ -4,23 +4,25 @@ r marked nodes on a ring of N sites are encoded either as a strictly
 increasing tuple in [1, N] or as a point of the covering space (strictly
 increasing integers spanning less than N).  Gap vectors between consecutive
 marks are the compositions of N into r positive parts; the fibers of the
-center-of-mass compatibility classes are counted through the partition
-bijection (the production route) and by direct enumeration (its oracle).
+center-of-mass compatibility classes are counted by the paper's closed form
+(the production route), through the partition bijection, and by direct
+enumeration (the oracle of both).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, combinations, repeat
+from math import comb, gcd
 from operator import add, index, lt, sub
 from typing import Iterable, Iterator, Union
 
 from ._value import Value
-from .qbinomial import _check_integers, residue_sums
+from .qbinomial import _check_integers, _exact_div, _prime_powers, residue_sums
 
 __all__ = [
     "Configuration", "CoveringPoint", "RelativePositions", "center_projection",
-    "delta_fiber_sizes", "delta_fiber_sizes_via_partitions", "enumerate_configurations",
-    "reconstruct", "relative_positions", "shift_action",
+    "delta_fiber_sizes", "delta_fiber_sizes_closed_form", "delta_fiber_sizes_via_partitions",
+    "enumerate_configurations", "reconstruct", "relative_positions", "shift_action",
 ]
 
 # Values are validated once, where they enter the library: each class below
@@ -267,7 +269,7 @@ def delta_fiber_sizes(ring_size: int, marked: int) -> list[int]:
     parts; the vector t lies in the fiber of the residue s in [0, marked)
     for which s + sum_beta beta * t_beta = 0 mod marked.  Entries sum to
     C(ring_size - 1, marked - 1).  This is the oracle of
-    `delta_fiber_sizes_via_partitions`.
+    `delta_fiber_sizes_via_partitions` and `delta_fiber_sizes_closed_form`.
 
     Writing N = ring_size and r = marked, each gap vector is enumerated by
     its cut positions c_1 < ... < c_{r-1} in [1, N), with
@@ -286,21 +288,71 @@ def delta_fiber_sizes(ring_size: int, marked: int) -> list[int]:
 
 
 def delta_fiber_sizes_via_partitions(ring_size: int, marked: int) -> list[int]:
-    """The same fiber table obtained through the partition bijection; the
-    production route of `qfiber fibers`.
+    """The same fiber table obtained through the paper's partition bijection.
 
     The fiber at s matches the step sequences whose area is r - s mod r, and
     those match the partitions in the (N-r) x (r-1) box whose weight lies in
     the class shifted by r(r-1)/2 + N.  Their class sums come from
     `qbinomial.residue_sums`.  On this box the only small boxes left are the
     single coefficients (0, d-1) at the divisors d of gcd(N, r), so the cost
-    is the binomials plus `residue_sums_work(N - r, r - 1, r)`, about 0.6 s
-    at N = r = 10^6 (Python 3.11, 2 cores), and no gap vector is
-    enumerated.  Like every library route it takes no cap: `qfiber fibers`
-    checks that work estimate and the output digits before calling it.
+    is the binomials plus `residue_sums_work(N - r, r - 1, r)`, and no gap
+    vector is enumerated.  `verify` checks it against `delta_fiber_sizes`
+    (`fibers-agree`), one of the two places where it meets `residue_sums`;
+    `qfiber fibers` takes `delta_fiber_sizes_closed_form` instead.
     """
     _check_marked_in_ring(ring_size, marked)
     n, r = ring_size, marked
     base = residue_sums(n - r, r - 1, r)
     offset = r * (r - 1) // 2 + n
     return [base[((r - s) - offset) % r] for s in range(r)]
+
+
+def delta_fiber_sizes_closed_form(ring_size: int, marked: int) -> Iterator[int]:
+    """The same fiber table from the paper's closed form, as a lazy iterator
+    of its r entries; the production route of `qfiber fibers`.
+
+    With N = ring_size, r = marked and g = gcd(N, r), q-Lucas (Sagan, Adv.
+    Math. 95, 1992) at the r-th roots of unity gives
+
+        fibers(N, r)[s] = (1/r) sum_{d | g} C(N/d - 1, r/d - 1) c_d(r(r-1)/2 - s),
+
+    with the Ramanujan sum c_d(m) = mu(d/e) phi(d) / phi(d/e), e = gcd(d, m)
+    (Hoelder).  A term depends on m only through gcd(d, m), and d | g, so an
+    entry depends only on f = gcd(g, r(r-1)/2 - s): the at most tau(g)
+    distinct values, each a sum of tau(g) terms, are computed first, with
+    mu and phi of each divisor of g built from its prime powers, and each
+    division by r is checked (a remainder raises ArithmeticError).  The
+    table is then r lookups by gcd (at g = 1, one value repeated), drawn as
+    the caller reads them, so no list of r entries is built and no error
+    comes after the first entry.  The cost is the factoring of g, the
+    tau(g) binomials, tau(g)^2 terms and r gcds.  Like every library route
+    it takes no cap: `qfiber fibers` checks that work estimate and the
+    output digits before calling it.
+    """
+    _check_marked_in_ring(ring_size, marked)
+    n, r = ring_size, marked
+    g = gcd(n, r)
+    if g == 1:  # the d = 1 term alone: every class holds C(N-1, r-1) / r
+        return repeat(_exact_div(comb(n - 1, r - 1), r), r)
+    # (mu(d), phi(d)) for each divisor d of g, one prime power at a time
+    arithmetic = {1: (1, 1)}
+    for p, power in _prime_powers(g):
+        grown = {}
+        q, mu_q, phi_q = 1, 1, 1
+        while q <= power:
+            for d, (mu, phi) in arithmetic.items():
+                grown[d * q] = (mu * mu_q, phi * phi_q)
+            q, mu_q, phi_q = q * p, -1 if q == 1 else 0, q * (p - 1)
+        arithmetic = grown
+    terms = [(d, comb(n // d - 1, r // d - 1), phi) for d, (_, phi) in arithmetic.items()]
+    values = {}
+    for f in arithmetic:
+        total = 0
+        for d, binomial, phi in terms:
+            e = gcd(d, f)
+            mu_rest, phi_rest = arithmetic[d // e]
+            if mu_rest:
+                total += binomial * (mu_rest * phi // phi_rest)
+        values[f] = _exact_div(total, r)
+    top = r * (r - 1) // 2
+    return map(values.__getitem__, map(gcd, repeat(g), range(top, top - r, -1)))

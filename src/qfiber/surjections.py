@@ -66,7 +66,8 @@ class ThresholdSequence(Value, order=True):
 
     def __init__(self, thresholds: Iterable[int], domain_length: int) -> None:
         thresholds = tuple(thresholds)
-        _check_integers(domain_length=domain_length)
+        if not isinstance(domain_length, int):
+            raise ValueError(f"domain_length must be an integer: {domain_length!r}")
         if domain_length < 1:
             raise ValueError("domain_length must be positive")
         if not all(map(isinstance, thresholds, repeat(int))):
@@ -268,13 +269,16 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     at k = 1, l = 2520; 534 at k = 2).
     At k = 0 or l = 1 there is one spread (all zeros, or all k units on the
     one position), which every group fixes, so each group gives {1: 1} at
-    once, with no lattice or partition walk.
+    once, with no lattice or partition walk.  (Z/2)^* is trivial, so "units"
+    at l = 2 leaves each of the k + 1 spreads alone in its orbit, at once.
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
     _check_k_nonneg_l_positive(k, l)
     if k == 0 or l == 1:
         return {1: 1}  # the one spread, alone in its orbit
+    if group == "units" and l == 2:
+        return {1: k + 1}  # the trivial group fixes every spread
     if group == "symmetric":
         return _symmetric_histogram(k, l)
     if group == "cyclic":

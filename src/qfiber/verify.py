@@ -16,6 +16,7 @@ from typing import Callable, Sequence, Union
 from ._value import Value
 from .heisenberg import (
     delta_fiber_sizes,
+    delta_fiber_sizes_closed_form,
     delta_fiber_sizes_via_partitions,
     orbit_starts,
     reconstruct,
@@ -310,17 +311,19 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
 def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
     """Gap-vector fiber tables and covering-space round trips.
 
-    For every ring size N <= ring_max and 1 <= r <= N: the enumeration and
-    partition-bijection fiber tables must agree; coprime (N, r) must give a
-    constant table; N a multiple of an odd prime r must put a single +1
-    excess at class 0.  One `_covering_walk` counts, of the r * C(N, r)
-    covering points with first mark in [1, N], those on which `reconstruct`
-    inverts `relative_positions` and those that `shift_action` moves right,
-    and each count must equal that closed form.  The round trip checks only
-    the arithmetic of the two maps, so a point that breaks the covering
-    rules still round-trips: `covering-shift` catches a forged shift.  A
-    shift that raises ArithmeticError or ValueError ends the walk of its
-    (N, r): `covering-shift` there holds the error text, and
+    For every ring size N <= ring_max and 1 <= r <= N, the enumerated fiber
+    table (`delta_fiber_sizes`) is read by four checks: the paper's
+    bijection route must agree with it (`fibers-agree`), and so must the
+    closed form, the route of `qfiber fibers` (`fibers-closed-form`);
+    coprime (N, r) must give a constant table; N a multiple of an odd
+    prime r must put a single +1 excess at class 0.  One `_covering_walk`
+    counts, of the r * C(N, r) covering points with first mark in [1, N],
+    those on which `reconstruct` inverts `relative_positions` and those that
+    `shift_action` moves right, and each count must equal r * C(N, r).  The
+    round trip checks only the arithmetic of the two maps, so a point that
+    breaks the covering rules still round-trips: `covering-shift` catches a
+    forged shift.  A shift that raises ArithmeticError or ValueError ends
+    the walk of its (N, r): `covering-shift` there holds the error text, and
     `covering-roundtrip` the count reached so far, so both fail.
     """
     _check_integers(ring_max=ring_max)
@@ -335,6 +338,9 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
                 lambda: delta_fiber_sizes(n, r), lambda: delta_fiber_sizes_via_partitions(n, r))
             table = agree.expected
             reports.append(agree)
+            reports.append(_check(
+                "fibers-closed-form", params,
+                lambda: list(delta_fiber_sizes_closed_form(n, r)), lambda: table))
             if gcd(n, r) == 1:
                 reports.append(_check(
                     "fibers-constant-coprime", params,

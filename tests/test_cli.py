@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qfiber.cli as cli
+import qfiber.heisenberg as heisenberg
 import qfiber.verify as verify
 from qfiber.cli import main
 from qfiber.heisenberg import delta_fiber_sizes_via_partitions
@@ -420,6 +421,16 @@ def test_fibers_cap_exit(capsys, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_fibers_writes_nothing_before_a_failed_division(capsys, monkeypatch, fmt):
+    # the route's d = 1 binomial off by one: its values are computed, and the
+    # division by r fails, before the first byte of the table is written
+    monkeypatch.setattr(heisenberg, "comb", lambda top, bottom: comb(top, bottom) + (top == 11))
+    with pytest.raises(ArithmeticError, match="is not divisible by 6"):
+        main(["fibers", "12", "6", "--format", fmt])
+    assert capsys.readouterr().out == ""
+
+
 def test_fibers_past_the_cap_does_not_enumerate(capsys):
     # C(99999, 99998) = 99,999 gap vectors pass the cap; enumerating them
     # builds 10^5 tuples of about 10^5 cuts each
@@ -441,33 +452,33 @@ def test_fibers_guard_estimates_the_class_sum_work(capsys, monkeypatch):
         "5170575 5170600 5170578 5170575 5170600 5170575 5170575")
     assert total == f"total {comb(29, 14)}" == f"total {sum(map(int, sizes.split()))}"
     tables, estimates = [], []
-    route, work = cli.delta_fiber_sizes_via_partitions, cli.residue_sums_work
+    route, divisors = cli.delta_fiber_sizes_closed_form, cli._divisors
     monkeypatch.setattr(
-        cli, "delta_fiber_sizes_via_partitions", lambda *a: tables.append(a) or route(*a))
-    monkeypatch.setattr(cli, "residue_sums_work", lambda *a: estimates.append(a) or work(*a))
-    # fibers N r is checked as residue-sums N-r r-1 r; 720720 has 6 primes and
-    # 240 divisors: 7 * sigma(720720) + the sum of 2^omega(d) over d | 720720
-    started = time.perf_counter()
-    code, out, err = run(capsys, "fibers", "720720", "720720")
-    assert time.perf_counter() - started < 1
-    assert code == 3 and out == ""
-    assert "estimated work of 22752189 exceeds the cap of 10000000" in err
-    assert tables == [] and estimates == [(0, 720719, 720720)]
-    # past the lower bound 2r, r is not factored
-    code, out, err = run(capsys, "fibers", "5000001", "5000001")
-    assert code == 3 and out == ""
-    assert "estimated work of 10000002 exceeds the cap of 10000000" in err
-    assert tables == [] and estimates == [(0, 720719, 720720)]
-    # 3 * sigma(3000) + 27 is far below the cap, and the table takes milliseconds
+        cli, "delta_fiber_sizes_closed_form", lambda *a: tables.append(a) or route(*a))
+    monkeypatch.setattr(cli, "_divisors", lambda *a: estimates.append(a) or divisors(*a))
+
     # the single gap vector (1, ..., 1) has cuts 1, ..., r-1, in class r(r-1)/2 mod r
     def one_gap_vector(r):
         sizes = ["0"] * r
         sizes[r * (r - 1) // 2 % r] = "1"
         return " ".join(sizes) + "\ntotal 1\n"
 
+    # the closed form's work is 2r + tau(g)^2, g = gcd(N, r): 720720 has 240
+    # divisors, so 1,441,440 + 57,600 is below the cap
+    started = time.perf_counter()
+    code, out, err = run(capsys, "fibers", "720720", "720720")
+    assert time.perf_counter() - started < 1
+    assert (code, out, err) == (0, one_gap_vector(720720), "")
+    assert tables == [(720720, 720720)] and estimates == [(720720,)]
+    # past the lower bound 2r, r is not factored
+    code, out, err = run(capsys, "fibers", "5000001", "5000001")
+    assert code == 3 and out == ""
+    assert "estimated work of 10000002 exceeds the cap of 10000000" in err
+    assert tables == [(720720, 720720)] and estimates == [(720720,)]
+    # 2 * 3000 + tau(3000)^2 is far below the cap, and the table takes milliseconds
     code, out, _ = run(capsys, "fibers", "3000", "3000")
     assert (code, out) == (0, one_gap_vector(3000))
-    assert tables == [(3000, 3000)] and estimates[-1] == (0, 2999, 3000)
+    assert tables[-1] == (3000, 3000) and estimates[-1] == (3000,)
     started = time.perf_counter()
     code, out, _ = run(capsys, "fibers", "1000000", "1000000")
     assert time.perf_counter() - started < 2
@@ -511,7 +522,7 @@ def test_verify_all_default_bounds_pass(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1ea956789d5187b0913f3a99b5a87c398e0dc974958c766c5d5836432324ee95")
+        "82e9a4556a366e14f8e09a62a61b7ff7368ca8c9c0efff3dd7eb020764f02307")
     summary = out.strip().splitlines()[-1]
     total = int(summary.split()[0])
     assert f"{total} of {total} checks passed" == summary

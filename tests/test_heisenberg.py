@@ -3,6 +3,8 @@
 import copy
 import pickle
 import re
+import tracemalloc
+from collections import deque
 from itertools import combinations
 from math import comb, gcd
 from types import SimpleNamespace
@@ -10,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+import qfiber.heisenberg as heisenberg
 import qfiber.qbinomial as qbinomial
 from qfiber.heisenberg import (
     Configuration,
@@ -17,6 +20,7 @@ from qfiber.heisenberg import (
     RelativePositions,
     center_projection,
     delta_fiber_sizes,
+    delta_fiber_sizes_closed_form,
     delta_fiber_sizes_via_partitions,
     enumerate_configurations,
     reconstruct,
@@ -461,3 +465,66 @@ def test_fiber_box_work():
             assert qbinomial.residue_sums_work(n - r, r - 1, r) == expected, (n, r)
     # 99999 = 3^2 * 41 * 271 is coprime to 100000: 4 * sigma(99999), plus 1 at d = 1
     assert qbinomial.residue_sums_work(1, 99998, 99999) == 4 * 13 * 42 * 272 + 1
+
+
+def cut_sum_classes(n, r):
+    """delta_fiber_sizes by dynamic programming: the (r-1)-subsets of [1, n)
+    counted by their sum mod r, one cut position at a time."""
+    counts = [[0] * r for _ in range(r)]  # counts[j][s]: j cuts with sum = s mod r
+    counts[0][0] = 1
+    for cut in range(1, n):
+        for j in range(min(cut, r - 1), 0, -1):
+            shift = cut % r
+            below = counts[j - 1]
+            counts[j] = [a + b for a, b in zip(counts[j], below[-shift:] + below[:-shift])]
+    return counts[r - 1]
+
+
+def test_closed_form_matches_the_enumerated_fibers():
+    for n in range(1, 13):
+        for r in range(1, n + 1):
+            assert cut_sum_classes(n, r) == delta_fiber_sizes(n, r), (n, r)
+    for n in range(1, 31):
+        for r in range(1, n + 1):
+            expected = delta_fiber_sizes(n, r) if n <= 18 else cut_sum_classes(n, r)
+            assert list(delta_fiber_sizes_closed_form(n, r)) == expected, (n, r)
+
+
+@pytest.mark.parametrize("n, r", [(10**6, 10**6), (5040, 720), (100001, 2), (1000, 10),
+                                  (10000, 100), (200000, 20), (3000, 3000)])
+def test_closed_form_matches_the_bijection_route_beyond_enumeration(n, r):
+    assert list(delta_fiber_sizes_closed_form(n, r)) == delta_fiber_sizes_via_partitions(n, r)
+
+
+def test_closed_form_holds_no_table():
+    # a lazy lookup per entry: a list of the 200,000 entries alone takes 1.6 MB
+    delta_fiber_sizes_closed_form(12, 6)  # fill any first-call caches before tracing
+    tracemalloc.start()
+    try:
+        sizes = delta_fiber_sizes_closed_form(200000, 200000)
+        deque(sizes, maxlen=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_closed_form_checks_its_division_before_the_first_entry(monkeypatch):
+    # the d = 1 binomial C(11, r - 1) off by one leaves sums that r does not
+    # divide, at gcd(N, r) = 6 and at gcd(N, r) = 1
+    monkeypatch.setattr(heisenberg, "comb", lambda top, bottom: comb(top, bottom) + (top == 11))
+    for r in (6, 5):
+        with pytest.raises(ArithmeticError, match=f"is not divisible by {r}"):
+            delta_fiber_sizes_closed_form(12, r)
+
+
+def test_closed_form_validation():
+    for n, r in ((2, 5), (5, 0), (0, 0)):
+        with pytest.raises(ValueError, match="need 1 <= marked <= ring_size"):
+            delta_fiber_sizes_closed_form(n, r)
+    with pytest.raises(ValueError, match=re.escape("ring_size must be an integer: 5.0")):
+        delta_fiber_sizes_closed_form(5.0, 2)
+    with pytest.raises(ValueError, match=re.escape("marked must be an integer: 2.0")):
+        delta_fiber_sizes_closed_form(5, 2.0)
+    with pytest.raises(TypeError):
+        delta_fiber_sizes_closed_form(12, 6, max_elements=462)

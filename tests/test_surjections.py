@@ -402,6 +402,22 @@ def test_orbit_histogram_at_k_zero_builds_no_lattice(group, monkeypatch):
         assert orbit_histogram(k, l, group) == {1: 1}
 
 
+def test_units_at_l_two_is_the_trivial_group(monkeypatch):
+    # (Z/2)^* = {1} leaves each of the k + 1 sequences alone in its orbit
+    for k in range(10):
+        assert orbit_histogram(k, 2, "units") == Counter(len(o) for o in orbits(k, 2, "units"))
+
+    def refuse(*args):
+        raise AssertionError("subgroup lattice or fixed-point table built")
+
+    monkeypatch.setattr(qfiber.surjections, "_unit_stabilizers", refuse)
+    monkeypatch.setattr(qfiber.surjections, "_fixed_count", refuse)
+    started = time.perf_counter()
+    assert orbit_histogram(9999998, 2, "units") == {1: 9999999}
+    assert orbit_histogram(10**30, 2, "units") == {1: 10**30 + 1}
+    assert time.perf_counter() - started < 1
+
+
 def test_symmetric_histogram_matches_enumeration_over_the_benchmark_range():
     for k in range(10):
         for l in range(1, 10):

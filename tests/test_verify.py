@@ -88,6 +88,29 @@ def test_value_error_fails_one_check_without_ending_the_sweep(monkeypatch):
     assert failed.actual.startswith("ValueError:") and failed.expected == [2, 2]
 
 
+def test_a_unit_moved_in_the_fibers_route_fails_its_closed_form_check(monkeypatch, capsys):
+    route = verify.delta_fiber_sizes_closed_form
+
+    def moved(n, r):
+        sizes = list(route(n, r))
+        if r > 1:  # one unit from class 0 to class 1, the total kept
+            sizes[0] -= 1
+            sizes[1] += 1
+        return iter(sizes)
+
+    monkeypatch.setattr(verify, "delta_fiber_sizes_closed_form", moved)
+    assert main(["verify", "fibrations"]) == 1
+    out, err = capsys.readouterr()
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    # every (N, r) with r > 1 up to the default N <= 14, and no other check
+    assert len(failed) == 105 - 14
+    assert all(line.startswith("FAIL fibers-closed-form ") for line in failed)
+    assert "FAIL fibers-closed-form N=5 r=2 (classes 0,1 differ)" in failed
+    reports = len(out.splitlines()) - 1
+    assert out.endswith(f"\n{reports - len(failed)} of {reports} checks passed\n")
+    assert err == ""
+
+
 def test_arithmetic_error_in_a_shared_table_fails_each_check_reading_it(monkeypatch):
     sums = verify.residue_sums
 
@@ -239,6 +262,7 @@ def test_check_fibrations_small_sweep():
     ids = {r.check_id for r in reports}
     assert ids == {
         "fibers-agree",
+        "fibers-closed-form",
         "fibers-constant-coprime",
         "fibers-prime-gap",
         "covering-roundtrip",

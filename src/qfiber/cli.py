@@ -69,8 +69,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .heisenberg import delta_fiber_sizes_closed_form
 from .qbinomial import (
-    _divisors,
-    _prime_powers,
+    _divisor_table,
     coefficient_work,
     gaussian_coefficients,
     residue_sums,
@@ -236,7 +235,7 @@ def _fibers_estimates(args: argparse.Namespace) -> Estimates:
     each, r + 1 numbers."""
     n, r = args.N, args.r
     yield 2 * r, f"estimated work of {2 * r} exceeds"
-    work = 2 * r + len(_divisors(gcd(n, r))) ** 2
+    work = 2 * r + len(_divisor_table(gcd(n, r))) ** 2
     yield from _table_estimates(work, r + 1, n - 1, r - 1)
 
 
@@ -253,10 +252,8 @@ def _orbits_estimates(args: argparse.Namespace) -> Estimates:
     # divisions; the units route then takes each of the phi(l) units of Z/l
     # mod each of the tau(l) divisors of l.
     if args.group == "units" and k:
-        phi = 1
-        for p, power in _prime_powers(l):
-            phi *= power - power // p
-        residues = len(_divisors(l)) * phi
+        table = _divisor_table(l)
+        residues = len(table) * table[l][1]
         yield residues, f"{residues} unit residues (tau(l)*phi(l)) for (k={k}, l={l}) exceed"
 
 

@@ -17,7 +17,7 @@ from operator import add, index, lt, sub
 from typing import Iterable, Iterator, Union
 
 from ._value import Value
-from .qbinomial import _check_integers, _exact_div, _prime_powers, residue_sums
+from .qbinomial import _check_integers, _divisor_table, _exact_div, residue_sums
 
 __all__ = [
     "Configuration", "CoveringPoint", "RelativePositions", "center_projection",
@@ -320,11 +320,11 @@ def delta_fiber_sizes_closed_form(ring_size: int, marked: int) -> Iterator[int]:
     (Hoelder).  A term depends on m only through gcd(d, m), and d | g, so an
     entry depends only on f = gcd(g, r(r-1)/2 - s): the at most tau(g)
     distinct values, each a sum of tau(g) terms, are computed first, with
-    mu and phi of each divisor of g built from its prime powers, and each
-    division by r is checked (a remainder raises ArithmeticError).  The
-    table is then r lookups by gcd (at g = 1, one value repeated), drawn as
-    the caller reads them, so no list of r entries is built and no error
-    comes after the first entry.  The cost is the factoring of g, the
+    mu and phi read from `qbinomial._divisor_table(g)`, and each division
+    by r is checked (a remainder raises ArithmeticError).  The table is
+    then r lookups by gcd (at g = 1, one value repeated), drawn as the
+    caller reads them, so no list of r entries is built and no error comes
+    after the first entry.  The cost is the factoring of g, the
     tau(g) binomials, tau(g)^2 terms and r gcds.  Like every library route
     it takes no cap: `qfiber fibers` checks that work estimate and the
     output digits before calling it.
@@ -334,23 +334,13 @@ def delta_fiber_sizes_closed_form(ring_size: int, marked: int) -> Iterator[int]:
     g = gcd(n, r)
     if g == 1:  # the d = 1 term alone: every class holds C(N-1, r-1) / r
         return repeat(_exact_div(comb(n - 1, r - 1), r), r)
-    # (mu(d), phi(d)) for each divisor d of g, one prime power at a time
-    arithmetic = {1: (1, 1)}
-    for p, power in _prime_powers(g):
-        grown = {}
-        q, mu_q, phi_q = 1, 1, 1
-        while q <= power:
-            for d, (mu, phi) in arithmetic.items():
-                grown[d * q] = (mu * mu_q, phi * phi_q)
-            q, mu_q, phi_q = q * p, -1 if q == 1 else 0, q * (p - 1)
-        arithmetic = grown
-    terms = [(d, comb(n // d - 1, r // d - 1), phi) for d, (_, phi) in arithmetic.items()]
+    table = _divisor_table(g)
+    terms = [(d, comb(n // d - 1, r // d - 1), phi) for d, (_, phi) in table.items()]
     values = {}
-    for f in arithmetic:
+    for f in table:
         total = 0
         for d, binomial, phi in terms:
-            e = gcd(d, f)
-            mu_rest, phi_rest = arithmetic[d // e]
+            mu_rest, phi_rest = table[d // gcd(d, f)]
             if mu_rest:
                 total += binomial * (mu_rest * phi // phi_rest)
         values[f] = _exact_div(total, r)

@@ -13,7 +13,7 @@ cap's upper bound on it, so `qfiber coeffs 216 216` is still refused.
 `residue_sums` gets the class sums by the q-Lucas theorem without it.  This
 module also provides the closed-form values those sums take in the
 equal-class cases, the work estimates the command line checks against its
-cap, and the package's one trial-division loop.
+cap, and the package's one trial-division loop and divisor table (mu, phi).
 """
 
 from __future__ import annotations
@@ -60,15 +60,19 @@ def is_prime(n: int) -> bool:
     return n > 1 and next(_prime_powers(n)) == (n, n)
 
 
-def _divisors(n: int) -> list[int]:
-    """The divisors of n in increasing order, built from its prime powers."""
-    divisors = [1]
+def _divisor_table(n: int) -> dict[int, tuple[int, int]]:
+    """{d: (mu(d), phi(d))} for each divisor d of n >= 1, by increasing d,
+    built from one walk of its prime powers: the package's one source of
+    divisor lists, Moebius mu and Euler phi."""
+    rows = [(1, 1, 1)]
     for p, power in _prime_powers(n):
-        powers = [1]
-        while powers[-1] < power:
-            powers.append(powers[-1] * p)
-        divisors = [d * q for d in divisors for q in powers]
-    return sorted(divisors)
+        for d, mu, phi in rows[:]:
+            q, mu_q, phi_q = p, -mu, phi * (p - 1)
+            while q <= power:
+                rows.append((d * q, mu_q, phi_q))
+                q, mu_q, phi_q = q * p, 0, phi_q * p
+    rows.sort()
+    return {d: (mu, phi) for d, mu, phi in rows}
 
 
 @lru_cache(maxsize=None, typed=True)  # so 2.0 is refused even once (2, n) is cached
@@ -117,38 +121,33 @@ def coefficient_work(m: int, n: int) -> int:
     return m * n * min(m, n)
 
 
-def _small_box(m: int, n: int, d: int) -> tuple[int, int] | None:
-    """The box q-Lucas leaves at a primitive d-th root of unity, where
-    [m+n choose n]_q equals C((m+n)//d, n//d) times [a choose b]_q with
-    a = (m+n) mod d and b = n mod d: the (a-b) x b box, or None when b > a
-    and the value is zero."""
-    a, b = (m + n) % d, n % d
-    return None if b > a else (a - b, b)
+def _lucas_terms(m: int, n: int, table: dict) -> Iterator[tuple]:
+    """The q-Lucas terms of the m x n box mod r, `table` = `_divisor_table(r)`.
 
-
-def _squarefree_divisors(d: int, primes: list[int]) -> list[tuple[int, int]]:
-    """(s, mu(s)) for each squarefree divisor s of d; `primes` must hold
-    every prime factor of d."""
-    divisors = [(1, 1)]
-    for p in primes:
-        if d % p == 0:
-            divisors += [(s * p, -mu) for s, mu in divisors]
-    return divisors
+    At a primitive d-th root of unity [m+n choose n]_q equals
+    C((m+n)//d, n//d) times [a choose b]_q, a = (m+n) mod d, b = n mod d:
+    the small (a-b) x b box, zero when b > a.  For each divisor d of r
+    whose small box is not zero, this yields (d, box, [(e, mu(d/e))]) over
+    the divisors e of d with d/e squarefree, the classes mod e the box is
+    folded into."""
+    squarefree = [(s, mu) for s, (mu, _) in table.items() if mu]
+    for d in table:
+        a, b = (m + n) % d, n % d
+        if b <= a:
+            yield d, (a - b, b), [(d // s, mu) for s, mu in squarefree if d % s == 0]
 
 
 def residue_sums_work(m: int, n: int, r: int) -> int:
     """Work estimate of `residue_sums(m, n, r)` apart from its binomials:
     (omega(r) + 1) * sigma(r) for the class vectors and their combine, plus,
-    for each box (a, b) left at a divisor d of r, its product formula and
-    2^omega(d) folds of its a*b + 1 coefficients.  omega counts distinct
-    prime factors and sigma sums divisors, so the estimate is at least 2r."""
-    primes, divisors = [p for p, _ in _prime_powers(r)], _divisors(r)
-    work = (len(primes) + 1) * sum(divisors)
-    for d in divisors:
-        box = _small_box(m, n, d)
-        if box is not None:
-            a, b = box
-            work += coefficient_work(a, b) + len(_squarefree_divisors(d, primes)) * (a * b + 1)
+    for each box (a, b) of `_lucas_terms`, its product formula and one fold
+    of its a*b + 1 coefficients per term, 2^omega(d) of them.  omega counts
+    distinct prime factors and sigma sums divisors, so the estimate is at
+    least 2r."""
+    table = _divisor_table(r)
+    work = (sum(phi == p - 1 for p, (_, phi) in table.items()) + 1) * sum(table)
+    for _, (a, b), terms in _lucas_terms(m, n, table):
+        work += coefficient_work(a, b) + len(terms) * (a * b + 1)
     return work
 
 
@@ -157,37 +156,34 @@ def residue_sums(m: int, n: int, r: int) -> list[int]:
 
     A roots-of-unity filter over the r-th roots, grouped by their order d.
     At a primitive d-th root the Gaussian binomial is C((m+n)//d, n//d)
-    times the small box of `_small_box` (q-Lucas; Sagan, Adv. Math. 95,
-    1992), and by Moebius inversion the primitive d-th roots sum zeta^k to
+    times a small Gaussian binomial (q-Lucas; Sagan, Adv. Math. 95, 1992),
+    and by Moebius inversion the primitive d-th roots sum zeta^k to
     the sum over squarefree s | d of mu(s) * e * [e | k], e = d/s.  So each
-    d adds mu(s) * e * C((m+n)//d, n//d) times the small box folded mod e
-    into a vector V_e of e classes, and Sum_j = (1/r) sum_{e | r} V_e[j mod e].
-    The cost is `residue_sums_work` plus the binomials, whatever the size
-    of the m x n box.  The division by r is checked, and a remainder raises
-    ArithmeticError.
+    term of `_lucas_terms` adds mu(s) * e * C((m+n)//d, n//d) times the
+    small box folded mod e into a vector V_e of e classes, and
+    Sum_j = (1/r) sum_{e | r} V_e[j mod e].  The cost is `residue_sums_work`
+    plus the binomials, whatever the size of the m x n box.  The division
+    by r is checked, and a remainder raises ArithmeticError.
     """
     _check_integers(m=m, n=n, r=r)
     if r < 1:
         raise ValueError("modulus must be positive")
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
-    primes, divisors = [p for p, _ in _prime_powers(r)], _divisors(r)
-    sums = {e: [0] * e for e in divisors}
-    for d in divisors:
-        box = _small_box(m, n, d)
-        if box is None:
-            continue
+    table = _divisor_table(r)
+    sums = {e: [0] * e for e in table}
+    for d, box, terms in _lucas_terms(m, n, table):
         coeffs = gaussian_coefficients(*box)
         big = comb((m + n) // d, n // d)
-        for s, mu in _squarefree_divisors(d, primes):
-            e = d // s
+        for e, mu in terms:
             folded = list(coeffs) if e >= len(coeffs) else [sum(coeffs[j::e]) for j in range(e)]
             sums[e][: len(folded)] = map(add, sums[e], map(mul, folded, repeat(mu * e * big)))
     # Sum the V_e, each repeated to length r, by prefix sums along each
-    # prime of the divisor lattice: about len(primes) * sigma(r) additions.
-    for p in primes:
-        for e in divisors:
-            if r % (e * p) == 0:
+    # prime p of the divisor lattice (the divisors with phi(p) = p - 1):
+    # about omega(r) * sigma(r) additions.
+    for p in [p for p, (_, phi) in table.items() if phi == p - 1]:
+        for e in table:
+            if e * p in table:
                 sums[e * p] = list(map(add, sums[e * p], sums[e] * p))
     return [_exact_div(total, r) for total in sums[r]]
 

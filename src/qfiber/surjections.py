@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ._value import Value
 from .partitions import Partition
-from .qbinomial import _check_integers, _divisors
+from .qbinomial import _check_integers, _divisor_table
 
 __all__ = [
     "GROUPS", "StepSequence", "ThresholdSequence", "act_cyclic", "act_on_partition",
@@ -287,7 +287,7 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
         # (necklace counting).
         lattice = [
             (d, d, comb((k + l) // d - 1, l // d - 1) if k % d == 0 else 0)
-            for d in _divisors(l)
+            for d in _divisor_table(l)
         ]
         return _stabilizer_histogram(lattice, lambda above, below: above % below == 0)
     return _stabilizer_histogram(_unit_stabilizers(k, l), frozenset.__ge__)
@@ -331,13 +331,12 @@ def _unit_stabilizers(k: int, l: int) -> list[tuple]:
     of all small S hold every stabilizer; any other subgroup has exact count 0.
     """
     units = [u for u in range(1, l + 1) if gcd(u, l) == 1]
-    divisors, whole = _divisors(l), []
+    table = _divisor_table(l)
     preimages = set()
-    for d in divisors:
+    for d in table:
         lifts: dict[int, list[int]] = {}
         for u in units:
             lifts.setdefault(u % d, []).append(u)
-        whole.append(len(lifts))
         preimages.update(frozenset(u for s in small for u in lifts[s])
                          for small in _small_subgroups(k, d))
     stabilizers, frontier = set(preimages), list(preimages)
@@ -350,9 +349,9 @@ def _unit_stabilizers(k: int, l: int) -> list[tuple]:
                 frontier.append(meet)
     lattice = []
     for h in stabilizers:
-        images = [len({u % d for u in h}) for d in divisors]
-        sizes = [size for size, full in zip(images, whole) if size <= k
-                 for _ in range(full // size)]
+        images = [len({u % d for u in h}) for d in table]
+        sizes = [size for size, (_, phi) in zip(images, table.values()) if size <= k
+                 for _ in range(phi // size)]
         lattice.append((h, len(h), _fixed_count(k, sizes)))
     return lattice
 

@@ -26,7 +26,7 @@ from .heisenberg import (
 from .partitions import count_by_residue, count_exact_parts_by_residue
 from .qbinomial import (
     _check_integers,
-    _divisors,
+    _divisor_table,
     coprime_class_sum,
     gaussian_coefficients,
     is_prime,
@@ -153,7 +153,7 @@ def check_main1(k_max: int = DEFAULT_KL_BOUND, l_max: int = DEFAULT_KL_BOUND) ->
         for l in range(1, l_max + 1):
             if gcd(k, l) != 1:
                 continue
-            for r in _divisors(l):
+            for r in _divisor_table(l):
                 reports.append(_check(
                     "main1", {"k": k, "l": l, "r": r},
                     lambda: [coprime_class_sum(k, l, r)] * r,

@@ -452,10 +452,11 @@ def test_fibers_guard_estimates_the_class_sum_work(capsys, monkeypatch):
         "5170575 5170600 5170578 5170575 5170600 5170575 5170575")
     assert total == f"total {comb(29, 14)}" == f"total {sum(map(int, sizes.split()))}"
     tables, estimates = [], []
-    route, divisors = cli.delta_fiber_sizes_closed_form, cli._divisors
+    route, divisor_table = cli.delta_fiber_sizes_closed_form, cli._divisor_table
     monkeypatch.setattr(
         cli, "delta_fiber_sizes_closed_form", lambda *a: tables.append(a) or route(*a))
-    monkeypatch.setattr(cli, "_divisors", lambda *a: estimates.append(a) or divisors(*a))
+    monkeypatch.setattr(
+        cli, "_divisor_table", lambda *a: estimates.append(a) or divisor_table(*a))
 
     # the single gap vector (1, ..., 1) has cuts 1, ..., r-1, in class r(r-1)/2 mod r
     def one_gap_vector(r):

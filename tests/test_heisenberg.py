@@ -457,9 +457,9 @@ def test_fiber_box_work():
     for n in range(1, 41):
         for r in range(1, n + 1):
             divisors = [d for d in range(1, r + 1) if r % d == 0]
-            for d in divisors:
-                box = qbinomial._small_box(n - r, r - 1, d)
-                assert box == ((0, d - 1) if n % d == 0 else None), (n, r, d)
+            terms = qbinomial._lucas_terms(n - r, r - 1, qbinomial._divisor_table(r))
+            boxes = {d: box for d, box, _ in terms}
+            assert boxes == {d: (0, d - 1) for d in divisors if n % d == 0}, (n, r)
             expected = (omega(r) + 1) * sum(divisors)
             expected += sum(2 ** omega(d) for d in divisors if gcd(n, r) % d == 0)
             assert qbinomial.residue_sums_work(n - r, r - 1, r) == expected, (n, r)

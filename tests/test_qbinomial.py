@@ -44,13 +44,31 @@ def test_trial_division_against_brute_force():
                 power *= p
             powers.append((p, power))
         if n:
-            assert qbinomial._divisors(n) == divisors, n
+            assert list(qbinomial._divisor_table(n)) == divisors, n
         assert list(qbinomial._prime_powers(n)) == powers, n
         assert is_prime(n) == (primes == [n]), n
     # the trial division stops at the smallest factor: 2, not about 3 * 10^8 steps
     started = time.perf_counter()
     assert not is_prime(2 * (10**17 + 3))
     assert time.perf_counter() - started < 0.01
+
+
+def test_divisor_table_against_brute_force():
+    # mu from sum_{e | d} mu(e) = [d = 1], phi by counting units: no factoring
+    top = 2000
+    mu, phi = [0, 1] + [0] * (top - 1), [0] * (top + 1)
+    for d in range(1, top + 1):
+        phi[d] = sum(gcd(x, d) == 1 for x in range(1, d + 1))
+        for multiple in range(2 * d, top + 1, d):
+            mu[multiple] -= mu[d]
+    for n in range(1, top + 1):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert qbinomial._divisor_table(n) == {d: (mu[d], phi[d]) for d in divisors}, n
+    for n in (720720, 9699690, 4999963, 2**40):
+        table = qbinomial._divisor_table(n)
+        assert list(table) == sorted(table) and all(n % d == 0 for d in table), n
+        assert sum(phi for _, phi in table.values()) == n, n
+        assert sum(mu for mu, _ in table.values()) == 0, n
 
 
 def test_trivial_boxes():
@@ -183,10 +201,10 @@ def test_residue_sums_work_estimate():
 
 
 def test_lost_moebius_signs_raise(monkeypatch):
-    squarefree = qbinomial._squarefree_divisors
+    table = qbinomial._divisor_table
     monkeypatch.setattr(
-        qbinomial, "_squarefree_divisors",
-        lambda d, primes: [(s, 1) for s, _ in squarefree(d, primes)])
+        qbinomial, "_divisor_table",
+        lambda n: {d: (abs(mu), phi) for d, (mu, phi) in table(n).items()})
     # with mu(3) = +1, the d = 3 term of the 4 x 3 box mod 3 adds C(2, 1) to
     # every class instead of taking it away: totals 43, 37, 37, not 39, 33, 33
     with pytest.raises(ArithmeticError):

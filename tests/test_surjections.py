@@ -396,7 +396,7 @@ def test_orbit_histogram_at_k_zero_builds_no_lattice(group, monkeypatch):
         raise AssertionError("subgroup lattice or partition walk built")
 
     monkeypatch.setattr(qfiber.surjections, "_unit_stabilizers", refuse)
-    monkeypatch.setattr(qfiber.surjections, "_divisors", refuse)
+    monkeypatch.setattr(qfiber.surjections, "_divisor_table", refuse)
     monkeypatch.setattr(qfiber.surjections, "_symmetric_histogram", refuse)
     for k, l in ((0, 1), (0, 2), (0, 2520), (0, 720720), (0, 10**6), (10**30, 1)):
         assert orbit_histogram(k, l, group) == {1: 1}

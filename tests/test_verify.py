@@ -7,6 +7,7 @@ from math import comb, gcd
 
 import pytest
 
+import qfiber.heisenberg as heisenberg
 import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
@@ -111,6 +112,25 @@ def test_a_unit_moved_in_the_fibers_route_fails_its_closed_form_check(monkeypatc
     assert err == ""
 
 
+def test_lost_moebius_signs_in_the_fibers_route_fail_only_its_closed_form_check(
+        monkeypatch, capsys):
+    table = heisenberg._divisor_table
+    monkeypatch.setattr(
+        heisenberg, "_divisor_table",
+        lambda n: {d: (abs(mu), phi) for d, (mu, phi) in table(n).items()})
+    assert main(["verify", "fibrations"]) == 1
+    out, err = capsys.readouterr()
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    # every (N, r) with gcd(N, r) > 1 up to the default N <= 14 (at gcd 1 the
+    # route reads no table), and no other check: the class sums of
+    # fibers-agree read qbinomial's own table, which is intact
+    assert len(failed) == sum(gcd(n, r) > 1 for n in range(1, 15) for r in range(1, n + 1))
+    assert all(line.startswith("FAIL fibers-closed-form ") for line in failed)
+    reports = len(out.splitlines()) - 1
+    assert out.endswith(f"\n{reports - len(failed)} of {reports} checks passed\n")
+    assert err == ""
+
+
 def test_arithmetic_error_in_a_shared_table_fails_each_check_reading_it(monkeypatch):
     sums = verify.residue_sums
 
@@ -127,10 +147,10 @@ def test_arithmetic_error_in_a_shared_table_fails_each_check_reading_it(monkeypa
 
 
 def test_lost_moebius_signs_fail_only_the_checks_reading_residue_sums(monkeypatch):
-    squarefree = qbinomial._squarefree_divisors
+    table = qbinomial._divisor_table
     monkeypatch.setattr(
-        qbinomial, "_squarefree_divisors",
-        lambda d, primes: [(s, 1) for s, _ in squarefree(d, primes)])
+        qbinomial, "_divisor_table",
+        lambda n: {d: (abs(mu), phi) for d, (mu, phi) in table(n).items()})
     failed = failures(check_counterexamples())
     assert len(failed) == 7
     assert all(r.actual.startswith("ArithmeticError: ") for r in failed)

@@ -249,8 +249,10 @@ def _orbits_estimates(args: argparse.Namespace) -> Estimates:
     yield (cap + 1 if past else comb(top, bottom)), text
     # At k = 0 every group answers {1: 1} at once.  For k >= 1 that count, at
     # least l, bounds l, so factoring l takes at most isqrt(cap) trial
-    # divisions; the units route then takes each of the phi(l) units of Z/l
-    # mod each of the tau(l) divisors of l.
+    # divisions; the units route then builds an l-bit mask of the units
+    # = 1 (mod d) for each of the tau(l) divisors d of l, tau(l)*l bits,
+    # which tau(l)*phi(l) charges within a factor of l/phi(l).  The candidate
+    # stabilizers it ands with those masks are not counted.
     if args.group == "units" and k:
         table = _divisor_table(l)
         residues = len(table) * table[l][1]

@@ -262,11 +262,14 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     running product of binomials, so the cost grows with the number of
     orbits and no partition is built.
     "cyclic" and "units" are abelian groups acting on the positions Z/l and go
-    through stabilizer counting, each subgroup with a fixed-point count of
-    cost O(#position orbits * k): one subgroup per divisor of l for "cyclic";
-    for "units" only the subgroups of (Z/l)^* that can be a spread's
-    stabilizer, far fewer than the whole lattice when k is small (36 of 4086
-    at k = 1, l = 2520; 534 at k = 2).
+    through stabilizer counting, each subgroup with the number of spreads it
+    fixes: one subgroup per divisor of l for "cyclic", its count a binomial;
+    for "units" only candidate stabilizers among the subgroups of (Z/l)^*,
+    far fewer than the whole lattice when k is small (36 of 4086 at k = 1,
+    l = 2520; 489 at k = 2).  Each is an int bitmask over the units of Z/l,
+    so a meet, a containment test, an order and each image mod a divisor of
+    l take one int operation or bit count, and its fixed count takes one
+    binomial series per distinct orbit size.
     At k = 0 or l = 1 there is one spread (all zeros, or all k units on the
     one position), which every group fixes, so each group gives {1: 1} at
     once, with no lattice or partition walk.  (Z/2)^* is trivial, so "units"
@@ -290,7 +293,9 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
             for d in _divisor_table(l)
         ]
         return _stabilizer_histogram(lattice, lambda above, below: above % below == 0)
-    return _stabilizer_histogram(_unit_stabilizers(k, l), frozenset.__ge__)
+    return _stabilizer_histogram(
+        _unit_stabilizers(k, l), lambda above, below: above & below == below
+    )
 
 
 def _stabilizer_histogram(lattice: list[tuple], contains: Callable) -> dict[int, int]:
@@ -318,81 +323,137 @@ def _stabilizer_histogram(lattice: list[tuple], contains: Callable) -> dict[int,
 
 
 def _unit_stabilizers(k: int, l: int) -> list[tuple]:
-    """The subgroups of (Z/l)^* that can stabilize a spread of k >= 1 units,
-    each as the frozenset of its elements, with its order and fixed-point count.
+    """Candidate stabilizers of a spread of k >= 1 units among the subgroups
+    of (Z/l)^*, each as an int mask with bit u set for each of its units u
+    in [0, l), with its order and fixed-point count.
 
     The positions x with l / gcd(x, l) = d form layer d, a copy of (Z/d)^* on
     which u acts through u mod d by translation, so a subgroup H splits it
-    into |(Z/d)^*| / |H mod d| orbits of size |H mod d|.  Where a spread is
-    not zero on layer d, its stabilizer there is a subgroup S of (Z/d)^*, and
-    a coset of S that carries a unit carries one at each of its |S| positions,
-    so |S| <= k.  A spread's stabilizer is the meet of the preimages of these
-    S, and S = (Z/1)^* gives the whole group, so the meets of the preimages
-    of all small S hold every stabilizer; any other subgroup has exact count 0.
+    into phi(d) / |H mod d| orbits of size |H mod d|, and |H mod d| =
+    |H| / |H & K_d| with K_d the mask of the units = 1 (mod d).  Where a
+    spread is not zero on layer d, its stabilizer there is a subgroup S of
+    (Z/d)^*, and a coset of S that carries a unit carries one at each of its
+    |S| positions, so |S| <= k.  A spread's stabilizer is the meet of the
+    preimages of these S over the at most k layers it is not zero on; two
+    preimages from one layer meet in the preimage of a smaller S.  So the
+    meets of at most k small preimages, each from its own layer, hold every
+    stabilizer, and any other subgroup has exact count 0.  A preimage met
+    at an earlier layer is not taken again.  A layer d that divides a layer
+    d*p with phi(d*p) <= k adds no preimage: every subgroup of (Z/(d*p))^*
+    is small, the preimage of each S mod d among them.  So at k >= phi(l)
+    the candidates are the subgroups of (Z/l)^*, from layer l alone.
     """
-    units = [u for u in range(1, l + 1) if gcd(u, l) == 1]
     table = _divisor_table(l)
-    preimages = set()
-    for d in table:
-        lifts: dict[int, list[int]] = {}
-        for u in units:
-            lifts.setdefault(u % d, []).append(u)
-        preimages.update(frozenset(u for s in small for u in lifts[s])
-                         for small in _small_subgroups(k, d))
-    stabilizers, frontier = set(preimages), list(preimages)
-    while frontier:
-        below = frontier.pop()
-        for preimage in preimages:
-            meet = below & preimage
-            if meet not in stabilizers:
-                stabilizers.add(meet)
-                frontier.append(meet)
+    primes = [p for p, (_, phi) in table.items() if phi == p - 1 > 0]
+    units = (1 << l) - 1
+    for p in primes:
+        units &= ~_periodic(1, p, l)
+    # layer 1 is the one position 0, fixed by every unit
+    kernels = {d: _periodic(1 << 1, d, l) & units for d in table if d > 1}
+    # each candidate with the fewest layers whose preimages meet in it, at most k
+    stabilizers, seen, covered = {units: 0}, {units}, {1}
+    for d, (_, phi) in reversed(table.items()):
+        if d in covered:
+            continue
+        layer = {kernels[d]}  # the preimage of {1}, the one S when k = 1 or phi(d) = 1
+        if k > 1 and phi > 1:
+            layer.update(_periodic(small, d, l) & units for small in _small_subgroups(k, d))
+        layer -= seen
+        seen |= layer
+        for h, used in list(stabilizers.items()):
+            if used < k:
+                for small in layer:
+                    meet = h & small
+                    if stabilizers.get(meet, k) > used:
+                        stabilizers[meet] = used + 1
+        if phi <= k:
+            covered.update(e for e in table if d % e == 0)
+    # |H & K_d| <= |K_d| = phi(l) / phi(d), so |H mod d| > k once |H| phi(d) > k phi(l)
+    layers = [(table[d][1], kernel) for d, kernel in kernels.items()]
+    bound = k * table[l][1]
     lattice = []
     for h in stabilizers:
-        images = [len({u % d for u in h}) for d in table]
-        sizes = [size for size, (_, phi) in zip(images, table.values()) if size <= k
-                 for _ in range(phi // size)]
-        lattice.append((h, len(h), _fixed_count(k, sizes)))
+        order = h.bit_count()
+        counts = {1: 1}
+        for phi, kernel in layers:
+            if order * phi <= bound:
+                size = order // (h & kernel).bit_count()
+                if size <= k:
+                    counts[size] = counts.get(size, 0) + phi // size
+        lattice.append((h, order, _fixed_count(k, counts)))
     return lattice
 
 
-def _small_subgroups(k: int, d: int) -> set[frozenset[int]]:
-    """Every subgroup of (Z/d)^* of order at most k, as residues in [0, d).
+def _periodic(block: int, period: int, length: int) -> int:
+    """`block` (below bit `period`) repeated every `period` bits, at least
+    up to bit `length`, by doubling."""
+    while period < length:
+        block |= block << period
+        period <<= 1
+    return block
 
-    Such a subgroup is a join of cyclic subgroups <v> of order at most k, taken
-    one at a time as the product A*B, which has |A| |B| / |A & B| elements: a
-    join past k is skipped before it is built.
+
+def _small_subgroups(k: int, d: int) -> list[int]:
+    """Every subgroup of (Z/d)^*, d >= 2, of order at most k, as a mask with
+    bit r set for each of its residues r in [0, d).
+
+    The cyclic ones are the powers of the units of order at most k, and
+    every other one is a join of those.  The joins are taken one cyclic
+    subgroup B at a time, as the product A*B with each subgroup A found so
+    far; A*B has |A| |B| / |A & B| elements, so a join past k is skipped
+    before it is built.
     """
-    cyclic = set()
-    for v in range(d):
+    cyclic = {}
+    for v in range(1, d):
         if gcd(v, d) == 1:
-            powers = [1 % d]
-            while (powers[-1] * v - 1) % d and len(powers) <= k:
-                powers.append(powers[-1] * v % d)
-            if len(powers) <= k:
-                cyclic.add(frozenset(powers))
-    subgroups, frontier = set(cyclic), list(cyclic)
-    while frontier:
-        below = frontier.pop()
-        for generated in cyclic:
-            if generated <= below or len(below) * len(generated) // len(below & generated) > k:
+            powers, x = [1], v
+            while x != 1 and len(powers) < k:
+                powers.append(x)
+                x = x * v % d
+            if x == 1:
+                cyclic[sum(map((1).__lshift__, powers))] = powers
+    subgroups = {1 << 1: [1]}  # the trivial subgroup
+    for generated, powers in cyclic.items():
+        for mask, members in list(subgroups.items()):
+            meet = mask & generated
+            if meet == generated:
                 continue
-            joined = frozenset(a * b % d for a in below for b in generated)
-            if joined not in subgroups:
-                subgroups.add(joined)
-                frontier.append(joined)
-    return subgroups
+            if meet == mask:
+                subgroups.setdefault(generated, powers)
+            elif mask.bit_count() * len(powers) <= k * meet.bit_count():
+                joined = list({a * b % d for a in members for b in powers})
+                subgroups.setdefault(sum(map((1).__lshift__, joined)), joined)
+    return list(subgroups)
 
 
-def _fixed_count(k: int, orbit_sizes: list[int]) -> int:
-    """Sequences constant on every position orbit: solutions of
-    sum_j s_j * y_j = k in y_j >= 0, one unknown per orbit (coin change).
-    An orbit larger than k may be left out: its unknown must be 0."""
-    ways = [1] + [0] * k
-    for size in orbit_sizes:
-        for total in range(size, k + 1):
-            ways[total] += ways[total - size]
-    return ways[k]
+def _fixed_count(k: int, orbit_counts: dict[int, int]) -> int:
+    """Sequences constant on every position orbit, with c_s orbits of size s
+    for each s in `orbit_counts`: the coefficient of q^k in the product of
+    (1 - q^s)^(-c_s), whose series has coefficients C(j + c_s - 1, j) at
+    q^(s*j).  An orbit larger than k may be left out: its unknown must be 0.
+    The series for the sizes above 1 are multiplied out over the totals t
+    they reach; the c_1 orbits of size 1 then take the other k - t units in
+    C(k - t + c_1 - 1, c_1 - 1) ways."""
+    ways = None  # total -> its coefficient, once a size above 1 is taken
+    for size, count in orbit_counts.items():
+        if size > 1:
+            series = {j * size: comb(j + count - 1, j) for j in range(k // size + 1)}
+            if ways is None:
+                ways = series
+                continue
+            reached: dict[int, int] = {}
+            for total, way in ways.items():
+                for step, weight in series.items():
+                    if total + step > k:
+                        break
+                    reached[total + step] = reached.get(total + step, 0) + way * weight
+            ways = reached
+    ones = orbit_counts.get(1, 0)
+    if ways is None:
+        return comb(k + ones - 1, k) if ones else int(k == 0)
+    if not ones:
+        return ways.get(k, 0)
+    return sum(way * comb(k - total + ones - 1, ones - 1) for total, way in ways.items())
 
 
 def _symmetric_histogram(k: int, l: int) -> dict[int, int]:

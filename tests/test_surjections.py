@@ -457,11 +457,41 @@ def test_orbit_histogram_refuses_like_orbits(group):
 def test_orbit_histogram_beyond_enumeration(k, l, group):
     # C(71, 11) and C(71, 59) are 2.6e12 and 1.3e13 sequences, far past any
     # enumeration; the symmetric cost grows with the orbits (77 partitions of 12);
-    # (Z/360)^* and (Z/840)^* have 236 and 1362 subgroups; at k = 2 only 118
-    # and 267 of them can stabilize a spread
+    # (Z/360)^* and (Z/840)^* have 236 and 1362 subgroups; at k = 2 the units
+    # route takes 116 and 255 of them as candidate stabilizers
     started = time.perf_counter()
     histogram = orbit_histogram(k, l, group)
     elapsed = time.perf_counter() - started
     assert sum(size * count for size, count in histogram.items()) == comb(k + l - 1, l - 1)
     assert sum(histogram.values()) == burnside_orbit_count(k, l, group)
     assert elapsed < 1.0
+
+
+def test_units_histogram_where_enumeration_cannot_reach():
+    # l in the hundreds, where (Z/l)^* has several Sylow factors and C(k+l-1, l-1)
+    # is past any enumeration at k = 3; Burnside's lemma is the independent count
+    started = time.perf_counter()
+    for l in (105, 120, 210, 240, 360, 420, 840):
+        unit_count = sum(1 for u in range(l) if gcd(u, l) == 1)
+        for k in (1, 2, 3):
+            histogram = orbit_histogram(k, l, "units")
+            assert sum(histogram.values()) == burnside_orbit_count(k, l, "units"), (k, l)
+            assert sum(size * count for size, count in histogram.items()) == comb(k + l - 1, l - 1)
+            assert all(unit_count % size == 0 for size in histogram), (k, l)
+    assert time.perf_counter() - started < 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=30).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.dictionaries(st.integers(min_value=1, max_value=k),
+                    st.integers(min_value=1, max_value=40), max_size=5))))
+def test_grouped_fixed_count_equals_the_coin_change_per_orbit(case):
+    # one unknown y_j >= 0 per orbit, sum of size_j * y_j = k, counted one orbit at a time
+    k, orbit_counts = case
+    ways = [1] + [0] * k
+    for size, count in orbit_counts.items():
+        for _ in range(count):
+            for total in range(size, k + 1):
+                ways[total] += ways[total - size]
+    assert qfiber.surjections._fixed_count(k, orbit_counts) == ways[k]

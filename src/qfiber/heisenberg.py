@@ -1,12 +1,12 @@
 """Configuration spaces of a ring with marked nodes and their fibrations.
 
-r marked nodes on a ring of N sites are encoded either as a strictly
-increasing tuple in [1, N] or as a point of the covering space (strictly
-increasing integers spanning less than N).  Gap vectors between consecutive
-marks are the compositions of N into r positive parts; the fibers of the
-center-of-mass compatibility classes are counted by the paper's closed form
-(the production route), through the partition bijection, and by direct
-enumeration (the oracle of both).
+r marked nodes on a ring of N sites are points of the covering space
+(strictly increasing integers spanning less than N); the configurations are
+those with every mark in [1, N], one on each orbit of the covering shift.
+Gap vectors between consecutive marks are the compositions of N into r
+positive parts; the fibers of their center-of-mass compatibility classes are
+counted by the paper's closed form (the production route), through the
+partition bijection, and by direct enumeration (the oracle of both).
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from __future__ import annotations
 from itertools import accumulate, combinations, repeat
 from math import comb, gcd
 from operator import add, index, lt, sub
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from ._value import Value
 from .qbinomial import _check_integers, _divisor_table, _exact_div, residue_sums
 
 __all__ = [
-    "Configuration", "CoveringPoint", "RelativePositions", "center_projection",
+    "CoveringPoint", "RelativePositions", "center_projection",
     "delta_fiber_sizes", "delta_fiber_sizes_closed_form", "delta_fiber_sizes_via_partitions",
     "enumerate_configurations", "reconstruct", "relative_positions", "shift_action",
 ]
@@ -33,30 +33,6 @@ __all__ = [
 # by construction without the checks; the maps take an instance of exactly
 # the class as valid, and any other argument goes through the public
 # constructor first.
-
-
-class Configuration(Value, order=True):
-    """Marked nodes j_1 < ... < j_r inside [1, ring_size]."""
-
-    __slots__ = __match_args__ = ("nodes", "ring_size")
-    nodes: tuple[int, ...]
-    ring_size: int
-
-    def __init__(self, nodes: Iterable[int], ring_size: int) -> None:
-        if type(nodes) is not tuple:
-            nodes = tuple(nodes)
-        if not isinstance(ring_size, int):
-            raise ValueError(f"ring_size must be an integer: {ring_size!r}")
-        if ring_size < 1:
-            raise ValueError("ring_size must be positive")
-        if not all(map(isinstance, nodes, repeat(int))):
-            raise ValueError(f"nodes must be integers: {nodes!r}")
-        if nodes and not (1 <= nodes[0] and nodes[-1] <= ring_size):
-            raise ValueError(f"nodes must lie in [1, {ring_size}]: {nodes!r}")
-        if not all(map(lt, nodes, nodes[1:])):
-            raise ValueError(f"nodes must be strictly increasing: {nodes!r}")
-        _set_nodes(self, nodes)
-        _set_nodes_ring_size(self, ring_size)
 
 
 class CoveringPoint(Value, order=True):
@@ -121,72 +97,54 @@ class RelativePositions(Value):
 # once, by the constructors after their checks and unchecked by the builds
 # below: it passes the frozen __setattr__ by without finding the slot by
 # name, which counts where the covering walk builds three values per point.
-_set_nodes, _set_nodes_ring_size = Configuration.nodes.__set__, Configuration.ring_size.__set__
 _set_positions = CoveringPoint.positions.__set__
 _set_point_ring_size = CoveringPoint.ring_size.__set__
 _set_gaps, _set_gaps_ring_size = RelativePositions.gaps.__set__, RelativePositions.ring_size.__set__
 _new = object.__new__
 
 
-def _subsets(cls, set_marks, set_ring_size, subsets, ring_size):
-    """An instance of `cls` holding each r-subset of [1, ring_size] from
-    `subsets` and ring_size, stored through the given setters, unchecked."""
-    for marks in subsets:
-        value = _new(cls)
-        set_marks(value, marks)
-        set_ring_size(value, ring_size)
-        yield value
-
-
-def enumerate_configurations(ring_size: int, marked: int) -> Iterator[Configuration]:
-    """All C(ring_size, marked) configurations in lexicographic node order.
-    Each is an r-subset of [1, ring_size] from `combinations`, strictly
-    increasing inside [1, ring_size], so it is valid and is built unchecked."""
+def enumerate_configurations(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
+    """The C(ring_size, marked) configurations, in lexicographic order: the
+    covering points with every mark in [1, ring_size], one on each
+    `shift_action` orbit.  Each is an r-subset of [1, ring_size] from
+    `combinations`, so it spans less than ring_size and is built unchecked;
+    the arguments are checked when called, not when iterated."""
     _check_integers(ring_size=ring_size, marked=marked)
     if ring_size < 1:
         raise ValueError("ring_size must be positive")
     if not 0 <= marked <= ring_size:
         raise ValueError("need 0 <= marked <= ring_size")
-    return _subsets(Configuration, _set_nodes, _set_nodes_ring_size,
-                    combinations(range(1, ring_size + 1), marked), ring_size)
+
+    def points() -> Iterator[CoveringPoint]:
+        for marks in combinations(range(1, ring_size + 1), marked):
+            point = _new(CoveringPoint)
+            _set_positions(point, marks)
+            _set_point_ring_size(point, ring_size)
+            yield point
+
+    return points()
 
 
-def orbit_starts(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
-    """The covering points with every mark in [1, ring_size], in lexicographic
-    order: one on each `shift_action` orbit of the points with first mark in
-    [1, ring_size].  Each is an r-subset of [1, ring_size] from
-    `combinations`, strictly increasing and spanning at most ring_size - 1,
-    so once ring_size is a positive integer it is valid and built unchecked."""
-    if not isinstance(ring_size, int) or ring_size < 1:
-        raise ValueError(f"ring_size must be a positive integer: {ring_size!r}")
-    return _subsets(CoveringPoint, _set_positions, _set_point_ring_size,
-                    combinations(range(1, ring_size + 1), marked), ring_size)
+def center_projection(point: CoveringPoint) -> int:
+    """Scaled center of mass: the sum of the positions, reduced mod
+    ring_size.  A covering shift adds ring_size to the sum, so the value is
+    the same on every point of a shift orbit."""
+    return sum(point.positions) % point.ring_size
 
 
-def center_projection(c: Configuration) -> int:
-    """Scaled center of mass: the sum of node indices, reduced mod ring_size."""
-    return sum(c.nodes) % c.ring_size
-
-
-def relative_positions(point: Union[Configuration, CoveringPoint]) -> RelativePositions:
-    """Gap vector of a configuration or covering point: consecutive
-    differences plus the wrap-around gap back to the first mark.
+def relative_positions(point: CoveringPoint) -> RelativePositions:
+    """Gap vector of a covering point: consecutive differences plus the
+    wrap-around gap back to the first mark.
 
     The marks of a valid point are strictly increasing integers spanning
     less than N = ring_size, so the differences are positive integers, the
     wrap gap N + j_1 - j_r is at least 1, and all the gaps sum to N.
     """
-    if type(point) is CoveringPoint:
-        marks = point.positions
-    elif type(point) is Configuration:
-        marks = point.nodes
-    else:
-        return relative_positions(
-            Configuration(point.nodes, point.ring_size) if isinstance(point, Configuration)
-            else CoveringPoint(point.positions, point.ring_size))
+    if type(point) is not CoveringPoint:
+        point = CoveringPoint(point.positions, point.ring_size)
+    marks, n = point.positions, point.ring_size
     if not marks:
         raise ValueError("need at least one marked node")
-    n = point.ring_size
     built = _new(RelativePositions)
     _set_gaps(built, (*map(sub, marks[1:], marks), n + marks[0] - marks[-1]))
     _set_gaps_ring_size(built, n)

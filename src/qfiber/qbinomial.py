@@ -22,7 +22,8 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, gcd
 from operator import add, mul, sub
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 __all__ = [
     "coprime_class_sum", "gaussian_coefficients", "is_prime", "prime_adjacent_class_sum",
@@ -60,10 +61,12 @@ def is_prime(n: int) -> bool:
     return n > 1 and next(_prime_powers(n)) == (n, n)
 
 
-def _divisor_table(n: int) -> dict[int, tuple[int, int]]:
+@lru_cache(maxsize=1)  # a command reads one table in its gate and again in its route
+def _divisor_table(n: int) -> Mapping[int, tuple[int, int]]:
     """{d: (mu(d), phi(d))} for each divisor d of n >= 1, by increasing d,
     built from one walk of its prime powers: the package's one source of
-    divisor lists, Moebius mu and Euler phi."""
+    divisor lists, Moebius mu and Euler phi.  The last table built is
+    returned again for the same n, so it is read-only."""
     rows = [(1, 1, 1)]
     for p, power in _prime_powers(n):
         for d, mu, phi in rows[:]:
@@ -72,10 +75,12 @@ def _divisor_table(n: int) -> dict[int, tuple[int, int]]:
                 rows.append((d * q, mu_q, phi_q))
                 q, mu_q, phi_q = q * p, 0, phi_q * p
     rows.sort()
-    return {d: (mu, phi) for d, mu, phi in rows}
+    return MappingProxyType({d: (mu, phi) for d, mu, phi in rows})
 
 
-@lru_cache(maxsize=None, typed=True)  # so 2.0 is refused even once (2, n) is cached
+# One box: `main1` folds the same box for each divisor of l, back to back,
+# and a larger memo would keep every box a process ever built.
+@lru_cache(maxsize=1, typed=True)  # so 2.0 is refused even once (2, n) is cached
 def gaussian_coefficients(m: int, n: int) -> tuple[int, ...]:
     """Coefficients of the Gaussian binomial [m+n choose n]_q, index = weight:
     a tuple of m*n + 1 entries.

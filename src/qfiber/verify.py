@@ -18,7 +18,7 @@ from .heisenberg import (
     delta_fiber_sizes,
     delta_fiber_sizes_closed_form,
     delta_fiber_sizes_via_partitions,
-    orbit_starts,
+    enumerate_configurations,
     reconstruct,
     relative_positions,
     shift_action,
@@ -273,7 +273,7 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
     all r.  Hence the points are the r * C(N, r) = N * C(N-1, r-1) distinct
     shift^k(c).
 
-    The C(N, r) starting points c come from `orbit_starts`; each later
+    The C(N, r) starts c come from `enumerate_configurations`; each later
     point is the output of `shift_action`, and the walk's own position sum
     goes up by N at each step.  A point counts for the shift check only if
     its shift has the positions (j_2, ..., j_r, j_1 + N) and that raised
@@ -288,7 +288,7 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
     gap_vector, rebuild, shift = relative_positions, reconstruct, shift_action
     round_trips = shifted = 0
     failure = None
-    for point in orbit_starts(n, marked):
+    for point in enumerate_configurations(n, marked):
         positions = point.positions
         total = sum(positions)
         for _ in range(marked):

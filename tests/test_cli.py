@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qfiber.cli as cli
 import qfiber.heisenberg as heisenberg
+import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
 from qfiber.heisenberg import delta_fiber_sizes_via_partitions
@@ -440,6 +441,25 @@ def test_fibers_past_the_cap_does_not_enumerate(capsys):
     assert code == 0
     assert out.endswith("\ntotal 99999\n")
     assert out.split("\n")[0] == " ".join(["1"] * 99999)
+
+
+@pytest.mark.parametrize("argv, n", [
+    (("residue-sums", "6", "5", "12"), 12), (("fibers", "30", "15"), 15),
+    (("orbits", "8", "8", "units"), 8),
+])
+def test_each_command_builds_its_divisor_table_once(capsys, monkeypatch, argv, n):
+    # the gate and the route read one table, and no caller can change it
+    qbinomial._divisor_table(1)
+    walks = []
+    prime_powers = qbinomial._prime_powers
+    monkeypatch.setattr(qbinomial, "_prime_powers", lambda m: walks.append(m) or prime_powers(m))
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert walks == [n]
+    table = qbinomial._divisor_table(n)
+    assert walks == [n]
+    with pytest.raises(TypeError):
+        table[1] = (0, 0)
 
 
 def test_fibers_guard_estimates_the_class_sum_work(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 import qfiber.heisenberg as heisenberg
 import qfiber.qbinomial as qbinomial
 from qfiber.heisenberg import (
-    Configuration,
     CoveringPoint,
     RelativePositions,
     center_projection,
@@ -51,32 +50,6 @@ def brute_delta(n, r):
             if (s + weighted) % r == 0:
                 table[s] += 1
     return table
-
-
-def test_configuration_validation():
-    Configuration((1, 2, 3), 3)
-    Configuration((), 1)
-    for nodes in [(1, 1.5), (1, "2"), (None,)]:
-        with pytest.raises(ValueError, match=re.escape(f"nodes must be integers: {nodes!r}")):
-            Configuration(nodes, 5)
-    for ring_size in (0, -3):
-        with pytest.raises(ValueError, match="^ring_size must be positive$"):
-            Configuration((1,), ring_size)
-    for nodes in [(0, 1), (1, 6)]:
-        with pytest.raises(ValueError, match=re.escape(f"nodes must lie in [1, 5]: {nodes!r}")):
-            Configuration(nodes, 5)
-    # only the ends are range-checked, so a descending (6, 1) fails the order rule
-    for nodes in [(2, 2), (3, 1), (1, 4, 4), (6, 1)]:
-        message = re.escape(f"nodes must be strictly increasing: {nodes!r}")
-        with pytest.raises(ValueError, match=message):
-            Configuration(nodes, 5)
-    assert Configuration((True, 2), 2).nodes == (1, 2)
-    from_list = Configuration([1, 3], 5)
-    assert from_list.nodes == (1, 3) and type(from_list.nodes) is tuple
-    assert from_list == Configuration((1, 3), 5)
-    assert hash(from_list) == hash(Configuration((1, 3), 5))
-    with pytest.raises(ValueError, match=re.escape("nodes must be strictly increasing: (3, 2)")):
-        Configuration([3, 2], 5)
 
 
 def test_covering_point_validation():
@@ -130,19 +103,16 @@ def test_relative_positions_validation():
 def test_value_classes_keep_their_generated_contract():
     """repr, equality that checks the class, ordering, hashing, frozen
     fields, pickle and copy round trips, positional match and field names."""
-    config, point = Configuration((1, 3), 5), CoveringPoint((1, 3), 5)
-    gaps = RelativePositions((2, 3), 5)
-    assert repr(config) == "Configuration(nodes=(1, 3), ring_size=5)"
+    point, gaps = CoveringPoint((1, 3), 5), RelativePositions((2, 3), 5)
     assert repr(point) == "CoveringPoint(positions=(1, 3), ring_size=5)"
     assert repr(gaps) == "RelativePositions(gaps=(2, 3), ring_size=5)"
-    assert config != point and point != config and gaps != CoveringPoint((2, 3), 5)
-    assert config < Configuration((1, 4), 5) < Configuration((1, 4), 6)
+    assert gaps != CoveringPoint((2, 3), 5) and CoveringPoint((2, 3), 5) != gaps
+    assert point < CoveringPoint((1, 4), 5) < CoveringPoint((1, 4), 6)
     assert point < CoveringPoint((2, 3), 5) and CoveringPoint((-1, 0), 9) < point
-    for smaller, larger in [(gaps, RelativePositions((3, 2), 5)), (config, point), (point, config)]:
+    for smaller, larger in [(gaps, RelativePositions((3, 2), 5)), (point, gaps), (gaps, point)]:
         with pytest.raises(TypeError):
             smaller < larger
-    for value, names in [(config, ["nodes", "ring_size"]), (point, ["positions", "ring_size"]),
-                         (gaps, ["gaps", "ring_size"])]:
+    for value, names in [(point, ["positions", "ring_size"]), (gaps, ["gaps", "ring_size"])]:
         cls, marks = type(value), getattr(value, names[0])
         assert list(cls.__match_args__) == names
         twin = cls(marks, 5)
@@ -163,9 +133,9 @@ def test_value_classes_keep_their_generated_contract():
 
 
 def test_enumerate_configurations_examples():
-    got = [c.nodes for c in enumerate_configurations(3, 2)]
+    got = [c.positions for c in enumerate_configurations(3, 2)]
     assert got == [(1, 2), (1, 3), (2, 3)]
-    assert [c.nodes for c in enumerate_configurations(4, 0)] == [()]
+    assert [c.positions for c in enumerate_configurations(4, 0)] == [()]
 
 
 def test_enumerate_configurations_counts():
@@ -177,45 +147,57 @@ def test_enumerate_configurations_counts():
 
 
 def test_enumerated_configurations_are_the_checked_ones():
-    # built unchecked, each equals what the public constructor makes from the
-    # same r-subset, and is of exactly its class
+    # built unchecked, each equals the covering point the public constructor
+    # makes from the same r-subset, and is of exactly its class
     for n in range(1, 9):
         for r in range(n + 1):
             enumerated = list(enumerate_configurations(n, r))
-            assert enumerated == [Configuration(c, n) for c in combinations(range(1, n + 1), r)]
-            assert all(type(c) is Configuration for c in enumerated)
+            assert enumerated == [CoveringPoint(c, n) for c in combinations(range(1, n + 1), r)]
+            assert all(type(c) is CoveringPoint for c in enumerated)
     # the arguments are checked when called, not when iterated
-    with pytest.raises(ValueError, match="need 0 <= marked <= ring_size"):
-        enumerate_configurations(3, 4)
+    for ring_size, marked, message in [
+        (3, 4, "need 0 <= marked <= ring_size"), (3, -1, "need 0 <= marked <= ring_size"),
+        (0, 0, "ring_size must be positive"), (-1, 1, "ring_size must be positive"),
+        (2.0, 1, "ring_size must be an integer: 2.0"),
+        ("3", 1, "ring_size must be an integer: '3'"), (3, 1.0, "marked must be an integer: 1.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_configurations(ring_size, marked)
 
 
 def test_center_projection_values():
-    assert center_projection(Configuration((1, 2), 3)) == 0
-    assert center_projection(Configuration((1, 3), 3)) == 1
+    assert center_projection(CoveringPoint((1, 2), 3)) == 0
+    assert center_projection(CoveringPoint((1, 3), 3)) == 1
+    assert center_projection(CoveringPoint((-2, 1), 5)) == 4
 
 
 def test_center_projection_fibers_sum_to_binomial():
-    for n in range(1, 9):
+    # an r-subset j_1 < ... < j_r of [1, N] is the partition j_i - i of the
+    # (N - r) x r box, of weight sum(j) - r(r+1)/2: the fiber over c is the
+    # class sum of residue_sums(N - r, r, N) at c - r(r+1)/2
+    for n in range(1, 11):
         for r in range(n + 1):
             fibers = [0] * n
             for c in enumerate_configurations(n, r):
                 fibers[center_projection(c)] += 1
             assert sum(fibers) == comb(n, r)
+            sums, offset = qbinomial.residue_sums(n - r, r, n), r * (r + 1) // 2
+            assert fibers == [sums[(c - offset) % n] for c in range(n)], (n, r)
 
 
 def test_relative_positions_examples():
-    assert relative_positions(Configuration((1, 3), 5)).gaps == (2, 3)
-    assert relative_positions(Configuration((1, 2, 3), 3)).gaps == (1, 1, 1)
+    assert relative_positions(CoveringPoint((1, 3), 5)).gaps == (2, 3)
+    assert relative_positions(CoveringPoint((1, 2, 3), 3)).gaps == (1, 1, 1)
     assert relative_positions(CoveringPoint((3, 6), 5)).gaps == (3, 2)
     with pytest.raises(ValueError):
-        relative_positions(Configuration((), 4))
+        relative_positions(CoveringPoint((), 4))
 
 
 @given(st.integers(min_value=1, max_value=9), st.data())
 def test_relative_positions_sum_to_ring_size(n, data):
     r = data.draw(st.integers(min_value=1, max_value=n))
     nodes = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=r, max_size=r))))
-    gaps = relative_positions(Configuration(nodes, n))
+    gaps = relative_positions(CoveringPoint(nodes, n))
     assert sum(gaps.gaps) == n
 
 
@@ -324,11 +306,16 @@ def test_round_trip_and_shift_law_off_the_suite_range(point, size, data):
     k = data.draw(st.integers(min_value=-10**6, max_value=10**6))
     rebuilt = reconstruct(point.center_sum + k * r * n, relative_positions(point))
     assert rebuilt == shift_action(point, k * r)
-    configuration = Configuration(sorted((j - 1) % n + 1 for j in point.positions), n)
+    configuration = CoveringPoint(sorted((j - 1) % n + 1 for j in point.positions), n)
     assert_rebuilds(relative_positions(point), RelativePositions)
     assert_rebuilds(relative_positions(configuration), RelativePositions)
     assert_rebuilds(rebuilt, CoveringPoint)
     assert_rebuilds(shift_action(point, data.draw(st.integers(-3 * r, 3 * r))), CoveringPoint)
+
+
+@given(far_covering_points(), st.integers(min_value=-10**6, max_value=10**6))
+def test_center_projection_is_constant_on_shift_orbits(point, steps):
+    assert center_projection(shift_action(point, steps)) == center_projection(point)
 
 
 def test_maps_validate_arguments_not_exactly_of_their_class():
@@ -358,9 +345,7 @@ def test_maps_validate_arguments_not_exactly_of_their_class():
 def test_integer_rules_the_maps_rely_on():
     # a float ring size or step count would carry floats into the positions
     # and gaps that the maps build unchecked, so neither gets that far
-    for cls, marks in (
-        (Configuration, (1, 3)), (CoveringPoint, (1, 3)), (RelativePositions, (2, 3))
-    ):
+    for cls, marks in ((CoveringPoint, (1, 3)), (RelativePositions, (2, 3))):
         with pytest.raises(ValueError, match=re.escape("ring_size must be an integer: 5.0")):
             cls(marks, 5.0)
     point = CoveringPoint((1, 3), 5)

@@ -1,6 +1,8 @@
 """Tests for Gaussian coefficient vectors, class sums, and their closed forms."""
 
+import sys
 import time
+import tracemalloc
 from math import comb, gcd
 
 import pytest
@@ -79,6 +81,20 @@ def test_trivial_boxes():
     # the cache keys 2.0 apart from 2, so the float is refused after the int is cached
     with pytest.raises(ValueError, match=r"^m must be an integer: 2\.0$"):
         gaussian_coefficients(2.0, 2)
+
+
+def test_the_kernel_keeps_one_box():
+    # 30 distinct boxes of up to 27 kB each; a memo of every box keeps them all
+    gaussian_coefficients(0, 0)
+    tracemalloc.start()
+    try:
+        for m in range(30, 60):
+            last = gaussian_coefficients(m, 12)
+        resident = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    box = sys.getsizeof(last) + sum(map(sys.getsizeof, last))
+    assert resident < 2 * box, (resident, box)
 
 
 def test_coefficients_match_brute_force():

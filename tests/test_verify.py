@@ -11,7 +11,7 @@ import qfiber.heisenberg as heisenberg
 import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
-from qfiber.heisenberg import CoveringPoint, enumerate_configurations, orbit_starts
+from qfiber.heisenberg import CoveringPoint, RelativePositions, enumerate_configurations
 from qfiber.partitions import count_by_residue, count_exact_parts_by_residue
 from qfiber.verify import (
     CheckReport,
@@ -109,6 +109,24 @@ def test_a_unit_moved_in_the_fibers_route_fails_its_closed_form_check(monkeypatc
     assert "FAIL fibers-closed-form N=5 r=2 (classes 0,1 differ)" in failed
     reports = len(out.splitlines()) - 1
     assert out.endswith(f"\n{reports - len(failed)} of {reports} checks passed\n")
+    assert err == ""
+
+
+def test_rotated_gap_vectors_fail_only_the_round_trip(monkeypatch, capsys):
+    gap_vector = verify.relative_positions
+
+    def rotated(point):
+        gaps = gap_vector(point).gaps
+        return RelativePositions(gaps[1:] + gaps[:1], point.ring_size)
+
+    monkeypatch.setattr(verify, "relative_positions", rotated)
+    assert main(["verify", "fibrations", "--n-max", "6"]) == 1
+    out, err = capsys.readouterr()
+    failed = [line.split()[1:4] for line in out.splitlines() if line.startswith("FAIL")]
+    # one gap, or N gaps of 1, rotate to themselves; every other (N, r) has a
+    # gap vector that does not
+    assert failed == [["covering-roundtrip", f"N={n}", f"r={r}"]
+                      for n in range(1, 7) for r in range(2, n)]
     assert err == ""
 
 
@@ -329,8 +347,9 @@ def test_covering_checks_count_against_the_closed_form(monkeypatch):
     # a walk that skips every point, or meets each twice, fails all 42
     # covering checks of N <= 6: each compares its count with r * C(N, r)
     for walked in (lambda n, r: iter(()),
-                   lambda n, r: chain(orbit_starts(n, r), orbit_starts(n, r))):
-        monkeypatch.setattr(verify, "orbit_starts", walked)
+                   lambda n, r: chain(enumerate_configurations(n, r),
+                                      enumerate_configurations(n, r))):
+        monkeypatch.setattr(verify, "enumerate_configurations", walked)
         reports = check_fibrations(6)
         covering = [r for r in reports if r.check_id.startswith("covering-")]
         assert len(covering) == 42 and failures(reports) == covering
@@ -339,18 +358,28 @@ def test_covering_checks_count_against_the_closed_form(monkeypatch):
             assert report.expected == r * comb(n, r) != report.actual
 
 
-def test_orbit_starts_are_the_checked_points():
-    # built unchecked, the starts equal the points the public constructor
-    # makes from the same r-subsets, and are of exactly its class
-    assert verify.orbit_starts is orbit_starts
+def test_orbit_starts_are_the_checked_points(monkeypatch):
+    # the covering walk starts its orbits at the points `enumerate_configurations`
+    # builds unchecked: they equal the points the public constructor makes
+    # from the same r-subsets, and are of exactly its class
+    assert verify.enumerate_configurations is enumerate_configurations
+    starts = []
+
+    def recording(n, r):
+        for point in enumerate_configurations(n, r):
+            starts.append(point)
+            yield point
+
+    monkeypatch.setattr(verify, "enumerate_configurations", recording)
     for n in range(1, 9):
-        for r in range(n + 2):
-            starts = list(orbit_starts(n, r))
+        for r in range(n + 1):
+            starts.clear()
+            verify._covering_walk(n, r)
             assert starts == [CoveringPoint(c, n) for c in combinations(range(1, n + 1), r)]
             assert all(type(point) is CoveringPoint for point in starts)
     for ring_size in (0, -1, 2.0, "3"):
-        with pytest.raises(ValueError, match="ring_size must be a positive integer"):
-            orbit_starts(ring_size, 1)
+        with pytest.raises(ValueError, match="^ring_size must be"):
+            verify._covering_walk(ring_size, 1)
 
 
 def assert_walk_covers_first_mark_points(monkeypatch):

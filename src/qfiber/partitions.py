@@ -40,9 +40,6 @@ class Partition(Value, order=True):
     def weight(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def fits(self, max_part: int, max_count: int) -> bool:
         """True when there are at most max_count parts, each at most max_part."""
         return len(self.parts) <= max_count and (not self.parts or self.parts[0] <= max_part)

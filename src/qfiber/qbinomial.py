@@ -78,9 +78,6 @@ def _divisor_table(n: int) -> Mapping[int, tuple[int, int]]:
     return MappingProxyType({d: (mu, phi) for d, mu, phi in rows})
 
 
-# One box: `main1` folds the same box for each divisor of l, back to back,
-# and a larger memo would keep every box a process ever built.
-@lru_cache(maxsize=1, typed=True)  # so 2.0 is refused even once (2, n) is cached
 def gaussian_coefficients(m: int, n: int) -> tuple[int, ...]:
     """Coefficients of the Gaussian binomial [m+n choose n]_q, index = weight:
     a tuple of m*n + 1 entries.
@@ -97,7 +94,8 @@ def gaussian_coefficients(m: int, n: int) -> tuple[int, ...]:
     causal (coefficient w reads only coefficients <= w), so the truncated
     coefficients are exact; after the last step the top ones mirror the low
     half.  That is at most half of the additions of the full product
-    formula, `coefficient_work`.
+    formula, `coefficient_work`.  No box is kept between calls: `check_main1`,
+    which folds one box for each divisor of l, keeps its last box itself.
     """
     _check_integers(m=m, n=n)
     if m < 0 or n < 0:

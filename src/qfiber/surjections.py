@@ -20,9 +20,9 @@ from .partitions import Partition
 from .qbinomial import _check_integers, _divisor_table
 
 __all__ = [
-    "GROUPS", "StepSequence", "ThresholdSequence", "act_cyclic", "act_on_partition",
-    "act_symmetric", "act_unit", "enumerate_step_sequences", "integral", "orbit_histogram",
-    "orbits", "partition_to_surjection", "steps_to_thresholds", "surjection_to_partition",
+    "GROUPS", "StepSequence", "ThresholdSequence", "act_cyclic", "act_symmetric", "act_unit",
+    "enumerate_step_sequences", "integral", "orbit_histogram", "orbits",
+    "partition_to_surjection", "steps_to_thresholds", "surjection_to_partition",
     "thresholds_to_steps",
 ]
 
@@ -170,18 +170,6 @@ def act_symmetric(s: StepSequence, sigma: Sequence[int]) -> StepSequence:
     return StepSequence(tuple(s.steps[sigma[i] - 1] for i in range(l)))
 
 
-def act_on_partition(
-    pi: Partition, k: int, l: int, action: Callable[[StepSequence], StepSequence]
-) -> Partition:
-    """Transport an action on step sequences to partitions in the k x (l-1)
-    box through the bijection: convert, act, convert back."""
-    steps = thresholds_to_steps(partition_to_surjection(pi, k, l))
-    moved = action(steps)
-    if moved.domain_length != k + l or moved.level_count != l:
-        raise ValueError("action must preserve the number and total of steps")
-    return surjection_to_partition(steps_to_thresholds(moved))
-
-
 def _check_k_nonneg_l_positive(k: int, l: int) -> None:
     """Reject (k, l) outside the integers k >= 0, l >= 1."""
     _check_integers(k=k, l=l)
@@ -272,16 +260,14 @@ def orbit_histogram(k: int, l: int, group: str) -> dict[int, int]:
     binomial series per distinct orbit size.
     At k = 0 or l = 1 there is one spread (all zeros, or all k units on the
     one position), which every group fixes, so each group gives {1: 1} at
-    once, with no lattice or partition walk.  (Z/2)^* is trivial, so "units"
-    at l = 2 leaves each of the k + 1 spreads alone in its orbit, at once.
+    once, with no lattice or partition walk.  (Z/2)^* is trivial, so at l = 2
+    the "units" lattice is that one group, which fixes all k + 1 spreads.
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
     _check_k_nonneg_l_positive(k, l)
     if k == 0 or l == 1:
         return {1: 1}  # the one spread, alone in its orbit
-    if group == "units" and l == 2:
-        return {1: k + 1}  # the trivial group fixes every spread
     if group == "symmetric":
         return _symmetric_histogram(k, l)
     if group == "cyclic":

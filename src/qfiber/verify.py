@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import lru_cache
 from math import comb, gcd
 from typing import Callable, Sequence, Union
 
@@ -129,11 +130,10 @@ def _validate_primes(primes: Sequence[int]) -> None:
         raise ValueError(f"repeated primes: {repeated}")
 
 
-def _folded_coefficients(m: int, n: int, r: int) -> list[int]:
-    """Class sums mod r of the m x n box, folded from its product-formula
-    coefficient vector.  The closed forms are the d = 1 and d = p terms of
-    the q-Lucas route of `residue_sums`, so their checks read this instead."""
-    coeffs = gaussian_coefficients(m, n)
+def _folded(coeffs: tuple[int, ...], r: int) -> list[int]:
+    """Class sums mod r of a coefficient vector.  The closed forms are the
+    d = 1 and d = p terms of the q-Lucas route of `residue_sums`, so their
+    checks fold the product-formula vector of `gaussian_coefficients` instead."""
     return [sum(coeffs[j::r]) for j in range(r)]
 
 
@@ -148,6 +148,8 @@ def check_main1(k_max: int = DEFAULT_KL_BOUND, l_max: int = DEFAULT_KL_BOUND) ->
     _check_integers(k_max=k_max, l_max=l_max)
     if k_max < 2 or l_max < 2:
         raise ValueError("bounds must be at least 2")
+    # a (k, l) folds its box once per divisor of l: keep the last, built by the kernel bound here
+    box = lru_cache(maxsize=1)(gaussian_coefficients)
     reports = []
     for k in range(1, k_max + 1):
         for l in range(1, l_max + 1):
@@ -157,7 +159,7 @@ def check_main1(k_max: int = DEFAULT_KL_BOUND, l_max: int = DEFAULT_KL_BOUND) ->
                 reports.append(_check(
                     "main1", {"k": k, "l": l, "r": r},
                     lambda: [coprime_class_sum(k, l, r)] * r,
-                    lambda: _folded_coefficients(k, l - 1, r)))
+                    lambda: _folded(box(k, l - 1), r)))
     return _ordered(reports)
 
 
@@ -182,12 +184,12 @@ def check_therm(
                 reports.append(_check(
                     "therm-multiple", {"p": p, "M": multiplier, "N": height},
                     lambda: [prime_multiple_class_sum(p, multiplier, height, j) for j in range(p)],
-                    lambda: _folded_coefficients(multiplier * p, height, p)))
+                    lambda: _folded(gaussian_coefficients(multiplier * p, height), p)))
         for height in range(1, p):
             reports.append(_check(
                 "therm-adjacent", {"p": p, "N": height},
                 lambda: [prime_adjacent_class_sum(p, height)] * p,
-                lambda: _folded_coefficients(p - 1, height, p)))
+                lambda: _folded(gaussian_coefficients(p - 1, height), p)))
     return _ordered(reports)
 
 

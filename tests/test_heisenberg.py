@@ -185,6 +185,44 @@ def test_center_projection_fibers_sum_to_binomial():
             assert fibers == [sums[(c - offset) % n] for c in range(n)], (n, r)
 
 
+def moebius(n):
+    """mu(n) by trial division, apart from the package's divisor table."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_center_projection_fibers_match_their_closed_form():
+    # fiber over c = (1/N) sum_{d | gcd(N, r)} C(N/d, r/d) c_d(r(r+1)/2 - c),
+    # with the Ramanujan sum c_d(m) = sum_{e | gcd(d, m)} mu(d/e) e
+    def ramanujan(d, m):
+        return sum(moebius(d // e) * e for e in divisors(gcd(d, m)))
+
+    cases = 0
+    for n in range(1, 15):
+        for r in range(n + 1):
+            fibers = [0] * n
+            for point in enumerate_configurations(n, r):
+                fibers[center_projection(point)] += 1
+            top = r * (r + 1) // 2
+            totals = [sum(comb(n // d, r // d) * ramanujan(d, top - c) for d in divisors(gcd(n, r)))
+                      for c in range(n)]
+            assert all(total % n == 0 for total in totals), (n, r)
+            assert fibers == [total // n for total in totals], (n, r)
+            cases += 1
+    assert cases == 119
+
+
 def test_relative_positions_examples():
     assert relative_positions(CoveringPoint((1, 3), 5)).gaps == (2, 3)
     assert relative_positions(CoveringPoint((1, 2, 3), 3)).gaps == (1, 1, 1)

@@ -44,7 +44,6 @@ def test_partition_rejects_bad_input():
 def test_partition_weight_and_fits():
     pi = Partition((4, 3, 3))
     assert pi.weight == 10
-    assert len(pi) == 3
     assert pi.fits(4, 3)
     assert pi.fits(11, 3)
     assert not pi.fits(3, 3)

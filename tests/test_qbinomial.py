@@ -78,23 +78,24 @@ def test_trivial_boxes():
     assert gaussian_coefficients(0, 7) == (1,)
     assert gaussian_coefficients(1, 1) == (1, 1)
     assert gaussian_coefficients(2, 2) == (1, 1, 2, 1, 1)
-    # the cache keys 2.0 apart from 2, so the float is refused after the int is cached
+    # a float is refused, though it equals an int
     with pytest.raises(ValueError, match=r"^m must be an integer: 2\.0$"):
         gaussian_coefficients(2.0, 2)
 
 
-def test_the_kernel_keeps_one_box():
-    # 30 distinct boxes of up to 27 kB each; a memo of every box keeps them all
-    gaussian_coefficients(0, 0)
+def test_the_kernel_keeps_no_box():
+    # 30 distinct boxes of up to 27 kB each; a memo would keep the last, or all
+    last = gaussian_coefficients(59, 12)
+    box = sys.getsizeof(last) + sum(map(sys.getsizeof, last))
+    del last
     tracemalloc.start()
     try:
         for m in range(30, 60):
-            last = gaussian_coefficients(m, 12)
+            gaussian_coefficients(m, 12)
         resident = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    box = sys.getsizeof(last) + sum(map(sys.getsizeof, last))
-    assert resident < 2 * box, (resident, box)
+    assert resident < box // 10, (resident, box)
 
 
 def test_coefficients_match_brute_force():

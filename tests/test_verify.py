@@ -112,6 +112,55 @@ def test_a_unit_moved_in_the_fibers_route_fails_its_closed_form_check(monkeypatc
     assert err == ""
 
 
+def test_a_unit_moved_in_the_kernel_fails_the_checks_that_fold_it(monkeypatch, capsys):
+    kernel = verify.gaussian_coefficients
+
+    def moved(m, n):
+        coeffs = list(kernel(m, n))
+        if m >= 3 and n >= 3:  # one unit from coefficient mn/2 to the next, the total kept
+            coeffs[m * n // 2] -= 1
+            coeffs[m * n // 2 + 1] += 1
+        return tuple(coeffs)
+
+    # main1 folds each box through its own memo, which wraps the kernel bound in verify
+    monkeypatch.setattr(verify, "gaussian_coefficients", moved)
+    for argv, failed, reports in (
+        (["main1", "--k-max", "6", "--l-max", "6"], [
+            "main1 k=3 l=4 r=2 (classes 0,1 differ)", "main1 k=3 l=4 r=4 (classes 0,1 differ)",
+            "main1 k=3 l=5 r=5 (classes 1,2 differ)", "main1 k=4 l=5 r=5 (classes 3,4 differ)",
+            "main1 k=5 l=4 r=2 (classes 0,1 differ)", "main1 k=5 l=4 r=4 (classes 0,3 differ)",
+            "main1 k=5 l=6 r=2 (classes 0,1 differ)", "main1 k=5 l=6 r=3 (classes 0,1 differ)",
+            "main1 k=5 l=6 r=6 (classes 0,1 differ)", "main1 k=6 l=5 r=5 (classes 2,3 differ)",
+        ], 47),
+        (["therm", "--primes", "5", "--m-max", "1"], [
+            "therm-adjacent p=5 N=3 (classes 1,2 differ)",
+            "therm-adjacent p=5 N=4 (classes 3,4 differ)",
+            "therm-multiple p=5 M=1 N=3 (classes 2,3 differ)",
+            "therm-multiple p=5 M=1 N=4 (classes 0,1 differ)",
+        ], 8),
+    ):
+        assert main(["verify", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert [line[5:] for line in out.splitlines() if line.startswith("FAIL")] == failed
+        assert out.endswith(f"\n{reports - len(failed)} of {reports} checks passed\n")
+        assert err == ""
+
+
+def test_main1_builds_each_box_once_through_the_kernel_bound_in_verify(monkeypatch):
+    built = Counter()
+    kernel = verify.gaussian_coefficients
+
+    def counted(m, n):
+        built[m, n] += 1
+        return kernel(m, n)
+
+    monkeypatch.setattr(verify, "gaussian_coefficients", counted)
+    reports = check_main1(8, 8)
+    assert reports and not failures(reports)
+    boxes = [(k, l - 1) for k in range(1, 9) for l in range(1, 9) if gcd(k, l) == 1]
+    assert built == Counter(boxes)
+
+
 def test_rotated_gap_vectors_fail_only_the_round_trip(monkeypatch, capsys):
     gap_vector = verify.relative_positions
 

@@ -126,6 +126,8 @@ def _prime_list(text: str) -> tuple[int, ...]:
 # Item texts made, joined and written together by `_emit`, so no format
 # holds more than one batch of a command's output.
 CSV_BATCH_ROWS = 4096
+# The one JSON encoder, compact and key-sorted, for records and reports alike.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _emit(args: argparse.Namespace, parameters: dict, fields: dict, key: str, texts: tuple) -> None:
@@ -145,7 +147,7 @@ def _emit(args: argparse.Namespace, parameters: dict, fields: dict, key: str, te
             "parameters": {name: str(value) for name, value in parameters.items()},
             "result": {**fields, key: []},
         }
-        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        text = _ENCODE(record)
         # the only `"key":[]`, as a string value escapes its quotes
         head, _, tail = text.partition(f'"{key}":[]')
         start, end = f'{head}"{key}":[{start}', f"{end}]{tail}\n"
@@ -346,8 +348,7 @@ def _reports(fmt: str, reports: list[CheckReport], failures: int) -> tuple:
     then how many passed."""
     payloads = map(_report_payload, reports)
     if fmt == "json":
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        return map(encode, payloads), ",", "", ""
+        return map(_ENCODE, payloads), ",", "", ""
     if fmt == "csv":
         # `writerow` returns what the file's `write` returns: here the row's text
         row = csv.writer(argparse.Namespace(write=str), lineterminator="\n").writerow

@@ -3,10 +3,11 @@
 r marked nodes on a ring of N sites are points of the covering space
 (strictly increasing integers spanning less than N); the configurations are
 those with every mark in [1, N], one on each orbit of the covering shift.
-Gap vectors between consecutive marks are the compositions of N into r
-positive parts; the fibers of their center-of-mass compatibility classes are
-counted by the paper's closed form (the production route), through the
-partition bijection, and by direct enumeration (the oracle of both).
+Gap vectors between consecutive marks are step sequences: compositions of N
+into r positive steps, on which the covering shift acts as act_cyclic(., -1).
+The fibers of their center-of-mass compatibility classes are counted by the
+paper's closed form (the production route), through the partition bijection,
+and by direct enumeration (the oracle of both).
 """
 
 from __future__ import annotations
@@ -18,21 +19,22 @@ from typing import Iterable, Iterator
 
 from ._value import Value
 from .qbinomial import _check_integers, _divisor_table, _exact_div, residue_sums
+from .surjections import StepSequence, _set_steps
 
 __all__ = [
-    "CoveringPoint", "RelativePositions", "center_projection",
+    "CoveringPoint", "center_projection",
     "delta_fiber_sizes", "delta_fiber_sizes_closed_form", "delta_fiber_sizes_via_partitions",
     "enumerate_configurations", "reconstruct", "relative_positions", "shift_action",
 ]
 
-# Values are validated once, where they enter the library: each class below
-# checks its arguments in one hand-written __init__ before storing them
-# (equality, ordering, hashing and repr come from `Value`, but for
-# `CoveringPoint`'s equality), with builtin loops (map, all, min) rather
-# than generator frames.  Code in this module builds values that are valid
-# by construction without the checks; the maps take an instance of exactly
-# the class as valid, and any other argument goes through the public
-# constructor first.
+# Values are validated once, where they enter the library: `CoveringPoint`
+# below, like `StepSequence`, checks its arguments in one hand-written
+# __init__ before storing them (equality, ordering, hashing and repr come
+# from `Value`, but for `CoveringPoint`'s equality), with builtin loops (map,
+# all, min) rather than generator frames.  Code in this module builds points
+# and gap vectors that are valid by construction without the checks; the
+# maps take an instance of exactly the class as valid, and any other
+# argument goes through the public constructor first.
 
 
 class CoveringPoint(Value, order=True):
@@ -71,35 +73,13 @@ class CoveringPoint(Value, order=True):
         return sum(self.positions)
 
 
-class RelativePositions(Value):
-    """Gaps between consecutive marks: positive integers summing to ring_size."""
-
-    __slots__ = __match_args__ = ("gaps", "ring_size")
-    gaps: tuple[int, ...]
-    ring_size: int
-
-    def __init__(self, gaps: Iterable[int], ring_size: int) -> None:
-        if type(gaps) is not tuple:
-            gaps = tuple(gaps)
-        if not isinstance(ring_size, int):
-            raise ValueError(f"ring_size must be an integer: {ring_size!r}")
-        if not gaps:
-            raise ValueError("need at least one gap")
-        if not (all(map(isinstance, gaps, repeat(int))) and min(gaps) >= 1):
-            raise ValueError(f"gaps must be positive integers: {gaps!r}")
-        if sum(gaps) != ring_size:
-            raise ValueError(f"gaps must sum to ring_size={ring_size}: {gaps!r}")
-        _set_gaps(self, gaps)
-        _set_gaps_ring_size(self, ring_size)
-
-
-# Every field is stored through its slot descriptor's __set__, bound here
-# once, by the constructors after their checks and unchecked by the builds
-# below: it passes the frozen __setattr__ by without finding the slot by
-# name, which counts where the covering walk builds three values per point.
+# Every field is stored through its slot descriptor's __set__, bound once
+# (a gap vector's one slot by `surjections`), by the constructors after their
+# checks and unchecked by the builds below: it passes the frozen __setattr__
+# by without finding the slot by name, which counts where the covering walk
+# builds three values per point.
 _set_positions = CoveringPoint.positions.__set__
 _set_point_ring_size = CoveringPoint.ring_size.__set__
-_set_gaps, _set_gaps_ring_size = RelativePositions.gaps.__set__, RelativePositions.ring_size.__set__
 _new = object.__new__
 
 
@@ -132,44 +112,43 @@ def center_projection(point: CoveringPoint) -> int:
     return sum(point.positions) % point.ring_size
 
 
-def relative_positions(point: CoveringPoint) -> RelativePositions:
-    """Gap vector of a covering point: consecutive differences plus the
-    wrap-around gap back to the first mark.
+def relative_positions(point: CoveringPoint) -> StepSequence:
+    """Gap vector of a covering point, as a step sequence: consecutive
+    differences plus the wrap-around gap back to the first mark.
 
     The marks of a valid point are strictly increasing integers spanning
     less than N = ring_size, so the differences are positive integers, the
-    wrap gap N + j_1 - j_r is at least 1, and all the gaps sum to N.
+    wrap gap N + j_1 - j_r is at least 1, and all the steps sum to N.
     """
     if type(point) is not CoveringPoint:
         point = CoveringPoint(point.positions, point.ring_size)
-    marks, n = point.positions, point.ring_size
+    marks = point.positions
     if not marks:
         raise ValueError("need at least one marked node")
-    built = _new(RelativePositions)
-    _set_gaps(built, (*map(sub, marks[1:], marks), n + marks[0] - marks[-1]))
-    _set_gaps_ring_size(built, n)
+    built = _new(StepSequence)
+    _set_steps(built, (*map(sub, marks[1:], marks), point.ring_size + marks[0] - marks[-1]))
     return built
 
 
-def reconstruct(center_sum: int, t: RelativePositions) -> CoveringPoint:
+def reconstruct(center_sum: int, t: StepSequence) -> CoveringPoint:
     """The unique covering point with the given position sum and gap vector.
 
-    Writing r for the number of gaps, the weighted sum center_sum +
+    Writing r for the number of steps, the weighted sum center_sum +
     sum_beta beta * t_beta must vanish mod r (otherwise ValueError, as for
     a center_sum that is not an int); the positions are then (that sum)/r
-    minus the trailing gap sums.  Raises
+    minus the trailing step sums.  Raises
     ArithmeticError if the rebuilt point does not have the given sum.
 
     The positions are the prefix sums of the positive integers
     t_1, ..., t_(r-1) from an integer start, so they strictly increase, and
-    their span N - t_r is less than N = ring_size.
+    their span N - t_r is less than N = sum(t.steps), the ring size.
     """
     if not isinstance(center_sum, int):
         raise ValueError(f"center_sum must be an integer: {center_sum!r}")
-    if type(t) is not RelativePositions:
-        t = RelativePositions(t.gaps, t.ring_size)
-    gaps, n = t.gaps, t.ring_size
-    r = len(gaps)
+    if type(t) is not StepSequence:
+        t = StepSequence(t.steps)
+    gaps = t.steps
+    n, r = sum(gaps), len(gaps)
     # sum_beta beta * t_beta, as the sum of the suffix sums t_beta + ... + t_r
     weighted = sum(accumulate(reversed(gaps)))
     lead, remainder = divmod(center_sum + weighted, r)
@@ -248,9 +227,11 @@ def delta_fiber_sizes(ring_size: int, marked: int) -> list[int]:
 def delta_fiber_sizes_via_partitions(ring_size: int, marked: int) -> list[int]:
     """The same fiber table obtained through the paper's partition bijection.
 
-    The fiber at s matches the step sequences whose area is r - s mod r, and
-    those match the partitions in the (N-r) x (r-1) box whose weight lies in
-    the class shifted by r(r-1)/2 + N.  Their class sums come from
+    A gap vector lies in the fiber at s exactly when its area is s + N mod r,
+    that is when its reversal, of area sum_beta beta * t_beta, has area
+    r - s mod r.  By the area identity, those reversed gap vectors match the
+    partitions in the (N-r) x (r-1) box of weight r - s - r(r-1)/2 - N mod r.
+    Their class sums come from
     `qbinomial.residue_sums`.  On this box the only small boxes left are the
     single coefficients (0, d-1) at the divisors d of gcd(N, r), so the cost
     is the binomials plus `residue_sums_work(N - r, r - 1, r)`, and no gap

@@ -4,7 +4,8 @@ A non-increasing surjection from [0, k+l] onto {1, ..., l} is encoded by the
 lengths (n_1, ..., n_l) of its level intervals, a composition of k+l into l
 positive steps.  These sequences are in bijection with partitions inside a
 k x (l-1) box, and three groups act on them: rotation of the steps, unit
-scaling of the step positions, and arbitrary position permutations.
+scaling of the step positions, and arbitrary position permutations.  The
+gap vectors of `heisenberg`'s ring of N sites are step sequences summing to N.
 """
 
 from __future__ import annotations

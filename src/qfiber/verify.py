@@ -258,9 +258,10 @@ def check_counterexamples() -> list[CheckReport]:
 
 def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
     """Count, in one pass over the covering points with first mark in
-    [1, ring_size], those that `reconstruct` round-trips and those whose
-    shift is the covering shift.  An ArithmeticError or ValueError from the
-    round trip takes the place of its count, as the text a failed check
+    [1, ring_size], those that `reconstruct` rebuilds from their position sum
+    and gap vector (the `StepSequence` of `relative_positions`) and those
+    whose shift is the covering shift.  An ArithmeticError or ValueError from
+    the round trip takes the place of its count, as the text a failed check
     reports, and the walk goes on: `reconstruct` raises ValueError when a
     wrong shift leaves the point off the walk's own sum.  Such an error from
     `shift_action` leaves no point to walk on to, so the walk stops there:
@@ -320,12 +321,13 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
     coprime (N, r) must give a constant table; N a multiple of an odd
     prime r must put a single +1 excess at class 0.  One `_covering_walk`
     counts, of the r * C(N, r) covering points with first mark in [1, N],
-    those on which `reconstruct` inverts `relative_positions` and those that
-    `shift_action` moves right, and each count must equal r * C(N, r).  The
-    round trip checks only the arithmetic of the two maps, so a point that
-    breaks the covering rules still round-trips: `covering-shift` catches a
-    forged shift.  A shift that raises ArithmeticError or ValueError ends
-    the walk of its (N, r): `covering-shift` there holds the error text, and
+    those on which `reconstruct` inverts `relative_positions` (the point's
+    gap vector, as a `StepSequence`) and those that `shift_action` moves
+    right, and each count must equal r * C(N, r).  The round trip checks
+    only the arithmetic of the two maps, so a point that breaks the covering
+    rules still round-trips: `covering-shift` catches a forged shift.  A
+    shift that raises ArithmeticError or ValueError ends the walk of its
+    (N, r): `covering-shift` there holds the error text, and
     `covering-roundtrip` the count reached so far, so both fail.
     """
     _check_integers(ring_max=ring_max)

@@ -16,7 +16,6 @@ import qfiber.heisenberg as heisenberg
 import qfiber.qbinomial as qbinomial
 from qfiber.heisenberg import (
     CoveringPoint,
-    RelativePositions,
     center_projection,
     delta_fiber_sizes,
     delta_fiber_sizes_closed_form,
@@ -26,6 +25,7 @@ from qfiber.heisenberg import (
     relative_positions,
     shift_action,
 )
+from qfiber.surjections import StepSequence, act_cyclic, enumerate_step_sequences, integral
 
 
 def covering_points(ring_size, marked):
@@ -79,57 +79,34 @@ def test_covering_point_validation():
         CoveringPoint([1, 6], 5)
 
 
-def test_relative_positions_validation():
-    RelativePositions((2, 3), 5)
-    with pytest.raises(ValueError, match="^need at least one gap$"):
-        RelativePositions((), 5)
-    for gaps in [(0, 5), (6, -1), (2, 1.5, 1.5), ("5",), (None, 5)]:
-        message = re.escape(f"gaps must be positive integers: {gaps!r}")
-        with pytest.raises(ValueError, match=message):
-            RelativePositions(gaps, 5)
-    for gaps in [(2, 2), (3, 3), (5, 1)]:
-        message = re.escape(f"gaps must sum to ring_size=5: {gaps!r}")
-        with pytest.raises(ValueError, match=message):
-            RelativePositions(gaps, 5)
-    assert RelativePositions((True, 4), 5).gaps == (1, 4)
-    from_list = RelativePositions([2, 3], 5)
-    assert from_list.gaps == (2, 3) and type(from_list.gaps) is tuple
-    assert from_list == RelativePositions((2, 3), 5)
-    assert hash(from_list) == hash(RelativePositions((2, 3), 5))
-    with pytest.raises(ValueError, match=re.escape("gaps must sum to ring_size=5: (2, 2)")):
-        RelativePositions([2, 2], 5)
-
-
 def test_value_classes_keep_their_generated_contract():
     """repr, equality that checks the class, ordering, hashing, frozen
     fields, pickle and copy round trips, positional match and field names."""
-    point, gaps = CoveringPoint((1, 3), 5), RelativePositions((2, 3), 5)
+    point, gaps = CoveringPoint((1, 3), 5), StepSequence((2, 3))
     assert repr(point) == "CoveringPoint(positions=(1, 3), ring_size=5)"
-    assert repr(gaps) == "RelativePositions(gaps=(2, 3), ring_size=5)"
     assert gaps != CoveringPoint((2, 3), 5) and CoveringPoint((2, 3), 5) != gaps
     assert point < CoveringPoint((1, 4), 5) < CoveringPoint((1, 4), 6)
     assert point < CoveringPoint((2, 3), 5) and CoveringPoint((-1, 0), 9) < point
-    for smaller, larger in [(gaps, RelativePositions((3, 2), 5)), (point, gaps), (gaps, point)]:
+    for smaller, larger in [(point, gaps), (gaps, point)]:
         with pytest.raises(TypeError):
             smaller < larger
-    for value, names in [(point, ["positions", "ring_size"]), (gaps, ["gaps", "ring_size"])]:
-        cls, marks = type(value), getattr(value, names[0])
-        assert list(cls.__match_args__) == names
-        twin = cls(marks, 5)
-        assert twin == value and hash(twin) == hash(value) and twin is not value
-        assert value != (marks, 5) and value != marks
-        for name in names:
-            with pytest.raises(AttributeError):
-                setattr(value, name, marks)
-            with pytest.raises(AttributeError):
-                delattr(value, name)
-        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
-            assert type(copied) is cls and copied == value
-        match value:
-            case cls(first, second):
-                assert (first, second) == (marks, 5)
-            case _:
-                pytest.fail(f"{value!r} does not match {cls.__name__} positionally")
+    names = ["positions", "ring_size"]
+    assert list(CoveringPoint.__match_args__) == names
+    twin = CoveringPoint((1, 3), 5)
+    assert twin == point and hash(twin) == hash(point) and twin is not point
+    assert point != ((1, 3), 5) and point != (1, 3)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(point, name, (1, 3))
+        with pytest.raises(AttributeError):
+            delattr(point, name)
+    for copied in (pickle.loads(pickle.dumps(point)), copy.copy(point), copy.deepcopy(point)):
+        assert type(copied) is CoveringPoint and copied == point
+    match point:
+        case CoveringPoint(first, second):
+            assert (first, second) == ((1, 3), 5)
+        case _:
+            pytest.fail(f"{point!r} does not match CoveringPoint positionally")
 
 
 def test_enumerate_configurations_examples():
@@ -224,9 +201,9 @@ def test_center_projection_fibers_match_their_closed_form():
 
 
 def test_relative_positions_examples():
-    assert relative_positions(CoveringPoint((1, 3), 5)).gaps == (2, 3)
-    assert relative_positions(CoveringPoint((1, 2, 3), 3)).gaps == (1, 1, 1)
-    assert relative_positions(CoveringPoint((3, 6), 5)).gaps == (3, 2)
+    assert relative_positions(CoveringPoint((1, 3), 5)) == StepSequence((2, 3))
+    assert relative_positions(CoveringPoint((1, 2, 3), 3)) == StepSequence((1, 1, 1))
+    assert relative_positions(CoveringPoint((3, 6), 5)) == StepSequence((3, 2))
     with pytest.raises(ValueError):
         relative_positions(CoveringPoint((), 4))
 
@@ -236,18 +213,18 @@ def test_relative_positions_sum_to_ring_size(n, data):
     r = data.draw(st.integers(min_value=1, max_value=n))
     nodes = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=r, max_size=r))))
     gaps = relative_positions(CoveringPoint(nodes, n))
-    assert sum(gaps.gaps) == n
+    assert sum(gaps.steps) == n
 
 
 def test_reconstruct_worked_example():
-    point = reconstruct(3, RelativePositions((1, 1, 1), 3))
+    point = reconstruct(3, StepSequence((1, 1, 1)))
     assert point.positions == (0, 1, 2)
     assert point.center_sum == 3
 
 
 def test_reconstruct_rejects_incompatible_sum():
     with pytest.raises(ValueError):
-        reconstruct(4, RelativePositions((1, 1, 1), 3))
+        reconstruct(4, StepSequence((1, 1, 1)))
 
 
 def test_reconstruct_checks_its_position_sum(monkeypatch):
@@ -255,7 +232,7 @@ def test_reconstruct_checks_its_position_sum(monkeypatch):
     monkeypatch.setattr(
         CoveringPoint, "center_sum", property(lambda self: sum(self.positions) + 1))
     with pytest.raises(ArithmeticError, match="position sum 4, not 3"):
-        reconstruct(3, RelativePositions((1, 1, 1), 3))
+        reconstruct(3, StepSequence((1, 1, 1)))
 
 
 def test_reconstruct_round_trip():
@@ -272,7 +249,7 @@ def test_compatibility_of_position_sums():
     for n in range(1, 9):
         for r in range(1, n + 1):
             for point in covering_points(n, r):
-                gaps = relative_positions(point).gaps
+                gaps = relative_positions(point).steps
                 weighted = sum(beta * g for beta, g in enumerate(gaps, start=1))
                 assert (point.center_sum + weighted) % r == 0
 
@@ -296,8 +273,16 @@ def test_shift_action_full_cycle_translates():
             for point in covering_points(n, r):
                 moved = shift_action(point, r)
                 assert moved.positions == tuple(j + n for j in point.positions)
-                gaps = relative_positions(point).gaps
-                assert relative_positions(shift_action(point, 1)).gaps == gaps[1:] + gaps[:1]
+
+
+def test_covering_shift_is_the_cyclic_action_on_gap_vectors():
+    # the paper's cyclic action: a shift by j rotates the gap vector left by j
+    for n in range(1, 10):
+        for r in range(1, n + 1):
+            for point in covering_points(n, r):
+                gaps = relative_positions(point)
+                for j in (1, -1, r + 2):
+                    assert relative_positions(shift_action(point, j)) == act_cyclic(gaps, -j)
 
 
 @given(
@@ -339,14 +324,18 @@ def test_round_trip_and_shift_law_off_the_suite_range(point, size, data):
     a = data.draw(steps) * data.draw(st.sampled_from((1, -1)))
     b = data.draw(steps) * data.draw(st.sampled_from((1, -1)))
     assert shift_action(shift_action(point, a), b) == shift_action(point, a + b)
+    gaps = relative_positions(point)
+    for j in (1, -1, r + 2, a):
+        assert relative_positions(shift_action(point, j)) == act_cyclic(gaps, -j)
     # the maps build their results without re-checking them: each must obey
     # every rule of its class
     k = data.draw(st.integers(min_value=-10**6, max_value=10**6))
     rebuilt = reconstruct(point.center_sum + k * r * n, relative_positions(point))
     assert rebuilt == shift_action(point, k * r)
     configuration = CoveringPoint(sorted((j - 1) % n + 1 for j in point.positions), n)
-    assert_rebuilds(relative_positions(point), RelativePositions)
-    assert_rebuilds(relative_positions(configuration), RelativePositions)
+    assert_rebuilds(gaps, StepSequence)
+    assert_rebuilds(relative_positions(configuration), StepSequence)
+    assert sum(gaps.steps) == sum(relative_positions(configuration).steps) == n
     assert_rebuilds(rebuilt, CoveringPoint)
     assert_rebuilds(shift_action(point, data.draw(st.integers(-3 * r, 3 * r))), CoveringPoint)
 
@@ -358,24 +347,24 @@ def test_center_projection_is_constant_on_shift_orbits(point, steps):
 
 def test_maps_validate_arguments_not_exactly_of_their_class():
     for call in (
-        lambda: reconstruct(3.0, RelativePositions((1, 1, 1), 3)),
+        lambda: reconstruct(3.0, StepSequence((1, 1, 1))),
         lambda: shift_action(SimpleNamespace(positions=(3, 1), ring_size=5), 1),
         lambda: relative_positions(SimpleNamespace(positions=(1, 9), ring_size=5)),
-        lambda: reconstruct(3, SimpleNamespace(gaps=(0, 3), ring_size=3)),
+        lambda: reconstruct(3, SimpleNamespace(steps=(0, 3))),
         # a compatible sum, which would rebuild the point (2, 2)
-        lambda: reconstruct(4, SimpleNamespace(gaps=(0, 3), ring_size=3)),
+        lambda: reconstruct(4, SimpleNamespace(steps=(0, 3))),
     ):
         with pytest.raises(ValueError):
             call()
     point = CoveringPoint((-2, 0, 1), 5)
     duck = SimpleNamespace(positions=point.positions, ring_size=5)
     gaps = relative_positions(point)
-    assert_rebuilds(relative_positions(duck), RelativePositions)
+    assert_rebuilds(relative_positions(duck), StepSequence)
     assert relative_positions(duck) == gaps
     for steps in (-4, 0, 1, 7):
         assert_rebuilds(shift_action(duck, steps), CoveringPoint)
         assert shift_action(duck, steps) == shift_action(point, steps)
-    rebuilt = reconstruct(point.center_sum, SimpleNamespace(gaps=gaps.gaps, ring_size=5))
+    rebuilt = reconstruct(point.center_sum, SimpleNamespace(steps=gaps.steps))
     assert_rebuilds(rebuilt, CoveringPoint)
     assert rebuilt == point
 
@@ -383,9 +372,8 @@ def test_maps_validate_arguments_not_exactly_of_their_class():
 def test_integer_rules_the_maps_rely_on():
     # a float ring size or step count would carry floats into the positions
     # and gaps that the maps build unchecked, so neither gets that far
-    for cls, marks in ((CoveringPoint, (1, 3)), (RelativePositions, (2, 3))):
-        with pytest.raises(ValueError, match=re.escape("ring_size must be an integer: 5.0")):
-            cls(marks, 5.0)
+    with pytest.raises(ValueError, match=re.escape("ring_size must be an integer: 5.0")):
+        CoveringPoint((1, 3), 5.0)
     point = CoveringPoint((1, 3), 5)
     for steps in (1.0, 2.0):
         with pytest.raises(TypeError):
@@ -421,6 +409,18 @@ def test_delta_matches_naive_recount():
     for n in range(1, 11):
         for r in range(1, n + 1):
             assert delta_fiber_sizes(n, r) == brute_delta(n, r), (n, r)
+
+
+def test_delta_fibers_are_classes_of_gap_vector_areas():
+    # the paper's area law: a gap vector t lies in the fiber at s exactly when
+    # its area is s + N mod r, and its reversal's area is -s mod r
+    for n in range(1, 13):
+        for r in range(1, n + 1):
+            areas, reversed_areas = [0] * r, [0] * r
+            for t in enumerate_step_sequences(n - r, r):
+                areas[(integral(t) - n) % r] += 1
+                reversed_areas[-integral(StepSequence(t.steps[::-1])) % r] += 1
+            assert areas == reversed_areas == delta_fiber_sizes(n, r), (n, r)
 
 
 def test_delta_routes_agree():

@@ -49,7 +49,6 @@ ALLOWLIST = {
     "_value:_methods.<locals>.__reduce__": VALUE_CONTRACT,
     "cli:build_parser": ARGPARSE_FALLBACK,
     "heisenberg:CoveringPoint.__init__": CHECKING_CONSTRUCTOR,
-    "heisenberg:RelativePositions.__init__": CHECKING_CONSTRUCTOR,
     "heisenberg:center_projection": PAPER_OBJECT,
     "partitions:Partition.__init__": CHECKING_CONSTRUCTOR,
     "partitions:Partition.weight": PAPER_OBJECT,

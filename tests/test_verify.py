@@ -11,8 +11,9 @@ import qfiber.heisenberg as heisenberg
 import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
-from qfiber.heisenberg import CoveringPoint, RelativePositions, enumerate_configurations
+from qfiber.heisenberg import CoveringPoint, enumerate_configurations
 from qfiber.partitions import count_by_residue, count_exact_parts_by_residue
+from qfiber.surjections import act_cyclic
 from qfiber.verify import (
     CheckReport,
     check_counterexamples,
@@ -165,8 +166,7 @@ def test_rotated_gap_vectors_fail_only_the_round_trip(monkeypatch, capsys):
     gap_vector = verify.relative_positions
 
     def rotated(point):
-        gaps = gap_vector(point).gaps
-        return RelativePositions(gaps[1:] + gaps[:1], point.ring_size)
+        return act_cyclic(gap_vector(point), -1)
 
     monkeypatch.setattr(verify, "relative_positions", rotated)
     assert main(["verify", "fibrations", "--n-max", "6"]) == 1
@@ -363,7 +363,7 @@ def test_arithmetic_error_in_reconstruct_fails_only_the_round_trip(monkeypatch):
     rebuild = verify.reconstruct
 
     def broken(center_sum, gaps):
-        if gaps.gaps == (1, 2, 3):
+        if gaps.steps == (1, 2, 3):
             raise ArithmeticError("injected failure")
         return rebuild(center_sum, gaps)
 
@@ -558,11 +558,25 @@ def test_reconstruct_to_another_point_fails_only_the_round_trip(monkeypatch):
     # a valid covering point, but r shifts away from the one with that sum
     rebuild, shift = verify.reconstruct, verify.shift_action
     monkeypatch.setattr(
-        verify, "reconstruct", lambda total, gaps: shift(rebuild(total, gaps), len(gaps.gaps)))
+        verify, "reconstruct", lambda total, gaps: shift(rebuild(total, gaps), len(gaps.steps)))
     reports = check_fibrations(7)
     failed = failures(reports)
     assert failed == [r for r in reports if r.check_id == "covering-roundtrip"]
     assert all(r.actual == 0 for r in failed)
+
+
+def test_reconstruct_to_another_point_fails_only_the_round_trip_through_main(
+        monkeypatch, capsys):
+    rebuild, shift = verify.reconstruct, verify.shift_action
+    monkeypatch.setattr(
+        verify, "reconstruct", lambda total, gaps: shift(rebuild(total, gaps), len(gaps.steps)))
+    assert main(["verify", "fibrations", "--n-max", "6"]) == 1
+    out, err = capsys.readouterr()
+    failed = [line.split()[1:4] for line in out.splitlines() if line.startswith("FAIL")]
+    # every rebuilt point is its own translate by N, so every (N, r) fails
+    assert failed == [["covering-roundtrip", f"N={n}", f"r={r}"]
+                      for n in range(1, 7) for r in range(1, n + 1)]
+    assert err == ""
 
 
 def test_check_fibrations_prime_gap_hypotheses():

@@ -3,9 +3,10 @@
 A non-increasing surjection from [0, k+l] onto {1, ..., l} is encoded by the
 lengths (n_1, ..., n_l) of its level intervals, a composition of k+l into l
 positive steps.  These sequences are in bijection with partitions inside a
-k x (l-1) box, and three groups act on them: rotation of the steps, unit
-scaling of the step positions, and arbitrary position permutations.  The
-gap vectors of `heisenberg`'s ring of N sites are step sequences summing to N.
+k x (l-1) box, read off their cut positions n_1 + ... + n_i, and three
+groups act on them: rotation of the steps, unit scaling of the step
+positions, and arbitrary position permutations.  The gap vectors of
+`heisenberg`'s ring of N sites are step sequences summing to N.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, combinations, repeat
 from math import comb, gcd
-from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -21,10 +21,9 @@ from .partitions import Partition
 from .qbinomial import _check_integers, _divisor_table
 
 __all__ = [
-    "GROUPS", "StepSequence", "ThresholdSequence", "act_cyclic", "act_symmetric", "act_unit",
+    "GROUPS", "StepSequence", "act_cyclic", "act_symmetric", "act_unit",
     "enumerate_step_sequences", "integral", "orbit_histogram", "orbits",
-    "partition_to_surjection", "steps_to_thresholds", "surjection_to_partition",
-    "thresholds_to_steps",
+    "partition_to_surjection", "surjection_to_partition",
 ]
 
 
@@ -54,54 +53,8 @@ class StepSequence(Value, order=True):
         return len(self.steps)
 
 
-class ThresholdSequence(Value, order=True):
-    """Ascending cut positions (t_l, ..., t_2) of a non-increasing surjection.
-
-    The last cut t_1 equals domain_length and stays implicit; an empty tuple
-    encodes the single-level surjection.
-    """
-
-    __slots__ = __match_args__ = ("thresholds", "domain_length")
-    thresholds: tuple[int, ...]
-    domain_length: int
-
-    def __init__(self, thresholds: Iterable[int], domain_length: int) -> None:
-        thresholds = tuple(thresholds)
-        if not isinstance(domain_length, int):
-            raise ValueError(f"domain_length must be an integer: {domain_length!r}")
-        if domain_length < 1:
-            raise ValueError("domain_length must be positive")
-        if not all(map(isinstance, thresholds, repeat(int))):
-            raise ValueError(f"thresholds must be integers: {thresholds!r}")
-        if thresholds and not (0 < thresholds[0] and thresholds[-1] < domain_length):
-            raise ValueError(
-                f"thresholds must lie strictly between 0 and {domain_length}: {thresholds!r}"
-            )
-        if not all(map(lt, thresholds, thresholds[1:])):
-            raise ValueError(f"thresholds must be strictly increasing: {thresholds!r}")
-        _set_thresholds(self, thresholds)
-        _set_domain_length(self, domain_length)
-
-    @property
-    def level_count(self) -> int:
-        return len(self.thresholds) + 1
-
-
-# Each field is stored through its slot descriptor, past the frozen __setattr__.
+# The field is stored through its slot descriptor, past the frozen __setattr__.
 _set_steps = StepSequence.steps.__set__
-_set_thresholds = ThresholdSequence.thresholds.__set__
-_set_domain_length = ThresholdSequence.domain_length.__set__
-
-
-def thresholds_to_steps(t: ThresholdSequence) -> StepSequence:
-    """Interval lengths cut out by the thresholds (0 and the domain end included)."""
-    cuts = (0,) + t.thresholds + (t.domain_length,)
-    return StepSequence(tuple(b - a for a, b in zip(cuts, cuts[1:])))
-
-
-def steps_to_thresholds(s: StepSequence) -> ThresholdSequence:
-    """Partial sums of all but the last step; inverse of thresholds_to_steps."""
-    return ThresholdSequence(tuple(accumulate(s.steps[:-1])), s.domain_length)
 
 
 def integral(s: StepSequence) -> int:
@@ -111,31 +64,32 @@ def integral(s: StepSequence) -> int:
     return sum(step * (l - i) for i, step in enumerate(s.steps))
 
 
-def surjection_to_partition(t: ThresholdSequence) -> Partition:
-    """Partition read off the cut positions: part j equals t_{j+1} - (l-j).
+def surjection_to_partition(s: StepSequence) -> Partition:
+    """Partition read off the cut positions c_i = n_1 + ... + n_i: part j
+    equals c_{l-j} - (l-j).
 
     The result fits a (domain_length - l) x (l-1) box, and the area of the
     surjection equals l(l-1)/2 + domain_length + weight of the partition.
     """
-    l = t.level_count
-    parts = tuple(t.thresholds[l - 1 - j] - (l - j) for j in range(1, l))
-    return Partition(parts)
+    cuts = accumulate(s.steps[:-1])
+    return Partition(tuple(c - i for i, c in enumerate(cuts, 1))[::-1])
 
 
-def partition_to_surjection(pi: Partition, k: int, l: int) -> ThresholdSequence:
-    """Cut positions of the surjection for a partition in the k x (l-1) box;
-    exact inverse of surjection_to_partition."""
+def partition_to_surjection(pi: Partition, k: int, l: int) -> StepSequence:
+    """Steps of the surjection for a partition in the k x (l-1) box, cut at
+    c_i = (part l-i) + i; exact inverse of surjection_to_partition."""
     _check_k_nonneg_l_positive(k, l)
     if not pi.fits(k, l - 1):
         raise ValueError(f"{pi} does not fit a {k} x {l - 1} box")
     padded = pi.parts + (0,) * (l - 1 - len(pi.parts))
-    thresholds = tuple(padded[l - 2 - i] + i + 1 for i in range(l - 1))
-    return ThresholdSequence(thresholds, k + l)
+    cuts = (0, *(padded[l - 2 - i] + i + 1 for i in range(l - 1)), k + l)
+    return StepSequence(b - a for a, b in zip(cuts, cuts[1:]))
 
 
 def act_cyclic(s: StepSequence, power: int = 1) -> StepSequence:
     """Rotate the steps right by `power` positions; the generator sends
     (n_1, ..., n_l) to (n_l, n_1, ..., n_{l-1})."""
+    _check_integers(power=power)
     l = s.level_count
     shift = power % l
     if shift == 0:
@@ -152,6 +106,7 @@ def _position(index: int, l: int) -> int:
 def act_unit(s: StepSequence, u: int) -> StepSequence:
     """Scale step positions by a unit u mod l: position i receives the step
     from position u^{-1} * i (indices taken in {1, ..., l})."""
+    _check_integers(u=u)
     l = s.level_count
     if gcd(u, l) != 1:
         raise ValueError(f"u={u} is not a unit modulo {l}")

@@ -26,10 +26,9 @@ EXPORTS = {
         "prime_multiple_class_sum", "residue_sums",
     ],
     "surjections": [
-        "GROUPS", "StepSequence", "ThresholdSequence", "act_cyclic", "act_symmetric", "act_unit",
+        "GROUPS", "StepSequence", "act_cyclic", "act_symmetric", "act_unit",
         "enumerate_step_sequences", "integral", "orbit_histogram", "orbits",
-        "partition_to_surjection", "steps_to_thresholds", "surjection_to_partition",
-        "thresholds_to_steps",
+        "partition_to_surjection", "surjection_to_partition",
     ],
     "verify": [
         "CheckReport", "check_counterexamples", "check_fibrations", "check_main1",
@@ -40,7 +39,7 @@ EXPORTS = {
 
 def test_package_exports_each_name_from_its_module():
     assert qfiber.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(qfiber.__all__) == 40
+    assert len(qfiber.__all__) == 37
     for module_name, names in EXPORTS.items():
         module = sys.modules[f"qfiber.{module_name}"]
         assert getattr(qfiber, module_name) is module

@@ -58,10 +58,6 @@ ALLOWLIST = {
     "surjections:StepSequence.__init__": CHECKING_CONSTRUCTOR,
     "surjections:StepSequence.domain_length": PAPER_OBJECT,
     "surjections:StepSequence.level_count": PAPER_OBJECT,
-    "surjections:ThresholdSequence.__init__": CHECKING_CONSTRUCTOR,
-    "surjections:ThresholdSequence.level_count": PAPER_OBJECT,
-    "surjections:thresholds_to_steps": PAPER_OBJECT,
-    "surjections:steps_to_thresholds": PAPER_OBJECT,
     "surjections:integral": PAPER_OBJECT,
     "surjections:surjection_to_partition": PAPER_OBJECT,
     "surjections:partition_to_surjection": PAPER_OBJECT,

@@ -2,7 +2,7 @@
 
 import time
 from collections import Counter
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, gcd
 
 import pytest
@@ -14,7 +14,6 @@ from qfiber.qbinomial import gaussian_coefficients
 from qfiber.surjections import (
     GROUPS,
     StepSequence,
-    ThresholdSequence,
     act_cyclic,
     act_symmetric,
     act_unit,
@@ -23,9 +22,7 @@ from qfiber.surjections import (
     orbit_histogram,
     orbits,
     partition_to_surjection,
-    steps_to_thresholds,
     surjection_to_partition,
-    thresholds_to_steps,
 )
 
 step_sequences = st.lists(
@@ -58,44 +55,57 @@ def test_step_sequence_validation():
     assert s.level_count == 4
 
 
-def test_threshold_sequence_validation():
-    with pytest.raises(ValueError):
-        ThresholdSequence((4, 4, 7), 15)
-    with pytest.raises(ValueError):
-        ThresholdSequence((0, 5), 15)
-    with pytest.raises(ValueError):
-        ThresholdSequence((5, 15), 15)
-    with pytest.raises(ValueError, match=r"^domain_length must be an integer: 3\.5$"):
-        ThresholdSequence((1,), 3.5)
-    with pytest.raises(ValueError, match=r"^k must be an integer: 1\.5$"):
-        partition_to_surjection(Partition(()), 1.5, 2)
-    assert ThresholdSequence((), 3).level_count == 1
+def cut_positions(s):
+    """The cuts t_1 < ... < t_{l-1} of a surjection, strictly inside (0, k+l):
+    the prefix sums of all but the last step."""
+    return tuple(accumulate(s.steps[:-1]))
 
 
 def test_thresholds_to_steps_worked_example():
-    ts = ThresholdSequence((4, 5, 7), 15)
-    assert thresholds_to_steps(ts).steps == (4, 1, 2, 8)
+    # cuts 4 < 5 < 7 inside [0, 15]; part j is t_{4-j} - (4-j)
+    s = StepSequence((4, 1, 2, 8))
+    assert cut_positions(s) == (4, 5, 7)
+    assert surjection_to_partition(s).parts == (7 - 3, 5 - 2, 4 - 1)
 
 
 def test_minimal_thresholds_give_unit_steps():
+    # the empty partition cuts at 1, ..., l-1
     for k in range(0, 6):
         for l in range(2, 6):
-            ts = ThresholdSequence(tuple(range(1, l)), k + l)
-            assert thresholds_to_steps(ts).steps == (1,) * (l - 1) + (k + 1,)
+            s = partition_to_surjection(Partition(()), k, l)
+            assert cut_positions(s) == tuple(range(1, l))
+            assert s.steps == (1,) * (l - 1) + (k + 1,)
 
 
 @given(step_sequences)
 def test_threshold_round_trip(s):
-    assert thresholds_to_steps(steps_to_thresholds(s)) == s
+    bounds = (0, *cut_positions(s), s.domain_length)
+    assert tuple(b - a for a, b in zip(bounds, bounds[1:])) == s.steps
+    k, l = s.domain_length - s.level_count, s.level_count
+    assert partition_to_surjection(surjection_to_partition(s), k, l) == s
 
 
 def test_threshold_round_trip_exhaustive():
-    for k in range(0, 6):
-        for l in range(1, 6):
+    # every step sequence with k + l <= 12, against the cut-position arithmetic
+    # of the maps written here: part j is t_{l-j} - (l-j), and the partition
+    # in the box cuts at t_i = (part l-i) + i
+    checked = 0
+    for total in range(1, 13):
+        for l in range(1, total + 1):
+            k = total - l
             for s in enumerate_step_sequences(k, l):
-                ts = steps_to_thresholds(s)
-                assert thresholds_to_steps(ts) == s
-                assert steps_to_thresholds(thresholds_to_steps(ts)) == ts
+                cuts = cut_positions(s)
+                bounds = (0, *cuts, total)
+                assert all(a < b for a, b in zip(bounds, bounds[1:]))
+                parts = tuple(cuts[l - 1 - j] - (l - j) for j in range(1, l))
+                pi = surjection_to_partition(s)
+                assert pi == Partition(parts)
+                padded = pi.parts + (0,) * (l - 1 - len(pi.parts))
+                assert tuple(padded[l - 1 - i] + i for i in range(1, l)) == cuts
+                steps = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+                assert partition_to_surjection(pi, k, l).steps == steps == s.steps
+                checked += 1
+    assert checked == 2**12 - 1
 
 
 def test_integral_values():
@@ -108,26 +118,34 @@ def test_integral_values():
 
 
 def test_bijection_worked_example():
-    ts = ThresholdSequence((4, 5, 7), 15)
-    assert surjection_to_partition(ts) == Partition((4, 3, 3))
-    assert partition_to_surjection(Partition((4, 3, 3)), 11, 4) == ts
+    s = StepSequence((4, 1, 2, 8))
+    assert surjection_to_partition(s) == Partition((4, 3, 3))
+    assert partition_to_surjection(Partition((4, 3, 3)), 11, 4) == s
 
 
 def test_bijection_minimal_and_maximal():
-    assert partition_to_surjection(Partition(()), 11, 4) == ThresholdSequence((1, 2, 3), 15)
-    assert surjection_to_partition(ThresholdSequence((1, 2, 3), 15)) == Partition(())
+    assert partition_to_surjection(Partition(()), 11, 4) == StepSequence((1, 1, 1, 12))
+    assert surjection_to_partition(StepSequence((1, 1, 1, 12))) == Partition(())
+    # one level: no cut, and the empty partition of the k x 0 box
+    assert partition_to_surjection(Partition(()), 2, 1) == StepSequence((3,))
+    assert surjection_to_partition(StepSequence((3,))) == Partition(())
     for k in range(1, 5):
         for l in range(2, 6):
             maximal = Partition((k,) * (l - 1))
-            ts = partition_to_surjection(maximal, k, l)
-            assert ts.thresholds == tuple(range(k + 1, k + l))
+            s = partition_to_surjection(maximal, k, l)
+            assert s.steps == (k + 1,) + (1,) * (l - 1)
+            assert surjection_to_partition(s) == maximal
 
 
 def test_bijection_rejects_out_of_box():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Partition\(parts=\(5,\)\) does not fit a 4 x 1 box$"):
         partition_to_surjection(Partition((5,)), 4, 2)
     with pytest.raises(ValueError):
         partition_to_surjection(Partition((1, 1)), 4, 2)
+    with pytest.raises(ValueError, match=r"^k must be an integer: 1\.5$"):
+        partition_to_surjection(Partition(()), 1.5, 2)
+    with pytest.raises(ValueError, match=r"^need k >= 0 and l >= 1$"):
+        partition_to_surjection(Partition(()), 2, 0)
 
 
 def test_bijection_round_trip_and_area_identity():
@@ -135,10 +153,9 @@ def test_bijection_round_trip_and_area_identity():
         for l in range(1, 7):
             seen = set()
             for s in enumerate_step_sequences(k, l):
-                ts = steps_to_thresholds(s)
-                pi = surjection_to_partition(ts)
+                pi = surjection_to_partition(s)
                 assert pi.fits(k, l - 1)
-                assert partition_to_surjection(pi, k, l) == ts
+                assert partition_to_surjection(pi, k, l) == s
                 assert integral(s) == l * (l - 1) // 2 + k + l + pi.weight
                 seen.add(pi)
             expected = set(enumerate_restricted(k, l - 1)) if l > 1 else {Partition(())}
@@ -224,8 +241,7 @@ def test_unit_action_matches_symmetric_action():
 def act_on_partition(pi, k, l, action):
     """An action on step sequences, carried to the partitions in the k x (l-1)
     box through the bijection: convert, act, convert back."""
-    steps = thresholds_to_steps(partition_to_surjection(pi, k, l))
-    return surjection_to_partition(steps_to_thresholds(action(steps)))
+    return surjection_to_partition(action(partition_to_surjection(pi, k, l)))
 
 
 def test_act_on_partition_identity_and_generator():

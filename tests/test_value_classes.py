@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from qfiber.partitions import Partition
-from qfiber.surjections import StepSequence, ThresholdSequence
+from qfiber.surjections import StepSequence
 from qfiber.verify import CheckReport
 
 # class: (field values, repr, a larger value or None where there is no
@@ -18,10 +18,6 @@ from qfiber.verify import CheckReport
 CASES = {
     Partition: (((3, 1),), "Partition(parts=(3, 1))", Partition((3, 2)), True),
     StepSequence: (((2, 1, 3),), "StepSequence(steps=(2, 1, 3))", StepSequence((2, 2)), True),
-    ThresholdSequence: (
-        ((1, 4), 6), "ThresholdSequence(thresholds=(1, 4), domain_length=6)",
-        ThresholdSequence((1, 4), 7), True,
-    ),
     CheckReport: (
         ("main1", {"k": 2}, [1, 2], [1, 3], "fail", 0.25),
         "CheckReport(check_id='main1', parameters={'k': 2}, expected=[1, 2], actual=[1, 3],"
@@ -32,7 +28,6 @@ CASES = {
 NAMES = {
     Partition: ["parts"],
     StepSequence: ["steps"],
-    ThresholdSequence: ["thresholds", "domain_length"],
     CheckReport: ["check_id", "parameters", "expected", "actual", "status", "elapsed"],
 }
 
@@ -93,8 +88,6 @@ def test_value_classes_keep_their_generated_contract(cls):
     match value:
         case Partition(first) | StepSequence(first):
             matched = (first,)
-        case ThresholdSequence(first, second):
-            matched = (first, second)
         case CheckReport(first, second, third, fourth, fifth, sixth):
             matched = (first, second, third, fourth, fifth, sixth)
         case _:

@@ -13,7 +13,7 @@ import qfiber.verify as verify
 from qfiber.cli import main
 from qfiber.heisenberg import CoveringPoint, enumerate_configurations
 from qfiber.partitions import count_by_residue, count_exact_parts_by_residue
-from qfiber.surjections import act_cyclic
+from qfiber.surjections import StepSequence, act_cyclic, act_unit
 from qfiber.verify import (
     CheckReport,
     check_counterexamples,
@@ -245,10 +245,14 @@ def test_check_main1_rejects_small_bounds():
     (lambda: count_by_residue(2, 2.0, 3), "max_count must be an integer: 2.0"),
     (lambda: count_exact_parts_by_residue(2, 2, 3.0), "modulus must be an integer: 3.0"),
     (lambda: list(enumerate_configurations(5.0, 2)), "ring_size must be an integer: 5.0"),
+    (lambda: act_cyclic(StepSequence((1, 2, 3)), "1"), "power must be an integer: '1'"),
+    (lambda: act_cyclic(StepSequence((1, 2, 3)), 1.5), "power must be an integer: 1.5"),
+    (lambda: act_unit(StepSequence((1, 2, 3)), 2.0), "u must be an integer: 2.0"),
 ])
 def test_non_integer_arguments_are_refused_by_name(call, message):
     # 7.0 passes the trial division, so a float prime or bound used to end in
-    # a bare TypeError from `range` or a list product
+    # a bare TypeError from `range` or a list product; a string power used to
+    # end in a string-formatting TypeError, a float one in a slice's
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message

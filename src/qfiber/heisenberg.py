@@ -1,13 +1,20 @@
 """Configuration spaces of a ring with marked nodes and their fibrations.
 
-r marked nodes on a ring of N sites are points of the covering space
-(strictly increasing integers spanning less than N); the configurations are
-those with every mark in [1, N], one on each orbit of the covering shift.
-Gap vectors between consecutive marks are step sequences: compositions of N
-into r positive steps, on which the covering shift acts as act_cyclic(., -1).
-The fibers of their center-of-mass compatibility classes are counted by the
-paper's closed form (the production route), through the partition bijection,
-and by direct enumeration (the oracle of both).
+r marked nodes on a ring of N sites are points of the covering space: pairs
+(positions, N) of strictly increasing integers spanning less than N, which
+`covering_point` checks.  The configurations are those with every mark in
+[1, N], one on each orbit of the covering shift.  Gap vectors between
+consecutive marks are step sequences: compositions of N into r positive
+steps, on which the covering shift acts as act_cyclic(., -1).  The fibers
+of their center-of-mass compatibility classes are counted by the paper's
+closed form (the production route), through the partition bijection, and
+by direct enumeration (the oracle of both).
+
+Each public map sends its point or gap vector through `covering_point` or
+`surjections.step_sequence` once and then runs its unchecked kernel
+(`_gap_vector`, `_rebuild`, `_shift`), which builds a result valid by
+construction for the reason its map's docstring gives.  `verify`'s covering
+walk runs the kernels on the points it builds.
 """
 
 from __future__ import annotations
@@ -17,73 +24,36 @@ from math import comb, gcd
 from operator import add, index, lt, sub
 from typing import Iterable, Iterator
 
-from ._value import Value
 from .qbinomial import _check_integers, _divisor_table, _exact_div, residue_sums
-from .surjections import StepSequence, _set_steps
+from .surjections import step_sequence
 
 __all__ = [
-    "CoveringPoint", "center_projection",
+    "center_projection", "covering_point",
     "delta_fiber_sizes", "delta_fiber_sizes_closed_form", "delta_fiber_sizes_via_partitions",
     "enumerate_configurations", "reconstruct", "relative_positions", "shift_action",
 ]
 
-# Values are validated once, where they enter the library: `CoveringPoint`
-# below, like `StepSequence`, checks its arguments in one hand-written
-# __init__ before storing them (equality, ordering, hashing and repr come
-# from `Value`, but for `CoveringPoint`'s equality), with builtin loops (map,
-# all, min) rather than generator frames.  Code in this module builds points
-# and gap vectors that are valid by construction without the checks; the
-# maps take an instance of exactly the class as valid, and any other
-# argument goes through the public constructor first.
+Point = tuple[tuple[int, ...], int]
 
 
-class CoveringPoint(Value, order=True):
-    """Strictly increasing integers whose span is less than ring_size."""
-
-    __slots__ = __match_args__ = ("positions", "ring_size")
-    positions: tuple[int, ...]
-    ring_size: int
-
-    def __init__(self, positions: Iterable[int], ring_size: int) -> None:
-        if type(positions) is not tuple:
-            positions = tuple(positions)
-        if not isinstance(ring_size, int):
-            raise ValueError(f"ring_size must be an integer: {ring_size!r}")
-        if ring_size < 1:
-            raise ValueError("ring_size must be positive")
-        if not all(map(isinstance, positions, repeat(int))):
-            raise ValueError(f"positions must be integers: {positions!r}")
-        if not all(map(lt, positions, positions[1:])):
-            raise ValueError(f"positions must be strictly increasing: {positions!r}")
-        if positions and positions[-1] >= positions[0] + ring_size:
-            raise ValueError(f"span must be less than ring_size={ring_size}: {positions!r}")
-        _set_positions(self, positions)
-        _set_point_ring_size(self, ring_size)
-
-    def __eq__(self, other):
-        # written out, as the covering walk compares each point it rebuilds:
-        # Value's field getter would add about half to each comparison
-        if other.__class__ is self.__class__:
-            return (self.positions, self.ring_size) == (other.positions, other.ring_size)
-        return NotImplemented
-
-    @property
-    def center_sum(self) -> int:
-        """Sum of positions; grows by ring_size under one covering shift."""
-        return sum(self.positions)
+def covering_point(positions: Iterable[int], ring_size: int) -> Point:
+    """The pair (positions, ring_size) of strictly increasing integers whose
+    span is less than ring_size."""
+    positions = tuple(positions)
+    if not isinstance(ring_size, int):
+        raise ValueError(f"ring_size must be an integer: {ring_size!r}")
+    if ring_size < 1:
+        raise ValueError("ring_size must be positive")
+    if not all(map(isinstance, positions, repeat(int))):
+        raise ValueError(f"positions must be integers: {positions!r}")
+    if not all(map(lt, positions, positions[1:])):
+        raise ValueError(f"positions must be strictly increasing: {positions!r}")
+    if positions and positions[-1] >= positions[0] + ring_size:
+        raise ValueError(f"span must be less than ring_size={ring_size}: {positions!r}")
+    return positions, ring_size
 
 
-# Every field is stored through its slot descriptor's __set__, bound once
-# (a gap vector's one slot by `surjections`), by the constructors after their
-# checks and unchecked by the builds below: it passes the frozen __setattr__
-# by without finding the slot by name, which counts where the covering walk
-# builds three values per point.
-_set_positions = CoveringPoint.positions.__set__
-_set_point_ring_size = CoveringPoint.ring_size.__set__
-_new = object.__new__
-
-
-def enumerate_configurations(ring_size: int, marked: int) -> Iterator[CoveringPoint]:
+def enumerate_configurations(ring_size: int, marked: int) -> Iterator[Point]:
     """The C(ring_size, marked) configurations, in lexicographic order: the
     covering points with every mark in [1, ring_size], one on each
     `shift_action` orbit.  Each is an r-subset of [1, ring_size] from
@@ -94,25 +64,18 @@ def enumerate_configurations(ring_size: int, marked: int) -> Iterator[CoveringPo
         raise ValueError("ring_size must be positive")
     if not 0 <= marked <= ring_size:
         raise ValueError("need 0 <= marked <= ring_size")
-
-    def points() -> Iterator[CoveringPoint]:
-        for marks in combinations(range(1, ring_size + 1), marked):
-            point = _new(CoveringPoint)
-            _set_positions(point, marks)
-            _set_point_ring_size(point, ring_size)
-            yield point
-
-    return points()
+    return zip(combinations(range(1, ring_size + 1), marked), repeat(ring_size))
 
 
-def center_projection(point: CoveringPoint) -> int:
+def center_projection(point: tuple[Iterable[int], int]) -> int:
     """Scaled center of mass: the sum of the positions, reduced mod
     ring_size.  A covering shift adds ring_size to the sum, so the value is
     the same on every point of a shift orbit."""
-    return sum(point.positions) % point.ring_size
+    positions, n = covering_point(*point)
+    return sum(positions) % n
 
 
-def relative_positions(point: CoveringPoint) -> StepSequence:
+def relative_positions(point: tuple[Iterable[int], int]) -> tuple[int, ...]:
     """Gap vector of a covering point, as a step sequence: consecutive
     differences plus the wrap-around gap back to the first mark.
 
@@ -120,17 +83,19 @@ def relative_positions(point: CoveringPoint) -> StepSequence:
     less than N = ring_size, so the differences are positive integers, the
     wrap gap N + j_1 - j_r is at least 1, and all the steps sum to N.
     """
-    if type(point) is not CoveringPoint:
-        point = CoveringPoint(point.positions, point.ring_size)
-    marks = point.positions
-    if not marks:
+    point = covering_point(*point)
+    if not point[0]:
         raise ValueError("need at least one marked node")
-    built = _new(StepSequence)
-    _set_steps(built, (*map(sub, marks[1:], marks), point.ring_size + marks[0] - marks[-1]))
-    return built
+    return _gap_vector(point)
 
 
-def reconstruct(center_sum: int, t: StepSequence) -> CoveringPoint:
+def _gap_vector(point: Point) -> tuple[int, ...]:
+    """`relative_positions` of a valid point with at least one mark."""
+    marks, n = point
+    return (*map(sub, marks[1:], marks), n + marks[0] - marks[-1])
+
+
+def reconstruct(center_sum: int, t: Iterable[int]) -> Point:
     """The unique covering point with the given position sum and gap vector.
 
     Writing r for the number of steps, the weighted sum center_sum +
@@ -141,13 +106,15 @@ def reconstruct(center_sum: int, t: StepSequence) -> CoveringPoint:
 
     The positions are the prefix sums of the positive integers
     t_1, ..., t_(r-1) from an integer start, so they strictly increase, and
-    their span N - t_r is less than N = sum(t.steps), the ring size.
+    their span N - t_r is less than N = sum(t), the ring size.
     """
     if not isinstance(center_sum, int):
         raise ValueError(f"center_sum must be an integer: {center_sum!r}")
-    if type(t) is not StepSequence:
-        t = StepSequence(t.steps)
-    gaps = t.steps
+    return _rebuild(center_sum, step_sequence(t))
+
+
+def _rebuild(center_sum: int, gaps: tuple[int, ...]) -> Point:
+    """`reconstruct` from an int sum and a valid gap vector."""
     n, r = sum(gaps), len(gaps)
     # sum_beta beta * t_beta, as the sum of the suffix sums t_beta + ... + t_r
     weighted = sum(accumulate(reversed(gaps)))
@@ -156,18 +123,15 @@ def reconstruct(center_sum: int, t: StepSequence) -> CoveringPoint:
         raise ValueError(
             f"center sum {center_sum} is incompatible with the gap vector {gaps}"
         )
-    point = _new(CoveringPoint)
-    _set_positions(point, tuple(accumulate(gaps[:-1], initial=lead - n)))
-    _set_point_ring_size(point, n)
-    if point.center_sum != center_sum:
+    positions = tuple(accumulate(gaps[:-1], initial=lead - n))
+    if sum(positions) != center_sum:
         raise ArithmeticError(
-            f"reconstructed {point.positions} has position sum {point.center_sum}, "
-            f"not {center_sum}"
+            f"reconstructed {positions} has position sum {sum(positions)}, not {center_sum}"
         )
-    return point
+    return positions, n
 
 
-def shift_action(point: CoveringPoint, steps: int = 1) -> CoveringPoint:
+def shift_action(point: tuple[Iterable[int], int], steps: int = 1) -> Point:
     """Apply the covering shift `steps` times; one step sends
     (j_1, ..., j_r) to (j_2, ..., j_r, j_1 + ring_size).  Negative steps
     apply the inverse.
@@ -177,19 +141,19 @@ def shift_action(point: CoveringPoint, steps: int = 1) -> CoveringPoint:
     to the end.  As j_r < j_1 + N, it strictly increases, and its span
     j_p + N - j_(p+1) is less than N.
     """
-    if type(point) is not CoveringPoint:
-        point = CoveringPoint(point.positions, point.ring_size)
-    positions, n = point.positions, point.ring_size
+    return _shift(covering_point(*point), steps)
+
+
+def _shift(point: Point, steps: int) -> Point:
+    """`shift_action` of a valid point."""
+    positions, n = point
     r = len(positions)
     if r == 0:
         return point
     whole, part = divmod(index(steps), r)
     if whole:
         positions = tuple(map(add, positions, repeat(whole * n)))
-    moved = _new(CoveringPoint)
-    _set_positions(moved, positions[part:] + tuple(map(add, positions[:part], repeat(n))))
-    _set_point_ring_size(moved, n)
-    return moved
+    return positions[part:] + tuple(map(add, positions[:part], repeat(n))), n
 
 
 def _check_marked_in_ring(ring_size: int, marked: int) -> None:

@@ -1,8 +1,9 @@
 """Exact counting and enumeration of partitions restricted to a rectangle.
 
-A partition fits an (a, b) rectangle when it has at most b parts, each of
-size at most a.  All counts are exact Python integers, so rectangles well
-past 64-bit coefficient sizes are fine.
+A partition is the tuple of its positive parts, weakly decreasing; `partition`
+checks one and strips its trailing zeros.  It fits an (a, b) rectangle when
+it has at most b parts, each of size at most a.  All counts are exact Python
+integers, so rectangles well past 64-bit coefficient sizes are fine.
 """
 
 from __future__ import annotations
@@ -11,42 +12,22 @@ from itertools import repeat
 from operator import ge
 from typing import Iterable, Iterator
 
-from ._value import Value
 from .qbinomial import _check_integers
 
-__all__ = ["Partition", "count_by_residue", "count_exact_parts_by_residue", "enumerate_restricted"]
+__all__ = ["count_by_residue", "count_exact_parts_by_residue", "enumerate_restricted", "partition"]
 
 
-class Partition(Value, order=True):
-    """Weakly decreasing part sizes; trailing zeros are stripped on construction.
-
-    The empty tuple is the zero partition.
-    """
-
-    __slots__ = __match_args__ = ("parts",)
-    parts: tuple[int, ...]
-
-    def __init__(self, parts: Iterable[int] = ()) -> None:
-        parts = tuple(parts)
-        if not (all(map(isinstance, parts, repeat(int))) and (not parts or min(parts) >= 0)):
-            raise ValueError(f"parts must be nonnegative integers: {parts!r}")
-        if not all(map(ge, parts, parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {parts!r}")
-        if parts and not parts[-1]:
-            parts = parts[:parts.index(0)]  # the zeros of a weakly decreasing tuple trail it
-        _set_parts(self, parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def fits(self, max_part: int, max_count: int) -> bool:
-        """True when there are at most max_count parts, each at most max_part."""
-        return len(self.parts) <= max_count and (not self.parts or self.parts[0] <= max_part)
-
-
-# The field is stored through its slot descriptor, past the frozen __setattr__.
-_set_parts = Partition.parts.__set__
+def partition(parts: Iterable[int] = ()) -> tuple[int, ...]:
+    """The weakly decreasing nonnegative part sizes as a tuple, trailing
+    zeros stripped; the empty tuple is the zero partition."""
+    parts = tuple(parts)
+    if not (all(map(isinstance, parts, repeat(int))) and (not parts or min(parts) >= 0)):
+        raise ValueError(f"parts must be nonnegative integers: {parts!r}")
+    if not all(map(ge, parts, parts[1:])):
+        raise ValueError(f"parts must be weakly decreasing: {parts!r}")
+    if parts and not parts[-1]:
+        parts = parts[:parts.index(0)]  # the zeros of a weakly decreasing tuple trail it
+    return parts
 
 
 def _validate_box(max_part: int, max_count: int) -> None:
@@ -55,24 +36,24 @@ def _validate_box(max_part: int, max_count: int) -> None:
         raise ValueError("rectangle dimensions must be nonnegative")
 
 
-def enumerate_restricted(max_part: int, max_count: int) -> Iterator[Partition]:
+def enumerate_restricted(max_part: int, max_count: int) -> Iterator[tuple[int, ...]]:
     """Yield each partition fitting the box exactly once, ordered
     lexicographically by the zero-padded part vector.
 
-    Produces C(max_part + max_count, max_count) partitions in total.
+    Produces C(max_part + max_count, max_count) partitions in total.  Each
+    is built unchecked: its parts are positive and each is at most the one
+    before it, so it is what `partition` returns for it.
     """
     _validate_box(max_part, max_count)
 
     def descend(bound: int, length: int) -> Iterator[tuple[int, ...]]:
-        if length == 0:
-            yield ()
-            return
-        for first in range(bound + 1):
-            for rest in descend(first, length - 1):
-                yield (first,) + rest
+        yield ()  # every part zero, the first padded vector
+        if length:
+            for first in range(1, bound + 1):
+                for rest in descend(first, length - 1):
+                    yield (first, *rest)
 
-    for vector in descend(max_part, max_count):
-        yield Partition(vector)
+    yield from descend(max_part, max_count)
 
 
 def count_by_residue(max_part: int, max_count: int, modulus: int) -> list[int]:

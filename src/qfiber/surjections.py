@@ -2,11 +2,17 @@
 
 A non-increasing surjection from [0, k+l] onto {1, ..., l} is encoded by the
 lengths (n_1, ..., n_l) of its level intervals, a composition of k+l into l
-positive steps.  These sequences are in bijection with partitions inside a
-k x (l-1) box, read off their cut positions n_1 + ... + n_i, and three
-groups act on them: rotation of the steps, unit scaling of the step
-positions, and arbitrary position permutations.  The gap vectors of
-`heisenberg`'s ring of N sites are step sequences summing to N.
+positive steps, held as a plain tuple; `step_sequence` checks one.  These
+sequences are in bijection with partitions inside a k x (l-1) box, read off
+their cut positions n_1 + ... + n_i, and three groups act on them: rotation
+of the steps, unit scaling of the step positions, and arbitrary position
+permutations.  The gap vectors of `heisenberg`'s ring of N sites are step
+sequences summing to N.
+
+Each public map and action sends its sequence through `step_sequence` once
+and builds its result without checks, valid by construction: a rotation or
+permutation of valid steps, or for the bijection and the enumerator the
+reason their docstrings give.
 """
 
 from __future__ import annotations
@@ -14,116 +20,97 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, combinations, repeat
 from math import comb, gcd
+from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ._value import Value
-from .partitions import Partition
+from .partitions import partition
 from .qbinomial import _check_integers, _divisor_table
 
 __all__ = [
-    "GROUPS", "StepSequence", "act_cyclic", "act_symmetric", "act_unit",
-    "enumerate_step_sequences", "integral", "orbit_histogram", "orbits",
-    "partition_to_surjection", "surjection_to_partition",
+    "GROUPS", "act_cyclic", "act_symmetric", "act_unit", "enumerate_step_sequences",
+    "integral", "orbit_histogram", "orbits", "partition_to_surjection", "step_sequence",
+    "surjection_to_partition",
 ]
 
 
-class StepSequence(Value, order=True):
-    """Level-interval lengths (n_1, ..., n_l) of a non-increasing surjection.
-
-    Positive integers; their sum is the domain length k+l.
-    """
-
-    __slots__ = __match_args__ = ("steps",)
-    steps: tuple[int, ...]
-
-    def __init__(self, steps: Iterable[int]) -> None:
-        steps = tuple(steps)
-        if not steps:
-            raise ValueError("a step sequence needs at least one step")
-        if not (all(map(isinstance, steps, repeat(int))) and min(steps) >= 1):
-            raise ValueError(f"steps must be positive integers: {steps!r}")
-        _set_steps(self, steps)
-
-    @property
-    def domain_length(self) -> int:
-        return sum(self.steps)
-
-    @property
-    def level_count(self) -> int:
-        return len(self.steps)
+def step_sequence(steps: Iterable[int]) -> tuple[int, ...]:
+    """The level-interval lengths (n_1, ..., n_l) of a non-increasing
+    surjection as a tuple: at least one step, each a positive integer; their
+    sum is the domain length k+l."""
+    steps = tuple(steps)
+    if not steps:
+        raise ValueError("a step sequence needs at least one step")
+    if not (all(map(isinstance, steps, repeat(int))) and min(steps) >= 1):
+        raise ValueError(f"steps must be positive integers: {steps!r}")
+    return steps
 
 
-# The field is stored through its slot descriptor, past the frozen __setattr__.
-_set_steps = StepSequence.steps.__set__
-
-
-def integral(s: StepSequence) -> int:
+def integral(s: Iterable[int]) -> int:
     """Area under the step function: step i has height l+1-i, so the area is
     n_1*l + n_2*(l-1) + ... + n_l."""
-    l = s.level_count
-    return sum(step * (l - i) for i, step in enumerate(s.steps))
+    steps = step_sequence(s)
+    l = len(steps)
+    return sum(step * (l - i) for i, step in enumerate(steps))
 
 
-def surjection_to_partition(s: StepSequence) -> Partition:
+def surjection_to_partition(s: Iterable[int]) -> tuple[int, ...]:
     """Partition read off the cut positions c_i = n_1 + ... + n_i: part j
     equals c_{l-j} - (l-j).
 
-    The result fits a (domain_length - l) x (l-1) box, and the area of the
-    surjection equals l(l-1)/2 + domain_length + weight of the partition.
+    With k+l the sum of the l steps, the result fits a k x (l-1) box, and
+    the area of the surjection is l(l-1)/2 + k + l + its weight.  The cuts
+    strictly increase from c_1 >= 1, so c_i - i >= 0 grows weakly with i:
+    read backwards, its zeros (which trail) left out, it is a partition.
     """
-    cuts = accumulate(s.steps[:-1])
-    return Partition(tuple(c - i for i, c in enumerate(cuts, 1))[::-1])
+    cuts = accumulate(step_sequence(s)[:-1])
+    return tuple(filter(None, (c - i for i, c in enumerate(cuts, 1))))[::-1]
 
 
-def partition_to_surjection(pi: Partition, k: int, l: int) -> StepSequence:
+def partition_to_surjection(pi: Iterable[int], k: int, l: int) -> tuple[int, ...]:
     """Steps of the surjection for a partition in the k x (l-1) box, cut at
-    c_i = (part l-i) + i; exact inverse of surjection_to_partition."""
+    c_i = (part l-i) + i; exact inverse of surjection_to_partition.  Parts
+    at most k make 0 < c_1 < ... < c_(l-1) < k+l, so the steps are positive."""
     _check_k_nonneg_l_positive(k, l)
-    if not pi.fits(k, l - 1):
-        raise ValueError(f"{pi} does not fit a {k} x {l - 1} box")
-    padded = pi.parts + (0,) * (l - 1 - len(pi.parts))
+    parts = partition(pi)
+    if len(parts) > l - 1 or parts and parts[0] > k:
+        raise ValueError(f"{parts} does not fit a {k} x {l - 1} box")
+    padded = parts + (0,) * (l - 1 - len(parts))
     cuts = (0, *(padded[l - 2 - i] + i + 1 for i in range(l - 1)), k + l)
-    return StepSequence(b - a for a, b in zip(cuts, cuts[1:]))
+    return tuple(map(sub, cuts[1:], cuts))
 
 
-def act_cyclic(s: StepSequence, power: int = 1) -> StepSequence:
+def act_cyclic(s: Iterable[int], power: int = 1) -> tuple[int, ...]:
     """Rotate the steps right by `power` positions; the generator sends
     (n_1, ..., n_l) to (n_l, n_1, ..., n_{l-1})."""
+    steps = step_sequence(s)
     _check_integers(power=power)
-    l = s.level_count
-    shift = power % l
-    if shift == 0:
-        return s
-    return StepSequence(s.steps[-shift:] + s.steps[:-shift])
+    shift = power % len(steps)
+    return steps[-shift:] + steps[:-shift] if shift else steps
 
 
-def _position(index: int, l: int) -> int:
-    """Representative of a residue in {1, ..., l}, with l standing in for 0."""
-    rep = index % l
-    return rep if rep else l
-
-
-def act_unit(s: StepSequence, u: int) -> StepSequence:
+def act_unit(s: Iterable[int], u: int) -> tuple[int, ...]:
     """Scale step positions by a unit u mod l: position i receives the step
     from position u^{-1} * i (indices taken in {1, ..., l})."""
+    steps = step_sequence(s)
     _check_integers(u=u)
-    l = s.level_count
+    l = len(steps)
     if gcd(u, l) != 1:
         raise ValueError(f"u={u} is not a unit modulo {l}")
     inv = pow(u, -1, l)
-    return StepSequence(tuple(s.steps[_position(inv * i, l) - 1] for i in range(1, l + 1)))
+    return tuple(steps[(inv * i - 1) % l] for i in range(1, l + 1))
 
 
-def act_symmetric(s: StepSequence, sigma: Sequence[int]) -> StepSequence:
+def act_symmetric(s: Iterable[int], sigma: Sequence[int]) -> tuple[int, ...]:
     """Permute the steps: position i receives the step from position sigma(i).
 
     sigma is a 1-based permutation of 1..l given as a sequence; applying tau
     and then sigma equals applying i -> tau(sigma(i)) at once.
     """
-    l = s.level_count
+    steps = step_sequence(s)
+    l = len(steps)
     if not all(isinstance(i, int) for i in sigma) or sorted(sigma) != list(range(1, l + 1)):
         raise ValueError(f"sigma must be a permutation of 1..{l}: {sigma!r}")
-    return StepSequence(tuple(s.steps[sigma[i] - 1] for i in range(l)))
+    return tuple(steps[sigma[i] - 1] for i in range(l))
 
 
 def _check_k_nonneg_l_positive(k: int, l: int) -> None:
@@ -133,29 +120,31 @@ def _check_k_nonneg_l_positive(k: int, l: int) -> None:
         raise ValueError("need k >= 0 and l >= 1")
 
 
-def enumerate_step_sequences(k: int, l: int) -> Iterator[StepSequence]:
+def enumerate_step_sequences(k: int, l: int) -> Iterator[tuple[int, ...]]:
     """All C(k+l-1, l-1) compositions of k+l into l positive steps, in
-    ascending cut-position order.  Takes no cap: the caller bounds the count."""
+    ascending cut-position order.  Takes no cap: the caller bounds the count.
+    Each is built unchecked: the gaps between 0, strictly increasing cuts
+    inside (0, k+l) and k+l are positive."""
     _check_k_nonneg_l_positive(k, l)
     length = k + l
     for cuts in combinations(range(1, length), l - 1):
-        bounds = (0,) + cuts + (length,)
-        yield StepSequence(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+        bounds = (0, *cuts, length)
+        yield tuple(map(sub, bounds[1:], bounds))
 
 
 GROUPS = ("cyclic", "units", "symmetric")
 
 
-def _cyclic_orbit(s: StepSequence) -> frozenset[StepSequence]:
-    return frozenset(act_cyclic(s, p) for p in range(s.level_count))
+def _cyclic_orbit(steps: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    return frozenset(act_cyclic(steps, p) for p in range(len(steps)))
 
 
-def _unit_orbit(s: StepSequence) -> frozenset[StepSequence]:
-    l = s.level_count
-    return frozenset(act_unit(s, u) for u in range(1, l + 1) if gcd(u, l) == 1)
+def _unit_orbit(steps: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    l = len(steps)
+    return frozenset(act_unit(steps, u) for u in range(1, l + 1) if gcd(u, l) == 1)
 
 
-def orbits(k: int, l: int, group: str) -> list[frozenset[StepSequence]]:
+def orbits(k: int, l: int, group: str) -> list[frozenset[tuple[int, ...]]]:
     """Partition all step sequences for (k, l) into orbits of the chosen group.
 
     `group` is one of "cyclic" (rotations), "units" (unit scaling of
@@ -173,15 +162,15 @@ def orbits(k: int, l: int, group: str) -> list[frozenset[StepSequence]]:
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}: {group!r}")
     sequences = list(enumerate_step_sequences(k, l))
-    classes: list[frozenset[StepSequence]]
+    classes: list[frozenset[tuple[int, ...]]]
     if group == "symmetric":
-        by_multiset: dict[tuple[int, ...], list[StepSequence]] = {}
+        by_multiset: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for s in sequences:
-            by_multiset.setdefault(tuple(sorted(s.steps)), []).append(s)
+            by_multiset.setdefault(tuple(sorted(s)), []).append(s)
         classes = [frozenset(members) for members in by_multiset.values()]
     else:
         close = _cyclic_orbit if group == "cyclic" else _unit_orbit
-        seen: set[StepSequence] = set()
+        seen: set[tuple[int, ...]] = set()
         classes = []
         for s in sequences:
             if s in seen:

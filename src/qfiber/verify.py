@@ -2,8 +2,10 @@
 
 Each suite sweeps one family of exact identities at a configurable scale,
 comparing closed-form predictions against independently computed tables,
-and returns structured pass/fail reports.  A failing check never aborts a
-sweep; callers decide what to do with failures.
+and returns its reports, each a `CheckReport` named tuple.  A failing check
+never aborts a sweep; callers decide what to do with failures.  The
+covering walk of `fibrations` runs `heisenberg`'s unchecked kernels on the
+points it builds, as the public maps would check each argument again.
 """
 
 from __future__ import annotations
@@ -12,17 +14,16 @@ import time
 from collections import Counter
 from functools import lru_cache
 from math import comb, gcd
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
-from ._value import Value
 from .heisenberg import (
+    _gap_vector,
+    _rebuild,
+    _shift,
     delta_fiber_sizes,
     delta_fiber_sizes_closed_form,
     delta_fiber_sizes_via_partitions,
     enumerate_configurations,
-    reconstruct,
-    relative_positions,
-    shift_action,
 )
 from .partitions import count_by_residue, count_exact_parts_by_residue
 from .qbinomial import (
@@ -58,7 +59,7 @@ Values = Union[int, list[int], str]
 _CHECK_ERRORS = (ArithmeticError, ValueError)
 
 
-class CheckReport(Value, frozen=False):
+class CheckReport(NamedTuple):
     """Outcome of one identity check; passes iff expected equals actual.
 
     A side, or a covering round trip, that raised ArithmeticError or
@@ -68,21 +69,12 @@ class CheckReport(Value, frozen=False):
     its points and each carry half of its time.
     """
 
-    __slots__ = __match_args__ = (
-        "check_id", "parameters", "expected", "actual", "status", "elapsed")
     check_id: str
     parameters: dict[str, int]
     expected: Values
     actual: Values
     status: str
     elapsed: float
-
-    def __init__(
-        self, check_id: str, parameters: dict[str, int], expected: Values, actual: Values,
-        status: str, elapsed: float,
-    ) -> None:
-        self.check_id, self.parameters, self.expected = check_id, parameters, expected
-        self.actual, self.status, self.elapsed = actual, status, elapsed
 
 
 def _check(
@@ -258,15 +250,15 @@ def check_counterexamples() -> list[CheckReport]:
 
 def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
     """Count, in one pass over the covering points with first mark in
-    [1, ring_size], those that `reconstruct` rebuilds from their position sum
-    and gap vector (the `StepSequence` of `relative_positions`) and those
-    whose shift is the covering shift.  An ArithmeticError or ValueError from
-    the round trip takes the place of its count, as the text a failed check
-    reports, and the walk goes on: `reconstruct` raises ValueError when a
-    wrong shift leaves the point off the walk's own sum.  Such an error from
-    `shift_action` leaves no point to walk on to, so the walk stops there:
-    the error text takes the place of the shift count, and the round trips
-    keep the count they reached.
+    [1, ring_size], those that `_rebuild` rebuilds from their position sum
+    and gap vector (`_gap_vector`) and those whose `_shift` is the covering
+    shift.  An ArithmeticError or ValueError from the round trip takes the
+    place of its count, as the text a failed check reports, and the walk
+    goes on: `_rebuild` raises ValueError when a wrong shift leaves the
+    point off the walk's own sum.  Such an error from `_shift` leaves no
+    point to walk on to, so the walk stops there: the error text takes the
+    place of the shift count, and the round trips keep the count they
+    reached.
 
     The points are walked by shift orbits.  With N = ring_size and r =
     marked, shift^k(c) has first mark c_(k+1) for an r-subset c of [1, N]
@@ -277,22 +269,24 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
     shift^k(c).
 
     The C(N, r) starts c come from `enumerate_configurations`; each later
-    point is the output of `shift_action`, and the walk's own position sum
-    goes up by N at each step.  A point counts for the shift check only if
-    its shift has the positions (j_2, ..., j_r, j_1 + N) and that raised
-    sum, so a wrong shift fails the check wherever the walk meets it.
+    point is the output of `_shift`, and the walk's own position sum goes
+    up by N at each step.  A point counts for the shift check only if its
+    shift has the positions (j_2, ..., j_r, j_1 + N) and that raised sum,
+    so a wrong shift fails the check wherever the walk meets it.
 
-    The starts and the three maps are read from this module's globals once
-    per call, so a function rebound there is the one walked, and the
-    positions and position sum of the current point are carried from one
-    step to the next.
+    The walk runs the kernels of `relative_positions`, `reconstruct` and
+    `shift_action`, whose points are valid by construction, so no argument
+    is checked again.  The starts and the three kernels are read from this
+    module's globals once per call, so a function rebound there is the one
+    walked, and the positions and position sum of the current point are
+    carried from one step to the next.
     """
     n = ring_size
-    gap_vector, rebuild, shift = relative_positions, reconstruct, shift_action
+    gap_vector, rebuild, shift = _gap_vector, _rebuild, _shift
     round_trips = shifted = 0
     failure = None
     for point in enumerate_configurations(n, marked):
-        positions = point.positions
+        positions = point[0]
         total = sum(positions)
         for _ in range(marked):
             if failure is None:
@@ -305,7 +299,7 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
             except _CHECK_ERRORS as exc:
                 return round_trips if failure is None else failure, _error_text(exc)
             total += n
-            moved = point.positions
+            moved = point[0]
             shifted += moved == positions[1:] + (positions[0] + n,) and sum(moved) == total
             positions = moved
     return round_trips if failure is None else failure, shifted
@@ -322,8 +316,8 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
     prime r must put a single +1 excess at class 0.  One `_covering_walk`
     counts, of the r * C(N, r) covering points with first mark in [1, N],
     those on which `reconstruct` inverts `relative_positions` (the point's
-    gap vector, as a `StepSequence`) and those that `shift_action` moves
-    right, and each count must equal r * C(N, r).  The round trip checks
+    gap vector) and those that `shift_action` moves right, through their
+    kernels, and each count must equal r * C(N, r).  The round trip checks
     only the arithmetic of the two maps, so a point that breaks the covering
     rules still round-trips: `covering-shift` catches a forged shift.  A
     shift that raises ArithmeticError or ValueError ends the walk of its
@@ -355,14 +349,12 @@ def check_fibrations(ring_max: int = DEFAULT_RING_BOUND) -> list[CheckReport]:
                     "fibers-prime-gap", params,
                     lambda: [common + 1] + [common] * (r - 1), lambda: table))
             started = time.perf_counter()
-            round_trips, shifted = _covering_walk(n, r)
+            counts = _covering_walk(n, r)
             share = (time.perf_counter() - started) / 2
-            for check_id, counted in (
-                ("covering-roundtrip", round_trips), ("covering-shift", shifted)
-            ):
-                report = _check(check_id, params, lambda: r * comb(n, r), lambda: counted)
-                report.elapsed += share
-                reports.append(report)
+            points = r * comb(n, r)
+            for check_id, counted in zip(("covering-roundtrip", "covering-shift"), counts):
+                status = "pass" if counted == points else "fail"
+                reports.append(CheckReport(check_id, params, points, counted, status, share))
     return _ordered(reports)
 
 

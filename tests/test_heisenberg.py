@@ -5,18 +5,17 @@ import pickle
 import re
 import tracemalloc
 from collections import deque
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, gcd
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qfiber.heisenberg as heisenberg
 import qfiber.qbinomial as qbinomial
 from qfiber.heisenberg import (
-    CoveringPoint,
     center_projection,
+    covering_point,
     delta_fiber_sizes,
     delta_fiber_sizes_closed_form,
     delta_fiber_sizes_via_partitions,
@@ -25,7 +24,17 @@ from qfiber.heisenberg import (
     relative_positions,
     shift_action,
 )
-from qfiber.surjections import StepSequence, act_cyclic, enumerate_step_sequences, integral
+from qfiber.partitions import enumerate_restricted, partition
+from qfiber.surjections import (
+    act_cyclic,
+    act_symmetric,
+    act_unit,
+    enumerate_step_sequences,
+    integral,
+    partition_to_surjection,
+    step_sequence,
+    surjection_to_partition,
+)
 
 
 def covering_points(ring_size, marked):
@@ -37,7 +46,7 @@ def covering_points(ring_size, marked):
             positions = [first]
             for gap in gaps[:-1]:
                 positions.append(positions[-1] + gap)
-            yield CoveringPoint(tuple(positions), ring_size)
+            yield covering_point(positions, ring_size)
 
 
 def brute_delta(n, r):
@@ -53,66 +62,56 @@ def brute_delta(n, r):
 
 
 def test_covering_point_validation():
-    CoveringPoint((-2, 1), 5)
-    CoveringPoint((), 1)
+    covering_point((-2, 1), 5)
+    covering_point((), 1)
     for positions in [(1, 1.5), ("2",), (None, 3)]:
         message = re.escape(f"positions must be integers: {positions!r}")
         with pytest.raises(ValueError, match=message):
-            CoveringPoint(positions, 5)
+            covering_point(positions, 5)
     for ring_size in (0, -1):
         with pytest.raises(ValueError, match="^ring_size must be positive$"):
-            CoveringPoint((1,), ring_size)
+            covering_point((1,), ring_size)
     for positions in [(1, 1), (3, 1), (-4, -2, -2)]:
         message = re.escape(f"positions must be strictly increasing: {positions!r}")
         with pytest.raises(ValueError, match=message):
-            CoveringPoint(positions, 5)
+            covering_point(positions, 5)
     for positions in [(1, 6), (-7, -2), (0, 2, 9)]:
         message = re.escape(f"span must be less than ring_size=5: {positions!r}")
         with pytest.raises(ValueError, match=message):
-            CoveringPoint(positions, 5)
-    assert CoveringPoint((True, 2), 2).positions == (1, 2)
-    from_list = CoveringPoint([-2, 1], 5)
-    assert from_list.positions == (-2, 1) and type(from_list.positions) is tuple
-    assert from_list == CoveringPoint((-2, 1), 5)
-    assert hash(from_list) == hash(CoveringPoint((-2, 1), 5))
+            covering_point(positions, 5)
+    assert covering_point((True, 2), 2)[0] == (1, 2)
+    from_list = covering_point([-2, 1], 5)
+    assert from_list == ((-2, 1), 5) and type(from_list[0]) is tuple
+    assert from_list == covering_point((-2, 1), 5)
+    assert hash(from_list) == hash(covering_point((-2, 1), 5))
     with pytest.raises(ValueError, match=re.escape("span must be less than ring_size=5: (1, 6)")):
-        CoveringPoint([1, 6], 5)
+        covering_point([1, 6], 5)
 
 
-def test_value_classes_keep_their_generated_contract():
-    """repr, equality that checks the class, ordering, hashing, frozen
-    fields, pickle and copy round trips, positional match and field names."""
-    point, gaps = CoveringPoint((1, 3), 5), StepSequence((2, 3))
-    assert repr(point) == "CoveringPoint(positions=(1, 3), ring_size=5)"
-    assert gaps != CoveringPoint((2, 3), 5) and CoveringPoint((2, 3), 5) != gaps
-    assert point < CoveringPoint((1, 4), 5) < CoveringPoint((1, 4), 6)
-    assert point < CoveringPoint((2, 3), 5) and CoveringPoint((-1, 0), 9) < point
-    for smaller, larger in [(point, gaps), (gaps, point)]:
-        with pytest.raises(TypeError):
-            smaller < larger
-    names = ["positions", "ring_size"]
-    assert list(CoveringPoint.__match_args__) == names
-    twin = CoveringPoint((1, 3), 5)
-    assert twin == point and hash(twin) == hash(point) and twin is not point
-    assert point != ((1, 3), 5) and point != (1, 3)
-    for name in names:
-        with pytest.raises(AttributeError):
-            setattr(point, name, (1, 3))
-        with pytest.raises(AttributeError):
-            delattr(point, name)
+def test_points_and_gap_vectors_are_plain_tuples():
+    """A point is the pair (positions, ring_size) and a gap vector the tuple
+    of its steps: ordered, hashed, pickled, copied and matched as tuples."""
+    point, gaps = covering_point((1, 3), 5), step_sequence((2, 3))
+    assert type(point) is type(point[0]) is type(gaps) is tuple
+    assert point == ((1, 3), 5) and gaps == (2, 3)
+    assert gaps != covering_point((2, 3), 5) and covering_point((2, 3), 5) != gaps
+    assert point < covering_point((1, 4), 5) < covering_point((1, 4), 6)
+    assert point < covering_point((2, 3), 5) and covering_point((-1, 0), 9) < point
+    twin = covering_point([1, 3], 5)
+    assert twin == point and hash(twin) == hash(point)
     for copied in (pickle.loads(pickle.dumps(point)), copy.copy(point), copy.deepcopy(point)):
-        assert type(copied) is CoveringPoint and copied == point
+        assert type(copied) is tuple and copied == point
     match point:
-        case CoveringPoint(first, second):
+        case (first, second):
             assert (first, second) == ((1, 3), 5)
         case _:
-            pytest.fail(f"{point!r} does not match CoveringPoint positionally")
+            pytest.fail(f"{point!r} is not a pair")
 
 
 def test_enumerate_configurations_examples():
-    got = [c.positions for c in enumerate_configurations(3, 2)]
+    got = [positions for positions, _ in enumerate_configurations(3, 2)]
     assert got == [(1, 2), (1, 3), (2, 3)]
-    assert [c.positions for c in enumerate_configurations(4, 0)] == [()]
+    assert list(enumerate_configurations(4, 0)) == [((), 4)]
 
 
 def test_enumerate_configurations_counts():
@@ -124,13 +123,12 @@ def test_enumerate_configurations_counts():
 
 
 def test_enumerated_configurations_are_the_checked_ones():
-    # built unchecked, each equals the covering point the public constructor
-    # makes from the same r-subset, and is of exactly its class
+    # built unchecked, each equals the covering point `covering_point` makes
+    # from the same r-subset
     for n in range(1, 9):
         for r in range(n + 1):
             enumerated = list(enumerate_configurations(n, r))
-            assert enumerated == [CoveringPoint(c, n) for c in combinations(range(1, n + 1), r)]
-            assert all(type(c) is CoveringPoint for c in enumerated)
+            assert enumerated == [covering_point(c, n) for c in combinations(range(1, n + 1), r)]
     # the arguments are checked when called, not when iterated
     for ring_size, marked, message in [
         (3, 4, "need 0 <= marked <= ring_size"), (3, -1, "need 0 <= marked <= ring_size"),
@@ -143,9 +141,11 @@ def test_enumerated_configurations_are_the_checked_ones():
 
 
 def test_center_projection_values():
-    assert center_projection(CoveringPoint((1, 2), 3)) == 0
-    assert center_projection(CoveringPoint((1, 3), 3)) == 1
-    assert center_projection(CoveringPoint((-2, 1), 5)) == 4
+    assert center_projection(((1, 2), 3)) == 0
+    assert center_projection(((1, 3), 3)) == 1
+    assert center_projection(([-2, 1], 5)) == 4
+    with pytest.raises(ValueError, match=re.escape("span must be less than ring_size=5: (1, 6)")):
+        center_projection(((1, 6), 5))
 
 
 def test_center_projection_fibers_sum_to_binomial():
@@ -201,45 +201,50 @@ def test_center_projection_fibers_match_their_closed_form():
 
 
 def test_relative_positions_examples():
-    assert relative_positions(CoveringPoint((1, 3), 5)) == StepSequence((2, 3))
-    assert relative_positions(CoveringPoint((1, 2, 3), 3)) == StepSequence((1, 1, 1))
-    assert relative_positions(CoveringPoint((3, 6), 5)) == StepSequence((3, 2))
-    with pytest.raises(ValueError):
-        relative_positions(CoveringPoint((), 4))
+    assert relative_positions(((1, 3), 5)) == (2, 3)
+    assert relative_positions(((1, 2, 3), 3)) == (1, 1, 1)
+    assert relative_positions(([3, 6], 5)) == (3, 2)
+    with pytest.raises(ValueError, match="^need at least one marked node$"):
+        relative_positions(((), 4))
 
 
 @given(st.integers(min_value=1, max_value=9), st.data())
 def test_relative_positions_sum_to_ring_size(n, data):
     r = data.draw(st.integers(min_value=1, max_value=n))
     nodes = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=r, max_size=r))))
-    gaps = relative_positions(CoveringPoint(nodes, n))
-    assert sum(gaps.steps) == n
+    gaps = relative_positions((nodes, n))
+    assert sum(gaps) == n
 
 
 def test_reconstruct_worked_example():
-    point = reconstruct(3, StepSequence((1, 1, 1)))
-    assert point.positions == (0, 1, 2)
-    assert point.center_sum == 3
+    point = reconstruct(3, (1, 1, 1))
+    assert point == ((0, 1, 2), 3)
+    assert sum(point[0]) == 3
+    assert reconstruct(3, [1, 1, 1]) == point
 
 
 def test_reconstruct_rejects_incompatible_sum():
-    with pytest.raises(ValueError):
-        reconstruct(4, StepSequence((1, 1, 1)))
+    message = "center sum 4 is incompatible with the gap vector (1, 1, 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reconstruct(4, (1, 1, 1))
 
 
 def test_reconstruct_checks_its_position_sum(monkeypatch):
-    # an explicit raise, not an assert, so the check also runs under `python -O`
-    monkeypatch.setattr(
-        CoveringPoint, "center_sum", property(lambda self: sum(self.positions) + 1))
-    with pytest.raises(ArithmeticError, match="position sum 4, not 3"):
-        reconstruct(3, StepSequence((1, 1, 1)))
+    # an explicit raise, not an assert, so the check also runs under `python -O`:
+    # prefix sums that start one too high rebuild (1, 2, 3) for the sum 3
+    def raised(values, initial=None):
+        return accumulate(values, initial=initial if initial is None else initial + 1)
+
+    monkeypatch.setattr(heisenberg, "accumulate", raised)
+    with pytest.raises(ArithmeticError, match=re.escape("(1, 2, 3) has position sum 6, not 3")):
+        reconstruct(3, (1, 1, 1))
 
 
 def test_reconstruct_round_trip():
     for n in range(1, 9):
         for r in range(1, n + 1):
             for point in covering_points(n, r):
-                rebuilt = reconstruct(point.center_sum, relative_positions(point))
+                rebuilt = reconstruct(sum(point[0]), relative_positions(point))
                 assert rebuilt == point
 
 
@@ -249,22 +254,23 @@ def test_compatibility_of_position_sums():
     for n in range(1, 9):
         for r in range(1, n + 1):
             for point in covering_points(n, r):
-                gaps = relative_positions(point).steps
+                gaps = relative_positions(point)
                 weighted = sum(beta * g for beta, g in enumerate(gaps, start=1))
-                assert (point.center_sum + weighted) % r == 0
+                assert (sum(point[0]) + weighted) % r == 0
 
 
 def test_shift_action_examples():
-    assert shift_action(CoveringPoint((1, 3), 5), 1).positions == (3, 6)
-    assert shift_action(CoveringPoint((1, 3), 5), -1).positions == (-2, 1)
-    assert shift_action(CoveringPoint((), 5), 3).positions == ()
+    assert shift_action(((1, 3), 5), 1) == ((3, 6), 5)
+    assert shift_action(([1, 3], 5)) == ((3, 6), 5)
+    assert shift_action(((1, 3), 5), -1) == ((-2, 1), 5)
+    assert shift_action(((), 5), 3) == ((), 5)
 
 
 def test_shift_action_raises_center_sum_by_ring_size():
     for n in range(1, 8):
         for r in range(1, n + 1):
             for point in covering_points(n, r):
-                assert shift_action(point, 1).center_sum == point.center_sum + n
+                assert sum(shift_action(point, 1)[0]) == sum(point[0]) + n
 
 
 def test_shift_action_full_cycle_translates():
@@ -272,7 +278,7 @@ def test_shift_action_full_cycle_translates():
         for r in range(1, n + 1):
             for point in covering_points(n, r):
                 moved = shift_action(point, r)
-                assert moved.positions == tuple(j + n for j in point.positions)
+                assert moved == (tuple(j + n for j in point[0]), n)
 
 
 def test_covering_shift_is_the_cyclic_action_on_gap_vectors():
@@ -304,22 +310,26 @@ def far_covering_points(draw):
         st.integers(min_value=-10**6, max_value=10**6),
         st.integers(min_value=-10**40, max_value=10**40)))
     cuts = draw(st.permutations(range(1, n)))[:r - 1]
-    return CoveringPoint((first, *sorted(first + c for c in cuts)), n)
+    return covering_point((first, *sorted(first + c for c in cuts)), n)
 
 
-def assert_rebuilds(value, cls):
-    """`value` is exactly a `cls`, and `cls`'s own constructor takes its
-    fields back to an equal, equal-hashing value."""
-    assert type(value) is cls
-    again = cls(*(getattr(value, name) for name in cls.__match_args__))
-    assert again == value and hash(again) == hash(value)
+def assert_valid_point(point):
+    """`point` is a pair of a tuple and an int that `covering_point` returns
+    unchanged."""
+    assert type(point) is type(point[0]) is tuple and type(point[1]) is int
+    assert covering_point(*point) == point
+
+
+def assert_valid_steps(steps):
+    """`steps` is a tuple that `step_sequence` returns unchanged."""
+    assert type(steps) is tuple and step_sequence(steps) == steps
 
 
 @given(far_covering_points(), st.integers(min_value=1, max_value=10**6), st.data())
 def test_round_trip_and_shift_law_off_the_suite_range(point, size, data):
-    n, r = point.ring_size, len(point.positions)
-    assert reconstruct(point.center_sum, relative_positions(point)) == point
-    assert shift_action(point, r).positions == tuple(j + n for j in point.positions)
+    (positions, n), r = point, len(point[0])
+    assert reconstruct(sum(positions), relative_positions(point)) == point
+    assert shift_action(point, r) == (tuple(j + n for j in positions), n)
     steps = st.integers(min_value=r + 1, max_value=r + size)
     a = data.draw(steps) * data.draw(st.sampled_from((1, -1)))
     b = data.draw(steps) * data.draw(st.sampled_from((1, -1)))
@@ -328,16 +338,16 @@ def test_round_trip_and_shift_law_off_the_suite_range(point, size, data):
     for j in (1, -1, r + 2, a):
         assert relative_positions(shift_action(point, j)) == act_cyclic(gaps, -j)
     # the maps build their results without re-checking them: each must obey
-    # every rule of its class
+    # every rule of its validator
     k = data.draw(st.integers(min_value=-10**6, max_value=10**6))
-    rebuilt = reconstruct(point.center_sum + k * r * n, relative_positions(point))
+    rebuilt = reconstruct(sum(positions) + k * r * n, relative_positions(point))
     assert rebuilt == shift_action(point, k * r)
-    configuration = CoveringPoint(sorted((j - 1) % n + 1 for j in point.positions), n)
-    assert_rebuilds(gaps, StepSequence)
-    assert_rebuilds(relative_positions(configuration), StepSequence)
-    assert sum(gaps.steps) == sum(relative_positions(configuration).steps) == n
-    assert_rebuilds(rebuilt, CoveringPoint)
-    assert_rebuilds(shift_action(point, data.draw(st.integers(-3 * r, 3 * r))), CoveringPoint)
+    configuration = covering_point(sorted((j - 1) % n + 1 for j in positions), n)
+    assert_valid_steps(gaps)
+    assert_valid_steps(relative_positions(configuration))
+    assert sum(gaps) == sum(relative_positions(configuration)) == n
+    assert_valid_point(rebuilt)
+    assert_valid_point(shift_action(point, data.draw(st.integers(-3 * r, 3 * r))))
 
 
 @given(far_covering_points(), st.integers(min_value=-10**6, max_value=10**6))
@@ -346,26 +356,27 @@ def test_center_projection_is_constant_on_shift_orbits(point, steps):
 
 
 def test_maps_validate_arguments_not_exactly_of_their_class():
-    for call in (
-        lambda: reconstruct(3.0, StepSequence((1, 1, 1))),
-        lambda: shift_action(SimpleNamespace(positions=(3, 1), ring_size=5), 1),
-        lambda: relative_positions(SimpleNamespace(positions=(1, 9), ring_size=5)),
-        lambda: reconstruct(3, SimpleNamespace(steps=(0, 3))),
+    # a list, or a tuple that breaks a rule, goes through the validator first
+    for call, message in (
+        (lambda: reconstruct(3.0, (1, 1, 1)), "center_sum must be an integer: 3.0"),
+        (lambda: shift_action(((3, 1), 5), 1), "positions must be strictly increasing: (3, 1)"),
+        (lambda: relative_positions(((1, 9), 5)), "span must be less than ring_size=5: (1, 9)"),
+        (lambda: reconstruct(3, (0, 3)), "steps must be positive integers: (0, 3)"),
         # a compatible sum, which would rebuild the point (2, 2)
-        lambda: reconstruct(4, SimpleNamespace(steps=(0, 3))),
+        (lambda: reconstruct(4, [0, 3]), "steps must be positive integers: (0, 3)"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
-    point = CoveringPoint((-2, 0, 1), 5)
-    duck = SimpleNamespace(positions=point.positions, ring_size=5)
+    point = covering_point((-2, 0, 1), 5)
+    listed = ([-2, 0, 1], 5)
     gaps = relative_positions(point)
-    assert_rebuilds(relative_positions(duck), StepSequence)
-    assert relative_positions(duck) == gaps
+    assert_valid_steps(relative_positions(listed))
+    assert relative_positions(listed) == gaps
     for steps in (-4, 0, 1, 7):
-        assert_rebuilds(shift_action(duck, steps), CoveringPoint)
-        assert shift_action(duck, steps) == shift_action(point, steps)
-    rebuilt = reconstruct(point.center_sum, SimpleNamespace(steps=gaps.steps))
-    assert_rebuilds(rebuilt, CoveringPoint)
+        assert_valid_point(shift_action(listed, steps))
+        assert shift_action(listed, steps) == shift_action(point, steps)
+    rebuilt = reconstruct(sum(point[0]), list(gaps))
+    assert_valid_point(rebuilt)
     assert rebuilt == point
 
 
@@ -373,8 +384,10 @@ def test_integer_rules_the_maps_rely_on():
     # a float ring size or step count would carry floats into the positions
     # and gaps that the maps build unchecked, so neither gets that far
     with pytest.raises(ValueError, match=re.escape("ring_size must be an integer: 5.0")):
-        CoveringPoint((1, 3), 5.0)
-    point = CoveringPoint((1, 3), 5)
+        covering_point((1, 3), 5.0)
+    with pytest.raises(ValueError, match=re.escape("ring_size must be an integer: 5.0")):
+        shift_action(((1, 3), 5.0), 1)
+    point = covering_point((1, 3), 5)
     for steps in (1.0, 2.0):
         with pytest.raises(TypeError):
             shift_action(point, steps)
@@ -383,8 +396,8 @@ def test_integer_rules_the_maps_rely_on():
         def __index__(self):
             return 3
 
-    assert_rebuilds(shift_action(point, Three()), CoveringPoint)
-    assert shift_action(point, Three()).positions == (8, 11)
+    assert_valid_point(shift_action(point, Three()))
+    assert shift_action(point, Three())[0] == (8, 11)
 
 
 def test_shift_orbits_recover_configurations():
@@ -392,7 +405,7 @@ def test_shift_orbits_recover_configurations():
     for n in range(2, 8):
         for r in range(1, n + 1):
             reduced = {
-                tuple(sorted((j - 1) % n + 1 for j in point.positions))
+                tuple(sorted((j - 1) % n + 1 for j in point[0]))
                 for point in covering_points(n, r)
             }
             assert len(reduced) == comb(n, r)
@@ -419,7 +432,7 @@ def test_delta_fibers_are_classes_of_gap_vector_areas():
             areas, reversed_areas = [0] * r, [0] * r
             for t in enumerate_step_sequences(n - r, r):
                 areas[(integral(t) - n) % r] += 1
-                reversed_areas[-integral(StepSequence(t.steps[::-1])) % r] += 1
+                reversed_areas[-integral(t[::-1]) % r] += 1
             assert areas == reversed_areas == delta_fiber_sizes(n, r), (n, r)
 
 
@@ -551,3 +564,31 @@ def test_closed_form_validation():
         delta_fiber_sizes_closed_form(5, 2.0)
     with pytest.raises(TypeError):
         delta_fiber_sizes_closed_form(12, 6, max_elements=462)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=-20, max_value=20), st.data())
+def test_unchecked_builds_pass_their_validators_unchanged(k, l, power, data):
+    # every result built without checks is what its validator returns for it:
+    # the enumerators, the bijection maps, the actions and the walk's kernels
+    for pi in enumerate_restricted(k, l - 1):
+        assert type(pi) is tuple and partition(pi) == pi
+        assert_valid_steps(partition_to_surjection(pi, k, l))
+    steps = list(enumerate_step_sequences(k, l))
+    for s in steps:
+        assert_valid_steps(s)
+        assert partition(surjection_to_partition(s)) == surjection_to_partition(s)
+    s = data.draw(st.sampled_from(steps))
+    units = [u for u in range(1, l + 1) if gcd(u, l) == 1]
+    sigma = data.draw(st.permutations(range(1, l + 1)))
+    for moved in (act_cyclic(s, power), act_unit(s, data.draw(st.sampled_from(units))),
+                  act_symmetric(s, sigma)):
+        assert_valid_steps(moved)
+    n, r = k + l, l
+    for point in enumerate_configurations(n, r):
+        assert_valid_point(point)
+        gaps = heisenberg._gap_vector(point)
+        assert_valid_steps(gaps)
+        assert_valid_point(heisenberg._rebuild(sum(point[0]), gaps))
+        assert_valid_point(heisenberg._shift(point, power))

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qfiber.partitions import (
-    Partition,
     count_by_residue,
     count_exact_parts_by_residue,
     enumerate_restricted,
+    partition,
 )
 from qfiber.qbinomial import gaussian_coefficients as v
+from qfiber.surjections import integral, partition_to_surjection
 
 
 def brute_box(max_part, max_count):
@@ -29,26 +30,40 @@ def brute_box(max_part, max_count):
 
 
 def test_partition_strips_trailing_zeros():
-    assert Partition((3, 2, 0, 0)).parts == (3, 2)
-    assert Partition(()).parts == ()
-    assert Partition((0, 0)).parts == ()
+    assert partition((3, 2, 0, 0)) == (3, 2)
+    assert partition(()) == partition() == ()
+    assert partition((0, 0)) == ()
+    assert partition([2, 2]) == (2, 2)
 
 
 def test_partition_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, -1))
+    with pytest.raises(ValueError, match=r"^parts must be weakly decreasing: \(1, 2\)$"):
+        partition((1, 2))
+    with pytest.raises(ValueError, match=r"^parts must be nonnegative integers: \(2, -1\)$"):
+        partition((2, -1))
+    with pytest.raises(ValueError, match=r"^parts must be nonnegative integers: \(2, 1\.0\)$"):
+        partition((2, 1.0))
+
+
+def fits(pi, max_part, max_count):
+    """Whether `partition_to_surjection` takes pi into the max_part x
+    max_count box, the box of the (max_part, max_count + 1) surjections."""
+    try:
+        partition_to_surjection(pi, max_part, max_count + 1)
+    except ValueError:
+        return False
+    return True
 
 
 def test_partition_weight_and_fits():
-    pi = Partition((4, 3, 3))
-    assert pi.weight == 10
-    assert pi.fits(4, 3)
-    assert pi.fits(11, 3)
-    assert not pi.fits(3, 3)
-    assert not pi.fits(4, 2)
-    assert Partition(()).fits(0, 0)
+    pi = (4, 3, 3)
+    # the weight is the area of the surjection above the minimal one
+    assert integral(partition_to_surjection(pi, 4, 4)) == 4 * 3 // 2 + 4 + 4 + 10
+    assert fits(pi, 4, 3)
+    assert fits(pi, 11, 3)
+    assert not fits(pi, 3, 3)
+    assert not fits(pi, 4, 2)
+    assert fits((), 0, 0)
 
 
 def test_count_weight_zero_is_one():
@@ -92,22 +107,15 @@ def test_recurrence_consistency():
 
 
 def test_enumerate_degenerate_boxes():
-    assert list(enumerate_restricted(0, 0)) == [Partition(())]
-    assert list(enumerate_restricted(1, 1)) == [Partition(()), Partition((1,))]
-    assert list(enumerate_restricted(0, 5)) == [Partition(())]
+    assert list(enumerate_restricted(0, 0)) == [()]
+    assert list(enumerate_restricted(1, 1)) == [(), (1,)]
+    assert list(enumerate_restricted(0, 5)) == [()]
 
 
 def test_enumerate_2_2():
     got = list(enumerate_restricted(2, 2))
     assert len(got) == 6
-    assert got == [
-        Partition(()),
-        Partition((1,)),
-        Partition((1, 1)),
-        Partition((2,)),
-        Partition((2, 1)),
-        Partition((2, 2)),
-    ]
+    assert got == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
 
 
 def test_enumerate_counts_and_order():
@@ -116,13 +124,14 @@ def test_enumerate_counts_and_order():
             seen = list(enumerate_restricted(a, b))
             assert len(seen) == comb(a + b, b)
             assert len(set(seen)) == len(seen)
-            padded = [p.parts + (0,) * (b - len(p.parts)) for p in seen]
+            assert seen == brute_box(a, b)
+            padded = [p + (0,) * (b - len(p)) for p in seen]
             assert padded == sorted(padded)
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
 def test_stream_agrees_with_counts(a, b):
-    weights = [p.weight for p in enumerate_restricted(a, b)]
+    weights = [sum(p) for p in enumerate_restricted(a, b)]
     assert list(v(a, b)) == [weights.count(n) for n in range(a * b + 1)]
 
 

@@ -24,7 +24,7 @@ def brute_coeffs(m, n):
     """Coefficient vector from explicit enumeration of the box."""
     counts = [0] * (m * n + 1)
     for p in enumerate_restricted(m, n):
-        counts[p.weight] += 1
+        counts[sum(p)] += 1
     return counts
 
 

@@ -27,42 +27,31 @@ SMALL_SWEEP = ["--k-max", "8", "--l-max", "8", "--primes", "3,5", "--m-max", "2"
 
 ERROR_BRANCH = "error branch"
 ARGPARSE_FALLBACK = "argparse fallback"
-CHECKING_CONSTRUCTOR = "checking constructor"
+VALIDATOR = "validator of a paper object"
+VALIDATING_WRAPPER = "validating wrapper of a kernel that a suite reaches"
 TEST_ORACLE = "test oracle"
 PAPER_OBJECT = "paper object that item 9 or 20 will check"
-VALUE_CONTRACT = "value contract pinned by tests/test_value_classes.py"
 REASONS = {
-    ERROR_BRANCH, ARGPARSE_FALLBACK, CHECKING_CONSTRUCTOR, TEST_ORACLE, PAPER_OBJECT,
-    VALUE_CONTRACT,
+    ERROR_BRANCH, ARGPARSE_FALLBACK, VALIDATOR, VALIDATING_WRAPPER, TEST_ORACLE, PAPER_OBJECT,
 }
 
 # The functions no command or suite enters, each with why it stays.  Items 9
 # and 20 of ROADMAP.md decide the roles of the paper's objects.
 ALLOWLIST = {
-    "_value:_assign": VALUE_CONTRACT,
-    "_value:_delete": VALUE_CONTRACT,
-    "_value:_comparison.<locals>.method": VALUE_CONTRACT,
-    "_value:_methods.<locals>.fields": VALUE_CONTRACT,
-    "_value:_methods.<locals>.__repr__": VALUE_CONTRACT,
-    "_value:_methods.<locals>.__eq__": VALUE_CONTRACT,
-    "_value:_methods.<locals>.__hash__": VALUE_CONTRACT,
-    "_value:_methods.<locals>.__reduce__": VALUE_CONTRACT,
     "cli:build_parser": ARGPARSE_FALLBACK,
-    "heisenberg:CoveringPoint.__init__": CHECKING_CONSTRUCTOR,
+    "heisenberg:covering_point": VALIDATOR,
     "heisenberg:center_projection": PAPER_OBJECT,
-    "partitions:Partition.__init__": CHECKING_CONSTRUCTOR,
-    "partitions:Partition.weight": PAPER_OBJECT,
-    "partitions:Partition.fits": PAPER_OBJECT,
+    "heisenberg:relative_positions": VALIDATING_WRAPPER,
+    "heisenberg:reconstruct": VALIDATING_WRAPPER,
+    "heisenberg:shift_action": VALIDATING_WRAPPER,
+    "partitions:partition": VALIDATOR,
     "partitions:enumerate_restricted": TEST_ORACLE,
     "partitions:enumerate_restricted.<locals>.descend": TEST_ORACLE,
-    "surjections:StepSequence.__init__": CHECKING_CONSTRUCTOR,
-    "surjections:StepSequence.domain_length": PAPER_OBJECT,
-    "surjections:StepSequence.level_count": PAPER_OBJECT,
+    "surjections:step_sequence": VALIDATOR,
     "surjections:integral": PAPER_OBJECT,
     "surjections:surjection_to_partition": PAPER_OBJECT,
     "surjections:partition_to_surjection": PAPER_OBJECT,
     "surjections:act_cyclic": PAPER_OBJECT,
-    "surjections:_position": PAPER_OBJECT,
     "surjections:act_unit": PAPER_OBJECT,
     "surjections:act_symmetric": PAPER_OBJECT,
     "surjections:enumerate_step_sequences": TEST_ORACLE,

@@ -11,9 +11,9 @@ import qfiber.heisenberg as heisenberg
 import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
-from qfiber.heisenberg import CoveringPoint, enumerate_configurations
+from qfiber.heisenberg import covering_point, enumerate_configurations
 from qfiber.partitions import count_by_residue, count_exact_parts_by_residue
-from qfiber.surjections import StepSequence, act_cyclic, act_unit
+from qfiber.surjections import act_cyclic, act_unit
 from qfiber.verify import (
     CheckReport,
     check_counterexamples,
@@ -163,12 +163,12 @@ def test_main1_builds_each_box_once_through_the_kernel_bound_in_verify(monkeypat
 
 
 def test_rotated_gap_vectors_fail_only_the_round_trip(monkeypatch, capsys):
-    gap_vector = verify.relative_positions
+    gap_vector = verify._gap_vector
 
     def rotated(point):
         return act_cyclic(gap_vector(point), -1)
 
-    monkeypatch.setattr(verify, "relative_positions", rotated)
+    monkeypatch.setattr(verify, "_gap_vector", rotated)
     assert main(["verify", "fibrations", "--n-max", "6"]) == 1
     out, err = capsys.readouterr()
     failed = [line.split()[1:4] for line in out.splitlines() if line.startswith("FAIL")]
@@ -245,9 +245,9 @@ def test_check_main1_rejects_small_bounds():
     (lambda: count_by_residue(2, 2.0, 3), "max_count must be an integer: 2.0"),
     (lambda: count_exact_parts_by_residue(2, 2, 3.0), "modulus must be an integer: 3.0"),
     (lambda: list(enumerate_configurations(5.0, 2)), "ring_size must be an integer: 5.0"),
-    (lambda: act_cyclic(StepSequence((1, 2, 3)), "1"), "power must be an integer: '1'"),
-    (lambda: act_cyclic(StepSequence((1, 2, 3)), 1.5), "power must be an integer: 1.5"),
-    (lambda: act_unit(StepSequence((1, 2, 3)), 2.0), "u must be an integer: 2.0"),
+    (lambda: act_cyclic((1, 2, 3), "1"), "power must be an integer: '1'"),
+    (lambda: act_cyclic((1, 2, 3), 1.5), "power must be an integer: 1.5"),
+    (lambda: act_unit((1, 2, 3), 2.0), "u must be an integer: 2.0"),
 ])
 def test_non_integer_arguments_are_refused_by_name(call, message):
     # 7.0 passes the trial division, so a float prime or bound used to end in
@@ -364,14 +364,14 @@ def test_check_fibrations_small_sweep():
 
 
 def test_arithmetic_error_in_reconstruct_fails_only_the_round_trip(monkeypatch):
-    rebuild = verify.reconstruct
+    rebuild = verify._rebuild
 
     def broken(center_sum, gaps):
-        if gaps.steps == (1, 2, 3):
+        if gaps == (1, 2, 3):
             raise ArithmeticError("injected failure")
         return rebuild(center_sum, gaps)
 
-    monkeypatch.setattr(verify, "reconstruct", broken)
+    monkeypatch.setattr(verify, "_rebuild", broken)
     reports = check_fibrations(7)
     [failed] = failures(reports)
     assert (failed.check_id, failed.parameters) == ("covering-roundtrip", {"N": 6, "r": 3})
@@ -413,8 +413,8 @@ def test_covering_checks_count_against_the_closed_form(monkeypatch):
 
 def test_orbit_starts_are_the_checked_points(monkeypatch):
     # the covering walk starts its orbits at the points `enumerate_configurations`
-    # builds unchecked: they equal the points the public constructor makes
-    # from the same r-subsets, and are of exactly its class
+    # builds unchecked: they equal the points `covering_point` makes from the
+    # same r-subsets
     assert verify.enumerate_configurations is enumerate_configurations
     starts = []
 
@@ -428,25 +428,24 @@ def test_orbit_starts_are_the_checked_points(monkeypatch):
         for r in range(n + 1):
             starts.clear()
             verify._covering_walk(n, r)
-            assert starts == [CoveringPoint(c, n) for c in combinations(range(1, n + 1), r)]
-            assert all(type(point) is CoveringPoint for point in starts)
+            assert starts == [covering_point(c, n) for c in combinations(range(1, n + 1), r)]
     for ring_size in (0, -1, 2.0, "3"):
         with pytest.raises(ValueError, match="^ring_size must be"):
             verify._covering_walk(ring_size, 1)
 
 
 def assert_walk_covers_first_mark_points(monkeypatch):
-    """For N <= 9, the points the covering walk passes to
-    `relative_positions` are those with first mark in [1, N], built
-    directly, each once, and the walk counts each of them."""
+    """For N <= 9, the points the covering walk passes to its gap-vector
+    kernel are those with first mark in [1, N], built directly, each once,
+    and the walk counts each of them."""
     seen = []
-    gap_vector = verify.relative_positions
+    gap_vector = verify._gap_vector
 
     def recording(point):
-        seen.append(point.positions)
+        seen.append(point[0])
         return gap_vector(point)
 
-    monkeypatch.setattr(verify, "relative_positions", recording)
+    monkeypatch.setattr(verify, "_gap_vector", recording)
     for n in range(1, 10):
         for r in range(1, n + 1):
             seen.clear()
@@ -469,14 +468,14 @@ def test_wrong_shift_fails_only_the_shift_check(monkeypatch):
     # a shift with the right position sum but the wrong positions: the walk
     # follows it, and every (N, r) where it moves a point off the covering
     # shift fails covering-shift, and nothing else fails
-    shift = verify.shift_action
+    shift = verify._shift
 
     def wrong(point, steps):
         moved = shift(point, steps)
-        positions, n = moved.positions, point.ring_size
+        positions, n = moved[0], point[1]
         if len(positions) < 2 or positions[-1] - positions[0] > n - 3:
             return moved
-        return CoveringPoint((positions[0] - 1, *positions[1:-1], positions[-1] + 1), n)
+        return covering_point((positions[0] - 1, *positions[1:-1], positions[-1] + 1), n)
 
     altered = {
         (n, r)
@@ -484,9 +483,9 @@ def test_wrong_shift_fails_only_the_shift_check(monkeypatch):
         for r in range(1, n + 1)
         for first in range(1, n + 1)
         for rest in combinations(range(first + 1, first + n), r - 1)
-        if wrong(CoveringPoint((first, *rest), n), 1) != shift(CoveringPoint((first, *rest), n), 1)
+        if wrong(((first, *rest), n), 1) != shift(((first, *rest), n), 1)
     }
-    monkeypatch.setattr(verify, "shift_action", wrong)
+    monkeypatch.setattr(verify, "_shift", wrong)
     failed = failures(check_fibrations(9))
     assert {r.check_id for r in failed} == {"covering-shift"}
     assert {(r.parameters["N"], r.parameters["r"]) for r in failed} == altered
@@ -495,17 +494,17 @@ def test_wrong_shift_fails_only_the_shift_check(monkeypatch):
 
 def test_shift_off_the_walks_sum_fails_the_covering_checks_without_ending_the_sweep(monkeypatch):
     # the walk rebuilds each point from its own running sum, so a shift that
-    # drops the last mark by one makes `reconstruct` raise ValueError
-    shift = verify.shift_action
+    # drops the last mark by one makes the rebuild raise ValueError
+    shift = verify._shift
 
     def dropped(point, steps):
         moved = shift(point, steps)
-        positions, n = moved.positions, point.ring_size
+        positions, n = moved[0], point[1]
         if len(positions) < 2 or positions[-1] - 1 == positions[-2]:
             return moved
-        return CoveringPoint((*positions[:-1], positions[-1] - 1), n)
+        return covering_point((*positions[:-1], positions[-1] - 1), n)
 
-    monkeypatch.setattr(verify, "shift_action", dropped)
+    monkeypatch.setattr(verify, "_shift", dropped)
     failed = failures(check_fibrations(6))
     assert sorted(Counter(r.check_id for r in failed).items()) == [
         ("covering-roundtrip", 10), ("covering-shift", 10)]
@@ -515,38 +514,33 @@ def test_shift_off_the_walks_sum_fails_the_covering_checks_without_ending_the_sw
 
 
 def test_forged_shift_fails_the_covering_checks_without_ending_the_sweep(monkeypatch):
-    # a shift that returns a CoveringPoint breaking its rules, made without
-    # its constructor: the maps take it as valid, and the shift check fails
-    shift = verify.shift_action
+    # a shift that returns a point breaking the covering rules, made without
+    # `covering_point`: the kernels take it as valid, and the shift check fails
+    shift = verify._shift
 
     def forged(point, steps):
-        moved = shift(point, steps)
-        if len(moved.positions) < 2:
-            return moved
-        bad = object.__new__(CoveringPoint)
-        object.__setattr__(bad, "positions", moved.positions[::-1])
-        object.__setattr__(bad, "ring_size", moved.ring_size)
-        return bad
+        positions, n = moved = shift(point, steps)
+        return moved if len(positions) < 2 else (positions[::-1], n)
 
-    monkeypatch.setattr(verify, "shift_action", forged)
+    monkeypatch.setattr(verify, "_shift", forged)
     failed = failures(check_fibrations(6))
     assert failed and {r.check_id for r in failed} <= {"covering-roundtrip", "covering-shift"}
 
 
 def test_shift_that_raises_fails_its_covering_checks_without_ending_the_sweep(monkeypatch):
-    # a shift that builds its reversed result through the constructor raises
+    # a shift that builds its reversed result through `covering_point` raises
     # ValueError at (5, 2): the walk stops there, the shift check holds the
     # error, and the round trip check keeps the count it reached
-    shift = verify.shift_action
+    shift = verify._shift
 
     def reversing(point, steps):
         moved = shift(point, steps)
-        if (point.ring_size, len(point.positions)) != (5, 2):
+        if (point[1], len(point[0])) != (5, 2):
             return moved
-        return CoveringPoint(moved.positions[::-1], 5)
+        return covering_point(moved[0][::-1], 5)
 
     clean = check_fibrations(6)
-    monkeypatch.setattr(verify, "shift_action", reversing)
+    monkeypatch.setattr(verify, "_shift", reversing)
     reports = check_fibrations(6)
     failed = failures(reports)
     assert len(reports) == len(clean)
@@ -560,9 +554,9 @@ def test_shift_that_raises_fails_its_covering_checks_without_ending_the_sweep(mo
 
 def test_reconstruct_to_another_point_fails_only_the_round_trip(monkeypatch):
     # a valid covering point, but r shifts away from the one with that sum
-    rebuild, shift = verify.reconstruct, verify.shift_action
+    rebuild, shift = verify._rebuild, verify._shift
     monkeypatch.setattr(
-        verify, "reconstruct", lambda total, gaps: shift(rebuild(total, gaps), len(gaps.steps)))
+        verify, "_rebuild", lambda total, gaps: shift(rebuild(total, gaps), len(gaps)))
     reports = check_fibrations(7)
     failed = failures(reports)
     assert failed == [r for r in reports if r.check_id == "covering-roundtrip"]
@@ -571,9 +565,9 @@ def test_reconstruct_to_another_point_fails_only_the_round_trip(monkeypatch):
 
 def test_reconstruct_to_another_point_fails_only_the_round_trip_through_main(
         monkeypatch, capsys):
-    rebuild, shift = verify.reconstruct, verify.shift_action
+    rebuild, shift = verify._rebuild, verify._shift
     monkeypatch.setattr(
-        verify, "reconstruct", lambda total, gaps: shift(rebuild(total, gaps), len(gaps.steps)))
+        verify, "_rebuild", lambda total, gaps: shift(rebuild(total, gaps), len(gaps)))
     assert main(["verify", "fibrations", "--n-max", "6"]) == 1
     out, err = capsys.readouterr()
     failed = [line.split()[1:4] for line in out.splitlines() if line.startswith("FAIL")]

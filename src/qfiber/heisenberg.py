@@ -13,8 +13,10 @@ by direct enumeration (the oracle of both).
 Each public map sends its point or gap vector through `covering_point` or
 `surjections.step_sequence` once and then runs its unchecked kernel
 (`_gap_vector`, `_rebuild`, `_shift`), which builds a result valid by
-construction for the reason its map's docstring gives.  `verify`'s covering
-walk runs the kernels on the points it builds.
+construction for the reason its map's docstring gives.  `_shift` is the one
+covering-shift step; `shift_action` composes it with a translation by a
+multiple of N.  `verify`'s covering walk runs the kernels on the points it
+builds, taking one `_shift` step per point.
 """
 
 from __future__ import annotations
@@ -137,23 +139,26 @@ def shift_action(point: tuple[Iterable[int], int], steps: int = 1) -> Point:
     apply the inverse.
 
     With N = ring_size and p = steps mod r, the result is the point moved
-    by a multiple of N, rotated by p and with N added to the p marks moved
-    to the end.  As j_r < j_1 + N, it strictly increases, and its span
-    j_p + N - j_(p+1) is less than N.
+    by floor(steps / r) * N and then moved by p calls of `_shift`, the one
+    step, at a cost of O(r * p).  As j_r < j_1 + N, one step's result
+    strictly increases, and its span j_1 + N - j_2 is less than N.
     """
-    return _shift(covering_point(*point), steps)
-
-
-def _shift(point: Point, steps: int) -> Point:
-    """`shift_action` of a valid point."""
-    positions, n = point
+    positions, n = point = covering_point(*point)
     r = len(positions)
     if r == 0:
         return point
     whole, part = divmod(index(steps), r)
     if whole:
-        positions = tuple(map(add, positions, repeat(whole * n)))
-    return positions[part:] + tuple(map(add, positions[:part], repeat(n))), n
+        point = tuple(map(add, positions, repeat(whole * n))), n
+    for _ in range(part):
+        point = _shift(point)
+    return point
+
+
+def _shift(point: Point) -> Point:
+    """One covering shift of a valid point with at least one mark."""
+    positions, n = point
+    return positions[1:] + (positions[0] + n,), n
 
 
 def _check_marked_in_ring(ring_size: int, marked: int) -> None:

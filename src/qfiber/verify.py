@@ -251,11 +251,11 @@ def check_counterexamples() -> list[CheckReport]:
 def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
     """Count, in one pass over the covering points with first mark in
     [1, ring_size], those that `_rebuild` rebuilds from their position sum
-    and gap vector (`_gap_vector`) and those whose `_shift` is the covering
-    shift.  An ArithmeticError or ValueError from the round trip takes the
-    place of its count, as the text a failed check reports, and the walk
-    goes on: `_rebuild` raises ValueError when a wrong shift leaves the
-    point off the walk's own sum.  Such an error from `_shift` leaves no
+    and gap vector (`_gap_vector`) and those whose one `_shift` step is the
+    covering shift.  An ArithmeticError or ValueError from the round trip
+    takes the place of its count, as the text a failed check reports, and
+    the walk goes on: `_rebuild` raises ValueError when a wrong shift leaves
+    the point off the walk's own sum.  Such an error from `_shift` leaves no
     point to walk on to, so the walk stops there: the error text takes the
     place of the shift count, and the round trips keep the count they
     reached.
@@ -276,7 +276,8 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
 
     The walk runs the kernels of `relative_positions`, `reconstruct` and
     `shift_action`, whose points are valid by construction, so no argument
-    is checked again.  The starts and the three kernels are read from this
+    is checked again; `shift_action` moves a point by composing the same
+    one-step `_shift`.  The starts and the three kernels are read from this
     module's globals once per call, so a function rebound there is the one
     walked, and the positions and position sum of the current point are
     carried from one step to the next.
@@ -295,7 +296,7 @@ def _covering_walk(ring_size: int, marked: int) -> tuple[int | str, int | str]:
                 except _CHECK_ERRORS as exc:
                     failure = _error_text(exc)
             try:
-                point = shift(point, 1)
+                point = shift(point)
             except _CHECK_ERRORS as exc:
                 return round_trips if failure is None else failure, _error_text(exc)
             total += n

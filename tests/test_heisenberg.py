@@ -301,6 +301,22 @@ def test_shift_action_is_an_action(n, a, b):
     assert shift_action(shift_action(point, a), b) == shift_action(point, a + b)
 
 
+def test_shift_action_composes_the_walks_one_step_kernel(monkeypatch):
+    # the covering walk checks `_shift` alone, so the public map must be
+    # that step composed with a translation, and run the name it is bound to
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            for point in covering_points(n, r):
+                positions = point[0]
+                for s in range(-2 * r, 2 * r + 1):
+                    moved = tuple(j + s // r * n for j in positions), n
+                    for _ in range(s % r):
+                        moved = heisenberg._shift(moved)
+                    assert shift_action(point, s) == moved
+    monkeypatch.setattr(heisenberg, "_shift", lambda point: point)
+    assert shift_action(((1, 3), 5), 1) == ((1, 3), 5)
+
+
 @st.composite
 def far_covering_points(draw):
     """Valid covering points anywhere on the line, r = 1 included."""
@@ -591,4 +607,4 @@ def test_unchecked_builds_pass_their_validators_unchanged(k, l, power, data):
         gaps = heisenberg._gap_vector(point)
         assert_valid_steps(gaps)
         assert_valid_point(heisenberg._rebuild(sum(point[0]), gaps))
-        assert_valid_point(heisenberg._shift(point, power))
+        assert_valid_point(heisenberg._shift(point))

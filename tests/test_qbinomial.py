@@ -81,6 +81,8 @@ def test_trivial_boxes():
     # a float is refused, though it equals an int
     with pytest.raises(ValueError, match=r"^m must be an integer: 2\.0$"):
         gaussian_coefficients(2.0, 2)
+    with pytest.raises(ValueError, match="^box dimensions must be nonnegative$"):
+        gaussian_coefficients(2, -1)
 
 
 def test_the_kernel_keeps_no_box():
@@ -232,7 +234,8 @@ def test_residue_sums_rejects_bad_modulus():
     with pytest.raises(ValueError):
         residue_sums(3, 3, 0)
     for args, message in (((3, 3, 2.0), "r must be an integer: 2.0"),
-                          ((3.0, 3, 2), "m must be an integer: 3.0")):
+                          ((3.0, 3, 2), "m must be an integer: 3.0"),
+                          ((3, -1, 2), "box dimensions must be nonnegative")):
         with pytest.raises(ValueError) as excinfo:
             residue_sums(*args)
         assert str(excinfo.value) == message

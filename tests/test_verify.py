@@ -11,7 +11,7 @@ import qfiber.heisenberg as heisenberg
 import qfiber.qbinomial as qbinomial
 import qfiber.verify as verify
 from qfiber.cli import main
-from qfiber.heisenberg import covering_point, enumerate_configurations
+from qfiber.heisenberg import covering_point, enumerate_configurations, shift_action
 from qfiber.partitions import count_by_residue, count_exact_parts_by_residue
 from qfiber.surjections import act_cyclic, act_unit
 from qfiber.verify import (
@@ -281,8 +281,9 @@ def test_check_therm_rejects_bad_primes():
         check_therm((2,), 1)
     with pytest.raises(ValueError):
         check_therm((), 1)
-    with pytest.raises(ValueError):
-        check_therm((3,), 0)
+    for check in (check_therm, check_thmp):
+        with pytest.raises(ValueError, match="^multiplier_max must be positive$"):
+            check((3,), 0)
 
 
 @pytest.mark.parametrize("primes, message", [
@@ -470,8 +471,8 @@ def test_wrong_shift_fails_only_the_shift_check(monkeypatch):
     # shift fails covering-shift, and nothing else fails
     shift = verify._shift
 
-    def wrong(point, steps):
-        moved = shift(point, steps)
+    def wrong(point):
+        moved = shift(point)
         positions, n = moved[0], point[1]
         if len(positions) < 2 or positions[-1] - positions[0] > n - 3:
             return moved
@@ -483,7 +484,7 @@ def test_wrong_shift_fails_only_the_shift_check(monkeypatch):
         for r in range(1, n + 1)
         for first in range(1, n + 1)
         for rest in combinations(range(first + 1, first + n), r - 1)
-        if wrong(((first, *rest), n), 1) != shift(((first, *rest), n), 1)
+        if wrong(((first, *rest), n)) != shift(((first, *rest), n))
     }
     monkeypatch.setattr(verify, "_shift", wrong)
     failed = failures(check_fibrations(9))
@@ -497,8 +498,8 @@ def test_shift_off_the_walks_sum_fails_the_covering_checks_without_ending_the_sw
     # drops the last mark by one makes the rebuild raise ValueError
     shift = verify._shift
 
-    def dropped(point, steps):
-        moved = shift(point, steps)
+    def dropped(point):
+        moved = shift(point)
         positions, n = moved[0], point[1]
         if len(positions) < 2 or positions[-1] - 1 == positions[-2]:
             return moved
@@ -518,8 +519,8 @@ def test_forged_shift_fails_the_covering_checks_without_ending_the_sweep(monkeyp
     # `covering_point`: the kernels take it as valid, and the shift check fails
     shift = verify._shift
 
-    def forged(point, steps):
-        positions, n = moved = shift(point, steps)
+    def forged(point):
+        positions, n = moved = shift(point)
         return moved if len(positions) < 2 else (positions[::-1], n)
 
     monkeypatch.setattr(verify, "_shift", forged)
@@ -533,8 +534,8 @@ def test_shift_that_raises_fails_its_covering_checks_without_ending_the_sweep(mo
     # error, and the round trip check keeps the count it reached
     shift = verify._shift
 
-    def reversing(point, steps):
-        moved = shift(point, steps)
+    def reversing(point):
+        moved = shift(point)
         if (point[1], len(point[0])) != (5, 2):
             return moved
         return covering_point(moved[0][::-1], 5)
@@ -554,9 +555,9 @@ def test_shift_that_raises_fails_its_covering_checks_without_ending_the_sweep(mo
 
 def test_reconstruct_to_another_point_fails_only_the_round_trip(monkeypatch):
     # a valid covering point, but r shifts away from the one with that sum
-    rebuild, shift = verify._rebuild, verify._shift
+    rebuild = verify._rebuild
     monkeypatch.setattr(
-        verify, "_rebuild", lambda total, gaps: shift(rebuild(total, gaps), len(gaps)))
+        verify, "_rebuild", lambda total, gaps: shift_action(rebuild(total, gaps), len(gaps)))
     reports = check_fibrations(7)
     failed = failures(reports)
     assert failed == [r for r in reports if r.check_id == "covering-roundtrip"]
@@ -565,9 +566,9 @@ def test_reconstruct_to_another_point_fails_only_the_round_trip(monkeypatch):
 
 def test_reconstruct_to_another_point_fails_only_the_round_trip_through_main(
         monkeypatch, capsys):
-    rebuild, shift = verify._rebuild, verify._shift
+    rebuild = verify._rebuild
     monkeypatch.setattr(
-        verify, "_rebuild", lambda total, gaps: shift(rebuild(total, gaps), len(gaps)))
+        verify, "_rebuild", lambda total, gaps: shift_action(rebuild(total, gaps), len(gaps)))
     assert main(["verify", "fibrations", "--n-max", "6"]) == 1
     out, err = capsys.readouterr()
     failed = [line.split()[1:4] for line in out.splitlines() if line.startswith("FAIL")]
